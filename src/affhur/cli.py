@@ -25,7 +25,7 @@ from .quasicox import (FactorizationQuery, PipelineExhausted,
                        absolute_length_affine, connect_reduced,
                        enumerate_factorizations, fiber, generates_affine,
                        is_quasi_coxeter_affine)
-from .rootsys import RootSystemError, coroot
+from .rootsys import RootSystemError, coroot, parse_type
 from .weyl_aff import as_element, product_of_reflections
 from .weyl_fin import absolute_length, reflection_element
 from . import verify as verify_mod
@@ -36,13 +36,27 @@ EXIT_USAGE = 2
 EXIT_LIMITS = 3
 
 
-def _node_limit() -> int:
-    return int(os.environ.get("AFFHUR_NODE_LIMIT", 10 ** 6))
-
-
 def _usage_error(msg: str):
     click.echo(f"error: {msg}", err=True)
     sys.exit(EXIT_USAGE)
+
+
+def _node_limit() -> int:
+    raw = os.environ.get("AFFHUR_NODE_LIMIT")
+    if raw is None:
+        return 10 ** 6
+    try:
+        limit = int(raw)
+    except ValueError:
+        _usage_error(f"AFFHUR_NODE_LIMIT must be an integer, got {raw!r}")
+    if limit < 0:
+        _usage_error(f"AFFHUR_NODE_LIMIT must be non-negative, got {limit}")
+    return limit
+
+
+def _check_at_least(option: str, value, least: int = 0):
+    if value is not None and value < least:
+        _usage_error(f"{option} must be at least {least}, got {value}")
 
 
 def _emit(fmt: str, payload: dict, text_lines):
@@ -113,6 +127,7 @@ def cmd_roots(group, fmt):
 @fmt_option
 def cmd_check_qc(group, reflections, level_bound, fmt):
     """Decide quasi-Coxeter status of the product of the given reflections."""
+    _check_at_least("--level-bound", level_bound)
     rs, affine = _parse_group_or_exit(group)
     if not affine:
         _usage_error("check-qc needs an affine group spec like 'affine:A2'")
@@ -157,6 +172,8 @@ def cmd_check_qc(group, reflections, level_bound, fmt):
 @fmt_option
 def cmd_factorize(group, reflections, length, level_bound, fmt):
     """Enumerate reflection factorizations of the product of REFLECTIONS."""
+    _check_at_least("--length", length)
+    _check_at_least("--level-bound", level_bound)
     rs, affine = _parse_group_or_exit(group)
     if not affine:
         _usage_error("factorize needs an affine group spec like 'affine:A2'")
@@ -273,6 +290,7 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
 @fmt_option
 def cmd_fiber(group, reflections, shift_bound, fmt):
     """Members of the sigma_n-fiber through a repeated-root-tail tuple."""
+    _check_at_least("--shift-bound", shift_bound)
     rs, affine = _parse_group_or_exit(group)
     if not affine:
         _usage_error("fiber needs an affine group spec like 'affine:A2'")
@@ -301,10 +319,16 @@ def cmd_fiber(group, reflections, shift_bound, fmt):
 @fmt_option
 def cmd_verify(suites, groups, seed, samples, threads, fmt):
     """Run verification suites (default: all)."""
+    _check_at_least("--samples", samples, 1)
     names = list(suites) if suites else list(verify_mod.SUITES)
     for name in names:
         if name not in verify_mod.SUITES:
             _usage_error(f"unknown suite {name!r}; known: {', '.join(verify_mod.SUITES)}")
+    for g in groups:
+        try:
+            parse_type(g)
+        except RootSystemError as exc:
+            _usage_error(str(exc))
     group_list = list(groups) or None
 
     def run(name):

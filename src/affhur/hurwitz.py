@@ -160,7 +160,9 @@ def connect(t1: ReflectionTuple, t2: ReflectionTuple,
                 parents[nxt] = (node, -i if inv else i)
                 if nxt in other:
                     word = trace(fwd, nxt) + trace(bwd, nxt).inverse()
-                    assert apply_braid(t1, word) == t2
+                    if apply_braid(t1, word) != t2:
+                        raise RuntimeError("internal inconsistency: the braid "
+                                           "word found does not replay")
                     return word
                 nxt_frontier.append(nxt)
         if expand_forward:

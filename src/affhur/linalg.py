@@ -87,20 +87,6 @@ def mat_inv(a: Mat) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in m)
 
 
-def mat_inv_int(a: Mat) -> Mat:
-    """Inverse of an integer matrix whose inverse is again integral."""
-    inv = mat_inv(a)
-    out = []
-    for row in inv:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("inverse is not integral")
-            r.append(int(x))
-        out.append(tuple(r))
-    return tuple(out)
-
-
 def rational_rank(rows) -> int:
     m = [[Fraction(x) for x in row] for row in rows]
     rank = 0

@@ -108,14 +108,20 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     aff_tuple = ReflectionTuple(tuple(as_element(rs, r) for r in refs))
     normed = apply_braid(aff_tuple, word)
     normed_refs = [recognize_reflection(rs, e) for e in normed.entries]
-    assert all(r is not None for r in normed_refs)
+    if any(r is None for r in normed_refs):
+        raise RuntimeError("internal inconsistency: a Hurwitz move produced "
+                           "a non-reflection")
     gammas = [r.root for r in normed_refs]
     levels = [r.level for r in normed_refs]
-    assert gammas[n - 1] == gammas[n]
+    if gammas[n - 1] != gammas[n]:
+        raise RuntimeError("internal inconsistency: normalized tuple lacks "
+                           "the repeated-root tail")
 
     rows = _coweight_rows(rs, gammas[:n])
     sol = solve_rational(rows, [-l for l in levels[:n]])
-    assert sol is not None and not sol[1], "normalized roots must be independent"
+    if sol is None or sol[1]:
+        raise RuntimeError("internal inconsistency: normalized roots must "
+                           "be independent")
     lam = sol[0]
 
     gap = levels[n - 1] - levels[n]
@@ -242,34 +248,47 @@ def _transformed_coroots(rs: RootSystem, seq):
     return vs
 
 
+def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
+    """Whether w is a product of m affine reflections.
+
+    True when some length-m root sequence multiplies to the finite part of
+    w and its level system is integrally solvable; solvability is decided
+    exactly, independent of any level bound.
+    """
+    if m == 0:
+        return w.is_identity()
+    n = rs.rank
+    pos = rs.positive_roots
+    refl = {r: reflection_element(rs, r) for r in pos}
+    for seq in itertools.product(pos, repeat=m):
+        prod = identity_element(rs)
+        for r in seq:
+            prod = prod * refl[r]
+        if prod != w.finite:
+            continue
+        vs = _transformed_coroots(rs, seq)
+        rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
+        if solve_integer(rows, w.translation) is not None:
+            return True
+    return False
+
+
 def absolute_length_affine(rs: RootSystem, w: AffineWeylElement,
                            ceiling: int | None = None) -> int:
     """Reflection length in the affine group.
 
     Searches lengths of the right parity up to the affine bound 2n for a
-    root sequence whose level system is integrally solvable; solvability is
-    decided exactly, independent of any level bound.
+    root sequence whose level system is integrally solvable.
     """
     if w.is_identity():
         return 0
-    n = rs.rank
     if ceiling is None:
-        ceiling = 2 * n
+        ceiling = 2 * rs.rank
     det = int(mat_det(w.finite.matrix))
     start = 1 if det == -1 else 2
-    pos = rs.positive_roots
-    refl = {r: reflection_element(rs, r) for r in pos}
     for m in range(start, ceiling + 1, 2):
-        for seq in itertools.product(pos, repeat=m):
-            prod = identity_element(rs)
-            for r in seq:
-                prod = prod * refl[r]
-            if prod != w.finite:
-                continue
-            vs = _transformed_coroots(rs, seq)
-            rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
-            if solve_integer(rows, w.translation) is not None:
-                return m
+        if _has_factorization(rs, w, m):
+            return m
     raise RuntimeError(f"no factorization found up to the length ceiling {ceiling}; "
                        "the ceiling convention may not apply to this element")
 
@@ -296,30 +315,21 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     if det != (-1) ** m:
         return QuasiCoxeterResult(False, None, True,
                                   f"parity excludes factorizations of length {m}")
+    # n+1 reflections are needed to generate the affine group, and with the
+    # parity above a length-(n-1) factorization exists iff the absolute
+    # length is below n+1
+    if _has_factorization(rs, w, n - 1):
+        return QuasiCoxeterResult(False, None, True,
+                                  f"absolute length at most {n - 1}, below {m}")
     facs = enumerate_factorizations(rs, FactorizationQuery(w, m, level_cap))
     for fac in facs:
         if generates_affine(rs, fac).generates:
             return QuasiCoxeterResult(True, fac, True, "generating witness found")
-    if not facs:
-        # distinguish exact insolvability from an empty K-window
-        pos = rs.positive_roots
-        refl = {r: reflection_element(rs, r) for r in pos}
-        solvable = False
-        for seq in itertools.product(pos, repeat=m):
-            prod = identity_element(rs)
-            for r in seq:
-                prod = prod * refl[r]
-            if prod != w.finite:
-                continue
-            vs = _transformed_coroots(rs, seq)
-            rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
-            if solve_integer(rows, w.translation) is not None:
-                solvable = True
-                break
-        if not solvable:
-            return QuasiCoxeterResult(False, None, True,
-                                      f"no length-{m} factorization exists "
-                                      "(integer systems insolvable)")
+    if not facs and not _has_factorization(rs, w, m):
+        # exact insolvability, not merely an empty K-window
+        return QuasiCoxeterResult(False, None, True,
+                                  f"no length-{m} factorization exists "
+                                  "(integer systems insolvable)")
     return QuasiCoxeterResult(False, None, False,
                               f"no witness with levels bounded by {level_cap}")
 
@@ -373,7 +383,9 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
         word = connect(aff1, aff2, depth_limit=depth_limit, node_limit=node_limit)
         if word is None:
             raise
-    assert apply_braid(aff1, word) == aff2
+    if apply_braid(aff1, word) != aff2:
+        raise RuntimeError("internal inconsistency: the braid word found "
+                           "does not replay")
     return word
 
 

@@ -286,6 +286,7 @@ def _check_connect_all_pairs(rs, seed: int, samples: int) -> str:
             word = connect_reduced(rs, w, t1, t2)
             assert word is not None
             pairs += 1
+    assert pairs > 0, f"no pairs connected: {samples} sample(s) form no pair"
     return (f"{pairs} pairs connected among {samples} of {len(facs)} tuples "
             f"at K={level_bound}")
 

@@ -36,7 +36,7 @@ class AffineWeylElement:
                                  vec_neg(self.finite.act_coroot(self.translation)))
 
     def __hash__(self) -> int:
-        return hash((self.finite.matrix, self.translation))
+        return hash((self.finite.perm, self.translation))
 
     def is_identity(self) -> bool:
         return self.finite.is_identity() and not any(self.translation)
@@ -98,7 +98,9 @@ def recognize_reflection(rs: RootSystem, x: AffineWeylElement) -> AffineReflecti
                 return None
             k = -(t // c)
             break
-    assert k is not None
+    if k is None:
+        raise RuntimeError("internal inconsistency: a coroot has no "
+                           "non-zero coordinate")
     if tuple(-k * c for c in v) != x.translation:
         return None
     return AffineReflection(alpha, k)

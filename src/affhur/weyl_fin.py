@@ -1,76 +1,112 @@
 """Finite Weyl group elements, absolute length and reduced factorizations.
 
-Elements are integer matrices acting on root-lattice coordinates; the
-companion matrix acting on coroot coordinates is carried along so that
-group operations never need the root system.
+An element is stored as the permutation it induces on the root system:
+`perm[i]` is the index of the image of root i, with roots indexed in the
+order of `RootSystem.roots`. Multiplication composes permutations and
+inversion inverts one, so group operations do no arithmetic. The
+per-root-system data (root list, root index, simple-root indices, coroot
+coordinates) lives in one shared `RootTable`; the matrices of the action
+on root and coroot coordinates are derived from it on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter, mul
 
-from .linalg import (Mat, identity_mat, mat_inv_int, mat_mul, mat_vec,
-                     rational_rank, solve_rational)
+from .linalg import Mat, identity_mat, rational_rank, solve_rational
 from .intlattice import (coroot_span, full_lattice, lattice_equal, root_span,
                          smallest_subsystem)
-from .rootsys import Root, RootSystem, RootSystemError, coroot
+from .rootsys import Root, RootSystem, RootSystemError, coroot, reflect
+
+
+class RootTable:
+    """The data of one root system that its group elements share.
+
+    Built once per root system by `root_table`. It compares by identity,
+    which keeps elements of different root systems (B2 and C2, say) apart
+    even when their permutations coincide. `inverses` memoizes inversion:
+    Hurwitz moves invert the same few elements over and over, and the memo
+    holds at most one entry per group element.
+    """
+
+    __slots__ = ("roots", "index", "simple", "coroots", "identity", "inverses")
+
+    def __init__(self, rs: RootSystem):
+        self.roots = rs.roots
+        self.index = {r: i for i, r in enumerate(rs.roots)}
+        self.simple = tuple(self.index[a] for a in rs.simple_roots)
+        self.coroots = tuple(coroot(rs, r).coords for r in rs.roots)
+        self.identity = tuple(range(len(rs.roots)))
+        self.inverses: dict = {}
+
+
+@lru_cache(maxsize=None)
+def root_table(rs: RootSystem) -> RootTable:
+    return RootTable(rs)
 
 
 @dataclass(frozen=True)
 class FiniteWeylElement:
-    matrix: Mat    # action on root coordinates
-    comatrix: Mat  # action on coroot coordinates; both compare, so elements of
-                   # different root systems sharing a matrix stay distinct
+    perm: tuple[int, ...]  # perm[i] = index of the image of root i
+    table: RootTable = field(repr=False)
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
-        return FiniteWeylElement(mat_mul(self.matrix, other.matrix),
-                                 mat_mul(self.comatrix, other.comatrix))
+        # (uv)(root i) = u(v(root i)); a root system has at least two roots,
+        # so itemgetter returns a tuple
+        return FiniteWeylElement(itemgetter(*other.perm)(self.perm), self.table)
 
     def inverse(self) -> "FiniteWeylElement":
-        return _inverse_cached(self)
+        t = self.table
+        inv = t.inverses.get(self.perm)
+        if inv is None:
+            perm = [0] * len(self.perm)
+            for i, j in enumerate(self.perm):
+                perm[j] = i
+            inv = t.inverses[self.perm] = FiniteWeylElement(tuple(perm), t)
+        return inv
 
     def __hash__(self) -> int:
-        return hash((self.matrix, self.comatrix))
+        return hash(self.perm)
 
     def act_root(self, r: Root) -> Root:
-        return Root(mat_vec(self.matrix, r.coords))
+        t = self.table
+        return t.roots[self.perm[t.index[r]]]
 
     def act_coroot(self, v):
-        return mat_vec(self.comatrix, v)
+        """Image of a vector in simple-coroot coordinates.
+
+        Column j is the coroot of w(alpha_j), the image of the j-th simple
+        coroot.
+        """
+        t = self.table
+        cols = [t.coroots[self.perm[s]] for s in t.simple]
+        return tuple([sum(map(mul, row, v)) for row in zip(*cols)])
+
+    @property
+    def matrix(self) -> Mat:
+        """Action on root coordinates; column j is w(alpha_j)."""
+        t = self.table
+        return tuple(zip(*(t.roots[self.perm[s]].coords for s in t.simple)))
+
+    @property
+    def comatrix(self) -> Mat:
+        """Action on coroot coordinates; column j is the coroot of w(alpha_j)."""
+        t = self.table
+        return tuple(zip(*(t.coroots[self.perm[s]] for s in t.simple)))
 
     @property
     def rank(self) -> int:
-        return len(self.matrix)
+        return len(self.table.simple)
 
     def is_identity(self) -> bool:
-        return self.matrix == identity_mat(self.rank)
-
-
-@lru_cache(maxsize=None)
-def _inverse_cached(w: FiniteWeylElement) -> FiniteWeylElement:
-    # group elements recur constantly; caching avoids rational elimination
-    return FiniteWeylElement(mat_inv_int(w.matrix), mat_inv_int(w.comatrix))
+        return self.perm == self.table.identity
 
 
 def identity_element(rs: RootSystem) -> FiniteWeylElement:
-    eye = identity_mat(rs.rank)
-    return FiniteWeylElement(eye, eye)
-
-
-def _comatrix(rs: RootSystem, matrix: Mat) -> Mat:
-    d = rs.symmetrizer
-    n = rs.rank
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            num = d[i] * matrix[i][j]
-            if num % d[j] != 0:
-                raise RootSystemError("coroot action is not integral")
-            row.append(num // d[j])
-        out.append(tuple(row))
-    return tuple(out)
+    t = root_table(rs)
+    return FiniteWeylElement(t.identity, t)
 
 
 def _pairing_row(rs: RootSystem, alpha: Root):
@@ -82,14 +118,11 @@ def _pairing_row(rs: RootSystem, alpha: Root):
 
 @lru_cache(maxsize=None)
 def reflection_element(rs: RootSystem, alpha: Root) -> FiniteWeylElement:
-    """Matrix of s_alpha; identical for alpha and -alpha."""
+    """s_alpha as a root permutation; identical for alpha and -alpha."""
     if not rs.is_root(alpha):
         raise RootSystemError(f"{alpha.coords} is not a root")
-    va = _pairing_row(rs, alpha)
-    n = rs.rank
-    m = tuple(tuple((1 if i == j else 0) - alpha.coords[i] * va[j] for j in range(n))
-              for i in range(n))
-    return FiniteWeylElement(m, _comatrix(rs, m))
+    t = root_table(rs)
+    return FiniteWeylElement(tuple(t.index[reflect(rs, alpha, b)] for b in t.roots), t)
 
 
 @lru_cache(maxsize=None)
@@ -171,7 +204,9 @@ def _fixed_space_basis(rs: RootSystem, roots):
     """Rational basis of the subspace fixed by all s_beta (root coordinates)."""
     rows = [_pairing_row(rs, r) for r in roots]
     sol = solve_rational(rows, [0] * len(rows))
-    assert sol is not None
+    if sol is None:
+        raise RuntimeError("internal inconsistency: a homogeneous system "
+                           "has no solution")
     _, basis = sol
     return basis
 

@@ -75,6 +75,14 @@ def test_check_qc_usage_errors(runner):
     assert run(runner, "check-qc", "affine:A2", "9,9:0").exit_code == 2
 
 
+def test_check_qc_short_element_conclusive(runner):
+    res = run(runner, "check-qc", "affine:A2", "1,0:0", "--format", "json")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["verdict"] is False and data["conclusive"] is True
+    assert data["absolute_length"] == 1
+
+
 def test_length(runner):
     res = run(runner, "length", "affine:A2", *THOMAS, "--format", "json")
     assert res.exit_code == 0
@@ -147,3 +155,31 @@ def test_verify_example_suite(runner):
 
 def test_verify_unknown_suite(runner):
     assert run(runner, "verify", "nope").exit_code == 2
+
+
+@pytest.mark.parametrize("node_limit,args", [
+    ("abc", ["orbit", "A2", "1,0", "0,1"]),
+    ("-1", ["orbit", "A2", "1,0", "0,1"]),
+    (None, ["factorize", "affine:A2", "1,0:0", "-K", "-1"]),
+    (None, ["factorize", "affine:A2", "1,0:0", "--length", "-2"]),
+    (None, ["check-qc", "affine:A2", "1,0:0", "-K", "-1"]),
+    (None, ["fiber", "affine:A2", "1,0:0", "1,1:1", "1,1:0", "-K", "-3"]),
+    (None, ["verify", "lemmas", "--group", "Z9"]),
+    (None, ["verify", "main-theorem", "--samples", "0"]),
+], ids=["node-limit-not-int", "node-limit-negative", "factorize-negative-K",
+        "factorize-negative-length", "check-qc-negative-K", "fiber-negative-K",
+        "verify-unknown-group", "verify-zero-samples"])
+def test_bad_input_is_a_usage_error(runner, monkeypatch, node_limit, args):
+    if node_limit is not None:
+        monkeypatch.setenv("AFFHUR_NODE_LIMIT", node_limit)
+    res = run(runner, *args)
+    assert res.exit_code == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in res.output
+
+
+def test_verify_single_sample_connects_nothing_and_fails(runner):
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "1")
+    assert res.exit_code == 1
+    assert "all checks passed" not in res.output

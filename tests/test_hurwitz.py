@@ -134,3 +134,14 @@ def test_lr_normalize_finds_tail(a2):
     normed = apply_braid(t, word)
     assert normed.entries[1] == normed.entries[2]
     assert normed.product() == t.product()
+
+
+def test_connect_raises_when_word_does_not_replay(a2, monkeypatch):
+    import affhur.hurwitz as hurwitz
+    t = fin_tuple(a2, (1, 0), (0, 1))
+    other = apply_braid(t, BraidWord((1, 1)))
+    real = hurwitz.apply_braid
+    monkeypatch.setattr(hurwitz, "apply_braid",
+                        lambda tup, word: real(tup, word + BraidWord((1,))))
+    with pytest.raises(RuntimeError, match="internal inconsistency"):
+        connect(t, other)

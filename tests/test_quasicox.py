@@ -231,6 +231,18 @@ def test_is_quasi_coxeter_affine_finite_coxeter_not(a2):
     assert not res.is_quasi_coxeter
 
 
+def test_is_quasi_coxeter_affine_short_element_conclusive(a2):
+    # length below n+1 settles the question without enumerating
+    res = is_quasi_coxeter_affine(a2, as_element(a2, ref((1, 0))))
+    assert not res.is_quasi_coxeter and res.conclusive
+    assert res.detail == "absolute length at most 1, below 3"
+    a3 = build_root_system("A", 3)
+    for w in (aff_identity(a3),
+              product_of_reflections(a3, (ref((1, 0, 0), 1), ref((0, 0, 1))))):
+        res = is_quasi_coxeter_affine(a3, w)
+        assert not res.is_quasi_coxeter and res.conclusive
+
+
 def test_parabolic_quasi_coxeter_affine(a2):
     assert is_parabolic_quasi_coxeter_affine(a2, aff_identity(a2))
     assert is_parabolic_quasi_coxeter_affine(a2, as_element(a2, ref((1, 1), 1)))

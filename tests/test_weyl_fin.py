@@ -1,15 +1,19 @@
+import itertools
+import random
 from collections import deque
 
 import pytest
 
 from affhur.intlattice import full_lattice, lattice_equal, root_span
-from affhur.rootsys import Root, RootSystemError, build_root_system
-from affhur.weyl_fin import (absolute_length, all_elements, fac_set,
-                             generates_w0, identity_element, is_parabolic,
-                             is_parabolic_quasi_coxeter_fin,
+from affhur.linalg import identity_mat, mat_mul, mat_vec
+from affhur.rootsys import Root, RootSystemError, build_root_system, coroot
+from affhur.weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
+                             fac_set, generates_w0, identity_element,
+                             is_parabolic, is_parabolic_quasi_coxeter_fin,
                              is_quasi_coxeter_fin, leq_T,
                              reduced_factorizations, reflection_element,
-                             reflections, root_of_reflection, roots_of_tuple)
+                             reflections, root_of_reflection, root_table,
+                             roots_of_tuple)
 
 GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("G", 2): 12, ("A", 3): 24}
 
@@ -160,3 +164,79 @@ def test_roots_of_tuple_rejects_non_reflection():
     c = reflection_element(rs, Root((1, 0))) * reflection_element(rs, Root((0, 1)))
     with pytest.raises(RootSystemError):
         roots_of_tuple(rs, [c])
+
+
+def reflection_matrices(rs, alpha):
+    """s_alpha on root and on coroot coordinates, from the Cartan matrix alone.
+
+    On roots, s_alpha(x) = x - <x, alpha-coroot> alpha; on coroots,
+    s_alpha(y) = y - <alpha, y> alpha-coroot.
+    """
+    n = rs.rank
+    a = alpha.coords
+    av = coroot(rs, alpha).coords
+    # <alpha_j, alpha-coroot> and <alpha, alpha_j-coroot> as Cartan sums
+    on_roots = tuple(tuple((i == j) - a[i] * sum(av[k] * rs.cartan[k][j] for k in range(n))
+                           for j in range(n)) for i in range(n))
+    on_coroots = tuple(tuple((i == j) - av[i] * sum(rs.cartan[j][k] * a[k] for k in range(n))
+                             for j in range(n)) for i in range(n))
+    return on_roots, on_coroots
+
+
+def check_reflections(rs):
+    for r, t in reflections(rs):
+        assert (t.matrix, t.comatrix) == reflection_matrices(rs, r)
+        assert root_of_reflection(rs, t) == r
+
+
+def check_against_matrices(pairs):
+    """The permutation group law agrees with matrix multiplication."""
+    for u, v in pairs:
+        uv = u * v
+        assert uv.matrix == mat_mul(u.matrix, v.matrix)
+        assert uv.comatrix == mat_mul(u.comatrix, v.comatrix)
+
+
+def check_actions(rs, elements):
+    eye = identity_mat(rs.rank)
+    probes = [coroot(rs, r).coords for r in rs.roots] + [tuple(range(1, rs.rank + 1))]
+    for u in elements:
+        assert (u * u.inverse()).is_identity() and (u.inverse() * u).is_identity()
+        assert mat_mul(u.matrix, u.inverse().matrix) == eye
+        for r in rs.roots:
+            assert u.act_root(r) == Root(mat_vec(u.matrix, r.coords))
+        for v in probes:
+            assert u.act_coroot(v) == mat_vec(u.comatrix, v)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2),
+                                         ("A", 3)])
+def test_permutations_agree_with_matrix_oracle(family, rank):
+    rs = build_root_system(family, rank)
+    check_reflections(rs)
+    elements = all_elements(rs)
+    check_against_matrices(itertools.product(elements, repeat=2))
+    check_actions(rs, elements)
+    assert identity_element(rs).matrix == identity_mat(rank)
+
+
+@pytest.mark.parametrize("family,rank,order", [("B", 3, 48), ("F", 4, 1152)])
+def test_permutations_agree_with_matrix_oracle_sampled(family, rank, order):
+    rs = build_root_system(family, rank)
+    check_reflections(rs)
+    elements = all_elements(rs)
+    assert len(elements) == order
+    rng = random.Random(1994)
+    pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
+    check_against_matrices(pairs)
+    check_actions(rs, rng.sample(elements, 40))
+
+
+def test_equal_permutations_of_different_systems_differ():
+    b2 = build_root_system("B", 2)
+    c2 = build_root_system("C", 2)
+    for _, t in reflections(b2):
+        twin = FiniteWeylElement(t.perm, root_table(c2))
+        assert twin != t
+    assert identity_element(b2) != identity_element(c2)
+    assert identity_element(b2) == identity_element(build_root_system("B", 2))
