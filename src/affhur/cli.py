@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
@@ -314,10 +313,8 @@ def cmd_fiber(group, reflections, shift_bound, fmt):
               show_default=True)
 @click.option("--samples", type=int, default=None,
               help="Sample count for randomized suites.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker cap; 1 gives fully deterministic ordering.")
 @fmt_option
-def cmd_verify(suites, groups, seed, samples, threads, fmt):
+def cmd_verify(suites, groups, seed, samples, fmt):
     """Run verification suites (default: all)."""
     _check_at_least("--samples", samples, 1)
     names = list(suites) if suites else list(verify_mod.SUITES)
@@ -331,15 +328,9 @@ def cmd_verify(suites, groups, seed, samples, threads, fmt):
             _usage_error(str(exc))
     group_list = list(groups) or None
 
-    def run(name):
-        return verify_mod.run_suite(name, groups=group_list, seed=seed,
-                                    samples=samples)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_results = list(pool.map(run, names))
-    else:
-        all_results = [run(name) for name in names]
+    all_results = [verify_mod.run_suite(name, groups=group_list, seed=seed,
+                                        samples=samples)
+                   for name in names]
     checks = []
     lines = []
     ok_all = True

@@ -76,11 +76,15 @@ def index(sub: IntegerLattice, sup: IntegerLattice):
         for i, brow in enumerate(sup.basis):
             pcol = next(j for j, x in enumerate(brow) if x != 0)
             q, r = divmod(w[pcol], brow[pcol])
-            assert r == 0
+            if r:
+                raise RuntimeError("internal inconsistency: a sublattice "
+                                   "vector has no integral coefficient")
             c[i] = q
             for j in range(len(w)):
                 w[j] -= q * brow[j]
-        assert not any(w)
+        if any(w):
+            raise RuntimeError("internal inconsistency: a sublattice vector "
+                               "is not reduced to zero by its superlattice")
         coeffs.append(tuple(c))
     det = mat_det(tuple(coeffs))
     return abs(int(det))

@@ -7,6 +7,7 @@ Rational routines use fractions.Fraction, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 Vec = tuple[int, ...]
@@ -147,6 +148,41 @@ def solve_rational(rows, rhs):
             v[col] = -m[r][fc]
         basis.append(tuple(v))
     return tuple(x), tuple(basis)
+
+
+def echelon_integer(rows, rhs):
+    """Reduced row echelon form of an integer system A x = b, fraction-free.
+
+    Returns (pivots, free) or None if the system has no rational solution.
+    `free` lists the free columns. Each pivot is (column, row): `row` is
+    an integer equation sum_j row[j] x_j = row[-1] whose coefficient at
+    every other pivot column is 0. So any choice of the free coordinates
+    gives the unique rational solution with
+    x[column] = (row[-1] - sum_f row[f] x_f) / row[column].
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    m = [list(rows[i]) + [rhs[i]] for i in range(nrows)]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        p = m[row]
+        for r in range(nrows):
+            f = m[r][col]
+            if r != row and f:
+                new = [p[col] * x - f * y for x, y in zip(m[r], p)]
+                g = gcd(*new)
+                m[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+        row += 1
+    if any(m[r][ncols] for r in range(row, nrows)):
+        return None
+    free = [c for c in range(ncols) if c not in pivots]
+    return [(col, tuple(m[r])) for r, col in enumerate(pivots)], free
 
 
 def hnf(vectors, ncols: int) -> Mat:

@@ -13,17 +13,20 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .hurwitz import BraidWord, ReflectionTuple, apply_braid, connect, lr_normalize
 from .intlattice import (IntegerLattice, contains, full_lattice, lattice_equal,
                          reduce_mod, span)
-from .linalg import mat_det, mat_vec, solve_integer, solve_rational, vec_add
+from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, RootSystemError, coroot
-from .weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
-                       as_element, fixed_affine_subspace, product_of_reflections,
+from .weyl_aff import (AffineReflection, AffineWeylElement,
+                       aff_conjugate_reflection, aff_identity, as_element,
+                       fixed_affine_subspace, product_of_reflections,
                        recognize_reflection)
-from .weyl_fin import (all_elements, generates_w0, identity_element,
-                       reflection_element, reflections)
+from .weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
+                       generates_w0, identity_element, reflection_element,
+                       root_of_reflection, root_table)
 
 
 class PipelineExhausted(RuntimeError):
@@ -201,51 +204,99 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
         lattice = span(basis, n)
 
 
+def _root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
+    """Root sequences whose reflections multiply to `target`, lazily.
+
+    Yields (roots, columns) for every b_1..b_m of positive roots with
+    s_{b_1} ... s_{b_m} = target, in itertools.product order. A depth-first
+    search over prefixes p = s_{b_1} ... s_{b_i} keeps the remainder
+    r = p^-1 target and cuts a prefix unless l_T(r) <= m - i with the
+    parity of m - i; a remainder passing this test is a product of exactly
+    m - i reflections, so every branch kept ends in a sequence. columns[i]
+    is the coroot of s_{b_1} ... s_{b_{i-1}}(b_i): levels k_i make the
+    affine reflections s_{b_i,k_i} multiply to (target, t) exactly when
+    sum_i k_i columns[i] = target(t).
+    """
+    table = root_table(rs)
+    refl = [(r, table.index[r], reflection_element(rs, r))
+            for r in rs.positive_roots]
+    roots: list = [None] * m
+    cols: list = [None] * m
+
+    def dfs(i, prefix, rest):
+        left = m - i - 1  # reflections still to choose after this one
+        if left == 0:
+            # rest is a reflection: the test that admitted it allows no other
+            r = root_of_reflection(rs, rest)
+            roots[i] = r
+            cols[i] = table.coroots[prefix.perm[table.index[r]]]
+            yield tuple(roots), tuple(cols)
+            return
+        for r, idx, s in refl:
+            nxt = s * rest
+            length = absolute_length(nxt)
+            if length > left or (left - length) % 2:
+                continue
+            roots[i] = r
+            cols[i] = table.coroots[prefix.perm[idx]]
+            yield from dfs(i + 1, prefix * s, nxt)
+
+    length = absolute_length(target)
+    if m > 0 and length <= m and (m - length) % 2 == 0:
+        yield from dfs(0, identity_element(rs), target)
+
+
+def _levels_in_window(cols, rhs, bound: int):
+    """Integer vectors k in [-bound, bound]^m with sum_i k_i cols[i] = rhs.
+
+    Runs over the free coordinates of the exact solution space only and
+    solves for the pivot coordinates: (2K+1)^(kernel rank) points instead
+    of the (2K+1)^m of the whole window.
+    """
+    system = echelon_integer(tuple(zip(*cols)), rhs)
+    if system is None:
+        return
+    pivots, free = system
+    window = range(-bound, bound + 1)
+    ks = [0] * len(cols)
+    for cs in itertools.product(window, repeat=len(free)):
+        for f, c in zip(free, cs):
+            ks[f] = c
+        for col, row in pivots:
+            k, r = divmod(row[-1] - sum(row[f] * c for f, c in zip(free, cs)),
+                          row[col])
+            if r or k not in window:
+                break
+            ks[col] = k
+        else:
+            yield tuple(ks)
+
+
 def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
     """All reflection factorizations of the target with levels in [-K, K].
 
     Complete in root sequences; complete in levels for the given bound.
+    Root sequences come from a prefix search pruned by absolute length: a
+    prefix is kept only while the remainder p^-1 w0 (w0 the finite part of
+    the target) has l_T at most the number of slots left, with the same
+    parity. For each sequence the levels form an exact linear system; its
+    free coordinates run over [-K, K], its pivot coordinates are solved
+    for, and the points that are integral and inside the window are kept.
+    The result is sorted.
     """
     m = query.length
     K = query.level_bound
     target = query.target
-    n = rs.rank
     if m == 0:
         return [()] if target.is_identity() else []
-    pos = rs.positive_roots
-    refl = {r: reflection_element(rs, r) for r in pos}
+    rhs = target.finite.act_coroot(target.translation)
     results = []
-    for seq in itertools.product(pos, repeat=m):
-        prod = identity_element(rs)
-        for r in seq:
-            prod = prod * refl[r]
-        if prod != target.finite:
-            continue
-        vs = _transformed_coroots(rs, seq)
-        rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
-        if solve_integer(rows, target.translation) is None:
-            continue
-        for ks in itertools.product(range(-K, K + 1), repeat=m):
-            t = (0,) * n
-            for k, v in zip(ks, vs):
-                if k:
-                    t = vec_add(t, tuple(-k * c for c in v))
-            if t == target.translation:
-                results.append(tuple(AffineReflection(r, k)
-                                     for r, k in zip(seq, ks)))
+    for seq, cols in _root_sequences(rs, target.finite, m):
+        for ks in _levels_in_window(cols, rhs, K):
+            results.append(tuple(AffineReflection(r, k)
+                                 for r, k in zip(seq, ks)))
     results.sort()
     return results
-
-
-def _transformed_coroots(rs: RootSystem, seq):
-    """v_i = s_{b_m} ... s_{b_{i+1}} (b_i)-coroot, in coroot coordinates."""
-    vs = []
-    suffix = identity_element(rs)
-    for r in reversed(seq):
-        vs.append(suffix.act_coroot(coroot(rs, r).coords))
-        suffix = suffix * reflection_element(rs, r)
-    vs.reverse()
-    return vs
 
 
 def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
@@ -257,20 +308,9 @@ def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
     """
     if m == 0:
         return w.is_identity()
-    n = rs.rank
-    pos = rs.positive_roots
-    refl = {r: reflection_element(rs, r) for r in pos}
-    for seq in itertools.product(pos, repeat=m):
-        prod = identity_element(rs)
-        for r in seq:
-            prod = prod * refl[r]
-        if prod != w.finite:
-            continue
-        vs = _transformed_coroots(rs, seq)
-        rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
-        if solve_integer(rows, w.translation) is not None:
-            return True
-    return False
+    rhs = w.finite.act_coroot(w.translation)
+    return any(solve_integer(tuple(zip(*cols)), rhs) is not None
+               for _, cols in _root_sequences(rs, w.finite, m))
 
 
 def absolute_length_affine(rs: RootSystem, w: AffineWeylElement,
@@ -284,8 +324,9 @@ def absolute_length_affine(rs: RootSystem, w: AffineWeylElement,
         return 0
     if ceiling is None:
         ceiling = 2 * rs.rank
-    det = int(mat_det(w.finite.matrix))
-    start = 1 if det == -1 else 2
+    # a product of reflections has determinant (-1)^(its length), so the
+    # parity of every factorization is that of l_T of the finite part
+    start = 2 - absolute_length(w.finite) % 2
     for m in range(start, ceiling + 1, 2):
         if _has_factorization(rs, w, m):
             return m
@@ -311,8 +352,7 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     """
     n = rs.rank
     m = n + 1
-    det = int(mat_det(w.finite.matrix))
-    if det != (-1) ** m:
+    if absolute_length(w.finite) % 2 != m % 2:
         return QuasiCoxeterResult(False, None, True,
                                   f"parity excludes factorizations of length {m}")
     # n+1 reflections are needed to generate the affine group, and with the
@@ -322,9 +362,24 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
         return QuasiCoxeterResult(False, None, True,
                                   f"absolute length at most {n - 1}, below {m}")
     facs = enumerate_factorizations(rs, FactorizationQuery(w, m, level_cap))
+    # the generated subgroup is a Hurwitz invariant: once a tuple fails to
+    # generate, so does every tuple reached from it by moves inside the
+    # window, and the first generating tuple in sorted order is still found
+    index, moves = _move_table(rs)
+    settled: set = set()
     for fac in facs:
+        code = tuple((index[r.root], r.level) for r in fac)
+        if code in settled:
+            continue
         if generates_affine(rs, fac).generates:
             return QuasiCoxeterResult(True, fac, True, "generating witness found")
+        settled.add(code)
+        stack = [code]
+        while stack:
+            for moved in _moves_in_window(moves, stack.pop(), level_cap):
+                if moved not in settled:
+                    settled.add(moved)
+                    stack.append(moved)
     if not facs and not _has_factorization(rs, w, m):
         # exact insolvability, not merely an empty K-window
         return QuasiCoxeterResult(False, None, True,
@@ -332,6 +387,48 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
                                   "(integer systems insolvable)")
     return QuasiCoxeterResult(False, None, False,
                               f"no witness with levels bounded by {level_cap}")
+
+
+@lru_cache(maxsize=None)
+def _move_table(rs: RootSystem):
+    """Hurwitz moves on (positive-root index, level) pairs.
+
+    Returns (index, moves): index maps each positive root to its position,
+    and moves[a][b] = (c, x, y) says s_{a,k} s_{b,l} s_{a,k} = s_{c, x*l + y*k}
+    for roots a, b and all levels k, l. The closed form
+    aff_conjugate_reflection is linear in the two levels, so its values at
+    levels (0, 1) and (1, 0) give x and y.
+    """
+    pos = rs.positive_roots
+    index = {r: i for i, r in enumerate(pos)}
+    moves = []
+    for a in pos:
+        row = []
+        for b in pos:
+            at_l = aff_conjugate_reflection(rs, AffineReflection(a, 0),
+                                            AffineReflection(b, 1))
+            at_k = aff_conjugate_reflection(rs, AffineReflection(a, 1),
+                                            AffineReflection(b, 0))
+            row.append((index[at_l.root], at_l.level, at_k.level))
+        moves.append(row)
+    return index, moves
+
+
+def _moves_in_window(moves, code, bound: int):
+    """Tuples one sigma_i or sigma_i^-1 away whose levels stay in [-bound, bound].
+
+    Tuples are coded as (positive-root index, level) pairs, see _move_table.
+    """
+    for i in range(len(code) - 1):
+        (a, k), (b, l) = code[i], code[i + 1]
+        c, x, y = moves[a][b]
+        level = x * l + y * k
+        if -bound <= level <= bound:
+            yield code[:i] + ((c, level), (a, k)) + code[i + 2:]
+        c, x, y = moves[b][a]
+        level = x * k + y * l
+        if -bound <= level <= bound:
+            yield code[:i] + ((b, l), (c, level)) + code[i + 2:]
 
 
 def fiber(rs: RootSystem, base, shift_bound: int):

@@ -36,13 +36,23 @@ class CheckResult:
     detail: str = ""
 
 
+class CheckFailed(Exception):
+    """A verification check found its property violated."""
+
+
+def _require(condition, message: str) -> None:
+    # an explicit raise, unlike assert, also runs under python -O
+    if not condition:
+        raise CheckFailed(message)
+
+
 def _check(results: list, name: str, fn) -> None:
     t0 = time.perf_counter()
     try:
         detail = fn()
         ok = True
-    except AssertionError as exc:
-        detail = str(exc) or "assertion failed"
+    except CheckFailed as exc:
+        detail = str(exc)
         ok = False
     except Exception as exc:  # a crashed check is a failed check
         detail = f"{type(exc).__name__}: {exc}"
@@ -62,8 +72,8 @@ def _check_conjugation(rs, level: int) -> str:
                 for kb in range(-level, level + 1):
                     b = AffineReflection(b_root, kb)
                     closed = aff_conjugate_reflection(rs, a, b)
-                    assert as_element(rs, closed) == ea * as_element(rs, b) * ea, \
-                        f"conjugation closed form fails for {a}, {b}"
+                    _require(as_element(rs, closed) == ea * as_element(rs, b) * ea,
+                             f"conjugation closed form fails for {a}, {b}")
                     count += 1
     return f"{count} conjugation identities"
 
@@ -77,7 +87,8 @@ def _check_product_form(rs, level: int) -> str:
         # comparison with product_of_reflections is made here
         fin, tr = translation_part_of_product(rs, seq)
         prod = product_of_reflections(rs, seq)
-        assert (fin, tr) == (prod.finite, prod.translation)
+        _require((fin, tr) == (prod.finite, prod.translation),
+                 f"closed form disagrees with the product for {seq}")
         count += 1
     return f"{count} product normal forms"
 
@@ -92,8 +103,8 @@ def _check_coweight_conjugation(rs) -> str:
             for k in (-1, 0, 1):
                 ref = AffineReflection(r, k)
                 shifted = coweight_conjugate(rs, lam, ref)
-                assert as_element(rs, shifted) == tl * as_element(rs, ref) * tli, \
-                    f"coweight conjugation fails for {lam}, {ref}"
+                _require(as_element(rs, shifted) == tl * as_element(rs, ref) * tli,
+                         f"coweight conjugation fails for {lam}, {ref}")
                 count += 1
     return f"{count} coweight conjugations"
 
@@ -109,9 +120,10 @@ def _check_hurwitz_moves(rs, seed: int, samples: int = 50) -> str:
         prod = t.product()
         for i in (1, 2, 3):
             moved = apply_move(t, i)
-            assert moved.product() == prod, "Hurwitz move changed the product"
-            assert apply_move(moved, i, inverse=True) == t, \
-                "inverse move does not undo the move"
+            _require(moved.product() == prod,
+                     "Hurwitz move changed the product")
+            _require(apply_move(moved, i, inverse=True) == t,
+                     "inverse move does not undo the move")
     return f"{samples} random 4-tuples"
 
 
@@ -149,26 +161,26 @@ def _a2_data():
 
 def _example_translation() -> str:
     rs, a1, a2, high, w, displayed = _a2_data()
-    assert w.finite.is_identity(), "w is not a pure translation"
+    _require(w.finite.is_identity(), "w is not a pure translation")
     # the coefficient pattern {1, 2} up to sign and the diagram flip
-    assert w.translation in {(1, 2), (2, 1), (-1, -2), (-2, -1)}, \
-        f"unexpected translation {w.translation}"
-    assert product_of_reflections(rs, displayed) == w, \
-        "displayed reduced factorization has the wrong product"
+    _require(w.translation in {(1, 2), (2, 1), (-1, -2), (-2, -1)},
+             f"unexpected translation {w.translation}")
+    _require(product_of_reflections(rs, displayed) == w,
+             "displayed reduced factorization has the wrong product")
     return f"TR{w.translation}"
 
 
 def _example_length() -> str:
     rs, *_, w, _ = _a2_data()
     length = absolute_length_affine(rs, w)
-    assert length == 4, f"absolute length {length} != 4"
+    _require(length == 4, f"absolute length {length} != 4")
     return "absolute length 4"
 
 
 def _example_enumeration() -> str:
     rs, *_, w, displayed = _a2_data()
     facs = enumerate_factorizations(rs, FactorizationQuery(w, 4, 2))
-    assert displayed in facs, "displayed 4-tuple not enumerated at K=2"
+    _require(displayed in facs, "displayed 4-tuple not enumerated at K=2")
     return f"{len(facs)} factorizations at K=2, displayed tuple among them"
 
 
@@ -182,23 +194,23 @@ def _example_chains() -> str:
     def tup(*xs):
         return ReflectionTuple(xs)
 
-    assert apply_braid(tup(s1, s1, s2, s2), word) == tup(s2, s2, s1, s1), \
-        "first displayed chain fails"
-    assert apply_braid(tup(s2, s2, s3, s3), word) == tup(s3, s3, s2, s2), \
-        "second displayed chain fails"
-    assert apply_braid(tup(s3, s3, s1, s1), word) == tup(s1, s1, s3, s3), \
-        "third displayed chain fails"
+    _require(apply_braid(tup(s1, s1, s2, s2), word) == tup(s2, s2, s1, s1),
+             "first displayed chain fails")
+    _require(apply_braid(tup(s2, s2, s3, s3), word) == tup(s3, s3, s2, s2),
+             "second displayed chain fails")
+    _require(apply_braid(tup(s3, s3, s1, s1), word) == tup(s1, s1, s3, s3),
+             "third displayed chain fails")
     for target in (tup(s2, s2, s3, s3), tup(s3, s3, s1, s1)):
-        assert connect(tup(s1, s1, s2, s2), target) is not None, \
-            "unlabeled chain step is not Hurwitz-reachable"
+        _require(connect(tup(s1, s1, s2, s2), target) is not None,
+                 "unlabeled chain step is not Hurwitz-reachable")
     return "three displayed chains verified"
 
 
 def _example_not_quasi_coxeter() -> str:
     rs, *_, w, _ = _a2_data()
     res = is_quasi_coxeter_affine(rs, w)
-    assert not res.is_quasi_coxeter and res.conclusive, \
-        "length-4 element misclassified as quasi-Coxeter"
+    _require(not res.is_quasi_coxeter and res.conclusive,
+             "length-4 element misclassified as quasi-Coxeter")
     return f"not quasi-Coxeter (length 4 > 3): {res.detail}"
 
 
@@ -227,9 +239,10 @@ def _check_necessity(rs, level: int) -> str:
             if res.generates:
                 positives += 1
                 cert = res.certificate
-                assert abs(cert.level_gap) == 1, "level gap is not a unit"
-                assert rs.is_long(cert.repeated_root), "repeated root is short"
-    assert positives > 0, "necessity scan found no generating tuple"
+                _require(abs(cert.level_gap) == 1, "level gap is not a unit")
+                _require(rs.is_long(cert.repeated_root),
+                         "repeated root is short")
+    _require(positives > 0, "necessity scan found no generating tuple")
     return f"{positives}/{total} normalized tuples generate"
 
 
@@ -244,8 +257,8 @@ def _check_oracle_agreement(rs, seed: int, samples: int,
                      for _ in range(n + 1))
         verdict = generates_affine(rs, refs).generates
         oracle = closure_generates(rs, refs, node_limit=node_limit)
-        assert verdict == oracle, \
-            f"criterion {verdict} vs oracle {oracle} on sample {i}: {refs}"
+        _require(verdict == oracle,
+                 f"criterion {verdict} vs oracle {oracle} on sample {i}: {refs}")
         if verdict:
             agree_true += 1
     return f"{samples} samples agree ({agree_true} generating)"
@@ -276,17 +289,18 @@ def _check_connect_all_pairs(rs, seed: int, samples: int) -> str:
                                                                level_bound))
         if len(facs) >= samples:
             break
-    assert len(facs) >= samples, \
-        f"only {len(facs)} factorizations sampled at K={level_bound}, need {samples}"
+    _require(len(facs) >= samples,
+             f"only {len(facs)} factorizations sampled at K={level_bound}, need {samples}")
     rng = random.Random(seed)
     chosen = rng.sample(facs, samples)
     pairs = 0
     for i, t1 in enumerate(chosen):
         for t2 in chosen[i + 1:]:
             word = connect_reduced(rs, w, t1, t2)
-            assert word is not None
+            _require(word is not None, f"no braid word from {t1} to {t2}")
             pairs += 1
-    assert pairs > 0, f"no pairs connected: {samples} sample(s) form no pair"
+    _require(pairs > 0,
+             f"no pairs connected: {samples} sample(s) form no pair")
     return (f"{pairs} pairs connected among {samples} of {len(facs)} tuples "
             f"at K={level_bound}")
 
@@ -296,7 +310,7 @@ def _check_stage2_orbit_exhausted(rs) -> str:
     fin = ReflectionTuple(tuple(reflection_element(rs, r.root)
                                 for r in simple_system_affine(rs)))
     res = orbit(fin)
-    assert res.exhausted, "finite projection orbit not exhausted"
+    _require(res.exhausted, "finite projection orbit not exhausted")
     return f"finite orbit of size {len(res.parents)} exhausted"
 
 

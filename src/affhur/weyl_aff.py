@@ -75,15 +75,6 @@ def translation_element(rs: RootSystem, lam: Vec) -> AffineWeylElement:
     return AffineWeylElement(identity_element(rs), tuple(lam))
 
 
-def aff_multiply(x: AffineWeylElement, y: AffineWeylElement) -> AffineWeylElement:
-    return x * y
-
-
-def project_p(x: AffineWeylElement) -> FiniteWeylElement:
-    """The projection W -> W_0 forgetting levels."""
-    return x.finite
-
-
 def recognize_reflection(rs: RootSystem, x: AffineWeylElement) -> AffineReflection | None:
     """Inverse of the normal-form embedding; None if x is not a reflection."""
     alpha = root_of_reflection(rs, x.finite)

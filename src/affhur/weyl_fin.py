@@ -27,11 +27,14 @@ class RootTable:
     Built once per root system by `root_table`. It compares by identity,
     which keeps elements of different root systems (B2 and C2, say) apart
     even when their permutations coincide. `inverses` memoizes inversion:
-    Hurwitz moves invert the same few elements over and over, and the memo
-    holds at most one entry per group element.
+    Hurwitz moves invert the same few elements over and over. `lengths`
+    memoizes absolute length, which the factorization searches ask of the
+    same elements over and over. Each memo holds at most one entry per
+    group element.
     """
 
-    __slots__ = ("roots", "index", "simple", "coroots", "identity", "inverses")
+    __slots__ = ("roots", "index", "simple", "coroots", "identity", "inverses",
+                 "lengths")
 
     def __init__(self, rs: RootSystem):
         self.roots = rs.roots
@@ -40,6 +43,7 @@ class RootTable:
         self.coroots = tuple(coroot(rs, r).coords for r in rs.roots)
         self.identity = tuple(range(len(rs.roots)))
         self.inverses: dict = {}
+        self.lengths: dict = {}
 
 
 @lru_cache(maxsize=None)
@@ -143,12 +147,16 @@ def root_of_reflection(rs: RootSystem, w: FiniteWeylElement) -> Root | None:
 
 def absolute_length(w: FiniteWeylElement) -> int:
     """Reflection length, computed as the codimension of the fixed space."""
-    n = w.rank
-    eye = identity_mat(n)
-    diff = [[w.matrix[i][j] - eye[i][j] for j in range(n)] for i in range(n)]
-    if not any(any(row) for row in diff):
-        return 0
-    return rational_rank(diff)
+    lengths = w.table.lengths
+    length = lengths.get(w.perm)
+    if length is None:
+        n = w.rank
+        eye = identity_mat(n)
+        mat = w.matrix
+        diff = [[mat[i][j] - eye[i][j] for j in range(n)] for i in range(n)]
+        length = rational_rank(diff) if any(any(row) for row in diff) else 0
+        lengths[w.perm] = length
+    return length
 
 
 def leq_T(u: FiniteWeylElement, v: FiniteWeylElement) -> bool:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import affhur
 from affhur.cli import main
 
 WORD = ["1,0:0", "0,1:0", "1,1:1"]
@@ -183,3 +187,26 @@ def test_verify_single_sample_connects_nothing_and_fails(runner):
     res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "1")
     assert res.exit_code == 1
     assert "all checks passed" not in res.output
+
+
+# a check made to fail, run with assertions stripped
+_FAILING_VERIFY_UNDER_O = """
+import sys
+if not sys.flags.optimize:
+    sys.exit(99)
+from affhur import verify
+verify.absolute_length_affine = lambda rs, w, ceiling=None: 3
+from affhur.cli import main
+main(["verify", "example-a2"])
+"""
+
+
+def test_verify_fails_under_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(affhur.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-O", "-c", _FAILING_VERIFY_UNDER_O],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "[example-a2] FAIL a2-absolute-length" in res.stdout
+    assert "absolute length 3 != 4" in res.stdout
+    assert "FAILURES present" in res.stdout

@@ -3,9 +3,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.linalg import (hnf, hnf_contains, hnf_reduce, identity_mat,
-                           mat_det, mat_inv, mat_mul, mat_vec, rational_rank,
-                           smith_normal_form, solve_integer, solve_rational)
+from affhur.linalg import (echelon_integer, hnf, hnf_contains, hnf_reduce,
+                           identity_mat, mat_det, mat_inv, mat_mul, mat_vec,
+                           rational_rank, smith_normal_form, solve_integer,
+                           solve_rational)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -147,3 +148,38 @@ def test_solve_integer_verified(m, rhs):
         box = range(-40, 41)
         assert not any(mat_vec(m, (a, b)) == rhs for a in box for b in box
                        if abs(a) <= 8 and abs(b) <= 8)
+
+
+@st.composite
+def linear_systems(draw):
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(matrix(nrows, ncols))
+    if draw(st.booleans()):  # a consistent right-hand side
+        x = draw(st.lists(small_int, min_size=ncols, max_size=ncols))
+        rhs = list(mat_vec(rows, x))
+    else:
+        rhs = draw(st.lists(small_int, min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_systems(), st.lists(small_int, min_size=5, max_size=5))
+def test_echelon_integer_solves_the_system(system, choice):
+    rows, rhs = system
+    ech = echelon_integer(rows, rhs)
+    ref = solve_rational(rows, rhs)
+    assert (ech is None) == (ref is None)
+    if ech is None:
+        return
+    pivots, free = ech
+    ncols = len(rows[0])
+    assert len(pivots) == rational_rank(rows)
+    assert sorted([c for c, _ in pivots] + list(free)) == list(range(ncols))
+    # any free coordinates determine the pivot coordinates of a solution
+    x = [Fraction(0)] * ncols
+    for f, c in zip(free, choice):
+        x[f] = Fraction(c)
+    for col, row in pivots:
+        assert all(row[c] == 0 for c, _ in pivots if c != col)
+        x[col] = Fraction(row[-1] - sum(row[f] * x[f] for f in free), row[col])
+    assert list(mat_vec(rows, x)) == list(rhs)

@@ -1,17 +1,25 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affhur.hurwitz import BraidWord, ReflectionTuple, apply_braid
 from affhur.intlattice import full_lattice, lattice_equal
+from affhur.linalg import solve_integer, vec_add
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
-                             absolute_length_affine, closure_generates,
-                             connect_reduced, enumerate_factorizations, fiber,
-                             generates_affine, is_parabolic_quasi_coxeter_affine,
+                             _has_factorization, _move_table, _moves_in_window,
+                             absolute_length_affine,
+                             closure_generates, connect_reduced,
+                             enumerate_factorizations, fiber, generates_affine,
+                             is_parabolic_quasi_coxeter_affine,
                              is_quasi_coxeter_affine)
-from affhur.rootsys import Root, build_root_system
+from affhur.rootsys import Root, build_root_system, coroot, parse_type
+from affhur.verify import suite_main_theorem
 from affhur.weyl_aff import (AffineReflection, aff_identity, as_element,
                              product_of_reflections, simple_system_affine)
+from affhur.weyl_fin import identity_element, reflection_element
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +130,76 @@ def test_enumerate_sorted_deterministic(a2):
     w = product_of_reflections(a2, simple_system_affine(a2))
     facs = enumerate_factorizations(a2, FactorizationQuery(w, 3, 2))
     assert facs == sorted(facs)
+
+
+def _oracle_coroots(rs, seq):
+    """v_i = s_{b_m} ... s_{b_{i+1}} (b_i)-coroot, in coroot coordinates."""
+    vs = []
+    suffix = identity_element(rs)
+    for r in reversed(seq):
+        vs.append(suffix.act_coroot(coroot(rs, r).coords))
+        suffix = suffix * reflection_element(rs, r)
+    vs.reverse()
+    return vs
+
+
+def _brute_force_factorizations(rs, target, m, bound):
+    """Every root sequence, then every level vector in the window.
+
+    Returns the sorted factorizations with levels in [-bound, bound] and
+    whether any root sequence has an integrally solvable level system.
+    """
+    if m == 0:
+        return ([()] if target.is_identity() else []), target.is_identity()
+    n = rs.rank
+    facs = []
+    solvable = False
+    for seq in itertools.product(rs.positive_roots, repeat=m):
+        prod = identity_element(rs)
+        for r in seq:
+            prod = prod * reflection_element(rs, r)
+        if prod != target.finite:
+            continue
+        vs = _oracle_coroots(rs, seq)
+        rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
+        if solve_integer(rows, target.translation) is None:
+            continue
+        solvable = True
+        for ks in itertools.product(range(-bound, bound + 1), repeat=m):
+            t = (0,) * n
+            for k, v in zip(ks, vs):
+                if k:
+                    t = vec_add(t, tuple(-k * c for c in v))
+            if t == target.translation:
+                facs.append(tuple(AffineReflection(r, k)
+                                  for r, k in zip(seq, ks)))
+    facs.sort()
+    return facs, solvable
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_enumeration_matches_brute_force(data):
+    rs = parse_type(data.draw(st.sampled_from(["A2", "B2", "G2", "A3", "B3"])))
+    n = rs.rank
+    built = data.draw(st.lists(
+        st.tuples(st.sampled_from(rs.positive_roots), st.integers(-2, 2)),
+        max_size=n + 1))
+    target = product_of_reflections(
+        rs, [AffineReflection(r, k) for r, k in built])
+    # half the queries ask for the length the target was built with
+    m = data.draw(st.one_of(st.just(len(built)), st.integers(0, n + 1)))
+    bound = data.draw(st.integers(0, 2))
+    facs, solvable = _brute_force_factorizations(rs, target, m, bound)
+    assert enumerate_factorizations(
+        rs, FactorizationQuery(target, m, bound)) == facs
+    assert _has_factorization(rs, target, m) == solvable
+
+
+def test_main_theorem_rank_four():
+    results = suite_main_theorem(groups=("A4",), samples=10)
+    assert results and all(c.ok for c in results), \
+        [(c.name, c.detail) for c in results if not c.ok]
 
 
 def test_query_validation(a2):
@@ -241,6 +319,47 @@ def test_is_quasi_coxeter_affine_short_element_conclusive(a2):
               product_of_reflections(a3, (ref((1, 0, 0), 1), ref((0, 0, 1))))):
         res = is_quasi_coxeter_affine(a3, w)
         assert not res.is_quasi_coxeter and res.conclusive
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_move_table_matches_group_multiplication(name):
+    rs = parse_type(name)
+    pos = rs.positive_roots
+    index, moves = _move_table(rs)
+    assert index == {r: i for i, r in enumerate(pos)}
+    for a, b in itertools.product(pos, repeat=2):
+        for k, l in itertools.product(range(-2, 3), repeat=2):
+            ea = as_element(rs, AffineReflection(a, k))
+            eb = as_element(rs, AffineReflection(b, l))
+            code = ((index[a], k), (index[b], l))
+            fwd, inv = _moves_in_window(moves, code, 20)
+            assert fwd[1] == (index[a], k) and inv[0] == (index[b], l)
+            assert as_element(rs, AffineReflection(pos[fwd[0][0]], fwd[0][1])) \
+                == ea * eb * ea
+            assert as_element(rs, AffineReflection(pos[inv[1][0]], inv[1][1])) \
+                == eb * ea * eb
+            # the window drops moves that leave it
+            inside = list(_moves_in_window(moves, code, 2))
+            assert inside == [t for t in (fwd, inv)
+                              if all(abs(lv) <= 2 for _, lv in t)]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_quasi_coxeter_witness_is_first_generating_tuple(name):
+    rs = parse_type(name)
+    n = rs.rank
+    rng = random.Random(11)
+    elements = [product_of_reflections(rs, simple_system_affine(rs))]
+    elements += [product_of_reflections(
+        rs, [AffineReflection(rng.choice(rs.positive_roots), rng.randint(-1, 1))
+             for _ in range(n + 1)]) for _ in range(8)]
+    for w in elements:
+        res = is_quasi_coxeter_affine(rs, w)
+        facs = enumerate_factorizations(rs, FactorizationQuery(w, n + 1, 2))
+        first = next((f for f in facs if generates_affine(rs, f).generates),
+                     None)
+        assert res.witness == first
+        assert res.is_quasi_coxeter == (first is not None)
 
 
 def test_parabolic_quasi_coxeter_affine(a2):
