@@ -19,7 +19,7 @@ from .intlattice import connection_index
 from .literals import (braid_word_to_json, certificate_to_json, format_group,
                        format_root, format_tuple, parse_group,
                        parse_reflection_args, parse_tuple_literal,
-                       reflection_to_json, tuple_to_json)
+                       tuple_to_json)
 from .quasicox import (FactorizationQuery, PipelineExhausted,
                        absolute_length_affine, connect_reduced,
                        enumerate_factorizations, fiber, generates_affine,
@@ -224,6 +224,7 @@ def cmd_length(group, reflections, fmt):
 @fmt_option
 def cmd_orbit(group, reflections, depth, fmt):
     """Hurwitz orbit of the given reflection tuple."""
+    _check_at_least("--depth", depth)
     rs, affine = _parse_group_or_exit(group)
     refs = _parse_refs_or_exit(rs, reflections, affine)
     if affine:
@@ -248,6 +249,7 @@ def cmd_orbit(group, reflections, depth, fmt):
 @fmt_option
 def cmd_connect(group, tuple1, tuple2, depth, fmt):
     """Braid word sending TUPLE1 to TUPLE2 (semicolon-separated literals)."""
+    _check_at_least("--depth", depth)
     rs, affine = _parse_group_or_exit(group)
     try:
         t1 = parse_tuple_literal(rs, tuple1)

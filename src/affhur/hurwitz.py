@@ -1,14 +1,31 @@
-"""Braid moves, Hurwitz orbits and braid-word search over any exact group.
+"""Braid moves, Hurwitz orbits and braid-word search on reflection tuples.
 
-Tuple entries may be any hashable elements supporting `*` and .inverse();
-both finite and affine Weyl elements qualify. Words are applied leftmost
-letter first; positive letter i is sigma_i, negative is its inverse.
+Tuple entries are reflections of one root system: finite ones
+(`FiniteWeylElement`) or affine ones (`AffineWeylElement`). The searches
+run on codes, not on elements. A finite reflection s_alpha is coded by the
+index of alpha in `RootSystem.positive_roots`, an affine reflection
+s_{alpha,k} by the pair (that index, k); a tuple of codes is a plain tuple
+that hashes cheaply, and a Hurwitz move on it is one lookup in a table
+built once per root system. `orbit`, `connect` and `lr_normalize` accept
+ReflectionTuples, encode them once and decode only what they return.
+`apply_move` and `apply_braid` act on the elements themselves; they replay
+and check the words the searches find.
+
+Words are applied leftmost letter first; positive letter i is sigma_i,
+negative is its inverse.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache, partial
+
+from .rootsys import RootSystem
+from .weyl_aff import (AffineReflection, AffineWeylElement,
+                       aff_conjugate_reflection, as_element,
+                       recognize_reflection)
+from .weyl_fin import reflection_element, root_of_reflection
 
 
 @dataclass(frozen=True)
@@ -39,26 +56,6 @@ class BraidWord:
         return len(self.letters)
 
 
-@dataclass
-class OrbitResult:
-    start: ReflectionTuple
-    parents: dict  # tuple -> (parent tuple, letter); start maps to None
-    exhausted: bool
-
-    @property
-    def tuples(self):
-        return self.parents.keys()
-
-    def word_to(self, target: ReflectionTuple) -> BraidWord:
-        """Reconstruct the braid word from the orbit's start to target."""
-        letters = []
-        node = target
-        while self.parents[node] is not None:
-            node, letter = self.parents[node]
-            letters.append(letter)
-        return BraidWord(tuple(reversed(letters)))
-
-
 def apply_move(t: ReflectionTuple, i: int, inverse: bool = False) -> ReflectionTuple:
     """The i-th Hurwitz move (1-indexed): conjugate-and-shift of slots i, i+1."""
     m = len(t.entries)
@@ -78,69 +75,196 @@ def apply_braid(t: ReflectionTuple, word: BraidWord) -> ReflectionTuple:
     return t
 
 
-def _moves(m: int):
+# ------------------------------------------------------------------ codes
+
+@lru_cache(maxsize=None)
+def _conjugation_table(rs: RootSystem) -> tuple:
+    """conj[a][b] = c with s_a s_b s_a = s_c, for positive-root indices a, b, c."""
+    pos = rs.positive_roots
+    index = {r: i for i, r in enumerate(pos)}
+    return tuple(tuple(index[reflection_element(rs, a).act_root(b).positive()]
+                       for b in pos) for a in pos)
+
+
+@lru_cache(maxsize=None)
+def _move_table(rs: RootSystem):
+    """Hurwitz moves on (positive-root index, level) pairs.
+
+    Returns (index, moves): index maps each positive root to its position,
+    and moves[a][b] = (c, x, y) says s_{a,k} s_{b,l} s_{a,k} = s_{c, x*l + y*k}
+    for roots a, b and all levels k, l. The closed form
+    aff_conjugate_reflection is linear in the two levels, so its values at
+    levels (0, 1) and (1, 0) give x and y.
+    """
+    pos = rs.positive_roots
+    index = {r: i for i, r in enumerate(pos)}
+    moves = []
+    for a in pos:
+        row = []
+        for b in pos:
+            at_l = aff_conjugate_reflection(rs, AffineReflection(a, 0),
+                                            AffineReflection(b, 1))
+            at_k = aff_conjugate_reflection(rs, AffineReflection(a, 1),
+                                            AffineReflection(b, 0))
+            row.append((index[at_l.root], at_l.level, at_k.level))
+        moves.append(row)
+    return index, moves
+
+
+def _finite_move(conj, code: tuple, letter: int) -> tuple:
+    i = abs(letter)
+    a, b = code[i - 1], code[i]
+    pair = (b, conj[b][a]) if letter < 0 else (conj[a][b], a)
+    return code[:i - 1] + pair + code[i + 1:]
+
+
+def _affine_move(moves, code: tuple, letter: int) -> tuple:
+    i = abs(letter)
+    x, y = code[i - 1], code[i]
+    (a, k), (b, l) = x, y
+    if letter < 0:
+        c, p, q = moves[b][a]
+        pair = (y, (c, p * k + q * l))
+    else:
+        c, p, q = moves[a][b]
+        pair = ((c, p * l + q * k), x)
+    return code[:i - 1] + pair + code[i + 1:]
+
+
+class ReflectionCodes:
+    """The reflections of one root system as codes, and Hurwitz moves on them.
+
+    Finite codes are positive-root indices, affine codes (index, level)
+    pairs. `move(code, letter)` applies one letter to a tuple of codes.
+    """
+
+    def __init__(self, rs: RootSystem, affine: bool):
+        self.rs = rs
+        self.affine = affine
+        self.roots = rs.positive_roots
+        self.index = {r: i for i, r in enumerate(self.roots)}
+        self.move = (partial(_affine_move, _move_table(rs)[1]) if affine
+                     else partial(_finite_move, _conjugation_table(rs)))
+
+    def code_of(self, r: AffineReflection) -> tuple[int, int]:
+        """The affine code of s_{root, level}; s_{-alpha,-k} = s_{alpha,k}."""
+        i = self.index.get(r.root)
+        return (i, r.level) if i is not None else (self.index[-r.root], -r.level)
+
+    def encode(self, t: ReflectionTuple) -> tuple:
+        if self.affine:
+            refs = [recognize_reflection(self.rs, e) for e in t.entries]
+            if None in refs:
+                raise ValueError("tuple entry is not a reflection")
+            return tuple(self.code_of(r) for r in refs)
+        roots = [root_of_reflection(self.rs, e) for e in t.entries]
+        if None in roots:
+            raise ValueError("tuple entry is not a reflection")
+        return tuple(self.index[r] for r in roots)
+
+    def decode(self, code: tuple) -> ReflectionTuple:
+        rs, roots = self.rs, self.roots
+        if self.affine:
+            return ReflectionTuple(tuple(as_element(rs, AffineReflection(roots[a], k))
+                                         for a, k in code))
+        return ReflectionTuple(tuple(reflection_element(rs, roots[a]) for a in code))
+
+    def braid(self, code: tuple, word: BraidWord) -> tuple:
+        move = self.move
+        for letter in word.letters:
+            code = move(code, letter)
+        return code
+
+
+@lru_cache(maxsize=None)
+def reflection_codes(rs: RootSystem, affine: bool) -> ReflectionCodes:
+    return ReflectionCodes(rs, affine)
+
+
+def _codes_of(t: ReflectionTuple) -> ReflectionCodes:
+    if not t.entries:
+        raise ValueError("a reflection tuple needs at least one entry")
+    e = t.entries[0]
+    affine = isinstance(e, AffineWeylElement)
+    return reflection_codes((e.finite if affine else e).table.rs, affine)
+
+
+# --------------------------------------------------------------- searches
+
+def _letters(m: int) -> tuple[int, ...]:
     # sigma_i before sigma_i^-1, ascending i: the documented tie-break
-    out = []
-    for i in range(1, m):
-        out.append((i, False))
-        out.append((i, True))
-    return out
+    return tuple(x for i in range(1, m) for x in (i, -i))
+
+
+def _word_to(parents: dict, node) -> BraidWord:
+    letters = []
+    while parents[node] is not None:
+        node, letter = parents[node]
+        letters.append(letter)
+    return BraidWord(tuple(reversed(letters)))
+
+
+@dataclass
+class OrbitResult:
+    start: ReflectionTuple
+    parents: dict  # code -> (parent code, letter); the start's code maps to None
+    exhausted: bool
+    codes: ReflectionCodes
+
+    @property
+    def tuples(self) -> list[ReflectionTuple]:
+        return [self.codes.decode(c) for c in self.parents]
+
+    def word_to(self, target: ReflectionTuple) -> BraidWord:
+        """Reconstruct the braid word from the orbit's start to target."""
+        return _word_to(self.parents, self.codes.encode(target))
 
 
 def orbit(t: ReflectionTuple, node_limit: int = 10 ** 6,
           depth_limit: int | None = None) -> OrbitResult:
-    """BFS closure of t under all Hurwitz moves.
+    """BFS closure of t under all Hurwitz moves, run on the codes of t.
 
     `exhausted` is True iff the orbit closed before hitting either limit;
     otherwise the result is a truncation, not the full orbit.
     """
-    moves = _moves(len(t))
-    parents: dict = {t: None}
-    frontier = deque([(t, 0)])
+    codes = _codes_of(t)
+    move = codes.move
+    start = codes.encode(t)
+    letters = _letters(len(start))
+    parents: dict = {start: None}
+    frontier = deque([(start, 0)])
     exhausted = True
     while frontier:
         node, depth = frontier.popleft()
         if depth_limit is not None and depth >= depth_limit:
             exhausted = False
             continue
-        for i, inv in moves:
-            nxt = apply_move(node, i, inv)
+        for letter in letters:
+            nxt = move(node, letter)
             if nxt not in parents:
                 if len(parents) >= node_limit:
                     exhausted = False
                     frontier.clear()
                     break
-                parents[nxt] = (node, -i if inv else i)
+                parents[nxt] = (node, letter)
                 frontier.append((nxt, depth + 1))
-    return OrbitResult(t, parents, exhausted)
+    return OrbitResult(t, parents, exhausted, codes)
 
 
-def connect(t1: ReflectionTuple, t2: ReflectionTuple,
-            depth_limit: int = 12, node_limit: int = 10 ** 6) -> BraidWord | None:
-    """Bidirectional BFS for a braid word sending t1 to t2.
+def connect_codes(move, start: tuple, goal: tuple, depth_limit: int = 12,
+                  node_limit: int = 10 ** 6) -> BraidWord | None:
+    """Bidirectional BFS for a braid word sending code tuple start to goal.
 
-    None means "not found within limits", never a disproof. A tuple-product
-    mismatch is rejected up front since the product is a Hurwitz invariant.
+    None means "not found within limits". The products are not compared:
+    that is the caller's job.
     """
-    if len(t1) != len(t2):
-        raise ValueError("tuples must have equal length")
-    if t1.product() != t2.product():
-        return None
-    if t1 == t2:
+    if start == goal:
         return BraidWord()
-    moves = _moves(len(t1))
-    fwd: dict = {t1: None}
-    bwd: dict = {t2: None}
-
-    def trace(parents, node):
-        letters = []
-        while parents[node] is not None:
-            node, letter = parents[node]
-            letters.append(letter)
-        return BraidWord(tuple(reversed(letters)))
-
-    frontier_f = [t1]
-    frontier_b = [t2]
+    letters = _letters(len(start))
+    fwd: dict = {start: None}
+    bwd: dict = {goal: None}
+    frontier_f = [start]
+    frontier_b = [goal]
     for _ in range(depth_limit):
         # expand the smaller frontier
         if not frontier_f and not frontier_b:
@@ -151,19 +275,15 @@ def connect(t1: ReflectionTuple, t2: ReflectionTuple,
                                     else (frontier_b, bwd, fwd))
         nxt_frontier = []
         for node in frontier:
-            for i, inv in moves:
-                nxt = apply_move(node, i, inv)
+            for letter in letters:
+                nxt = move(node, letter)
                 if nxt in parents:
                     continue
                 if len(fwd) + len(bwd) >= node_limit:
                     return None
-                parents[nxt] = (node, -i if inv else i)
+                parents[nxt] = (node, letter)
                 if nxt in other:
-                    word = trace(fwd, nxt) + trace(bwd, nxt).inverse()
-                    if apply_braid(t1, word) != t2:
-                        raise RuntimeError("internal inconsistency: the braid "
-                                           "word found does not replay")
-                    return word
+                    return _word_to(fwd, nxt) + _word_to(bwd, nxt).inverse()
                 nxt_frontier.append(nxt)
         if expand_forward:
             frontier_f = nxt_frontier
@@ -172,9 +292,55 @@ def connect(t1: ReflectionTuple, t2: ReflectionTuple,
     return None
 
 
-def _tail_pairs_equal(t: ReflectionTuple, pairs: int) -> bool:
-    e = t.entries
-    return all(e[len(e) - 1 - 2 * j] == e[len(e) - 2 - 2 * j] for j in range(pairs))
+def connect(t1: ReflectionTuple, t2: ReflectionTuple,
+            depth_limit: int = 12, node_limit: int = 10 ** 6) -> BraidWord | None:
+    """Bidirectional BFS for a braid word sending t1 to t2.
+
+    None means "not found within limits", never a disproof. A tuple-product
+    mismatch is rejected up front since the product is a Hurwitz invariant.
+    The word found is replayed on the elements before it is returned.
+    """
+    if len(t1) != len(t2):
+        raise ValueError("tuples must have equal length")
+    if t1.product() != t2.product():
+        return None
+    codes = _codes_of(t1)
+    word = connect_codes(codes.move, codes.encode(t1), codes.encode(t2),
+                         depth_limit, node_limit)
+    if word is not None and apply_braid(t1, word) != t2:
+        raise RuntimeError("internal inconsistency: the braid word found "
+                           "does not replay")
+    return word
+
+
+def normalize_codes(move, start: tuple, target_reduced_length: int,
+                    node_limit: int = 10 ** 6) -> BraidWord | None:
+    """Braid word to repeated-pair-tail shape for a code tuple, see `lr_normalize`."""
+    m = len(start)
+    if (m - target_reduced_length) % 2 != 0 or not 0 <= target_reduced_length <= m:
+        raise ValueError("target length must lie in [0, tuple length] and have "
+                         "the parity of the tuple length")
+    # the tail from `cut` on is made of equal pairs when its even and odd
+    # slots agree
+    cut = target_reduced_length
+    if start[cut::2] == start[cut + 1::2]:
+        return BraidWord()
+    letters = _letters(m)
+    parents: dict = {start: None}
+    frontier = deque([start])
+    while frontier:
+        node = frontier.popleft()
+        for letter in letters:
+            nxt = move(node, letter)
+            if nxt in parents:
+                continue
+            if len(parents) >= node_limit:
+                return None
+            parents[nxt] = (node, letter)
+            if nxt[cut::2] == nxt[cut + 1::2]:
+                return _word_to(parents, nxt)
+            frontier.append(nxt)
+    return None
 
 
 def lr_normalize(t: ReflectionTuple, target_reduced_length: int,
@@ -182,28 +348,9 @@ def lr_normalize(t: ReflectionTuple, target_reduced_length: int,
     """Braid word bringing t to repeated-pair-tail shape.
 
     The target shape keeps a length-`target_reduced_length` prefix and ends
-    in (m - target)/2 equal pairs. Found by orbit BFS; when the orbit is
-    exhausted a None is conclusive.
+    in (m - target)/2 equal pairs. Found by orbit BFS on the codes of t;
+    when the orbit is exhausted a None is conclusive.
     """
-    m = len(t)
-    if (m - target_reduced_length) % 2 != 0 or m < target_reduced_length:
-        raise ValueError("tuple length and target length have different parity")
-    pairs = (m - target_reduced_length) // 2
-    if _tail_pairs_equal(t, pairs):
-        return BraidWord()
-    moves = _moves(m)
-    parents: dict = {t: None}
-    frontier = deque([t])
-    while frontier:
-        node = frontier.popleft()
-        for i, inv in moves:
-            nxt = apply_move(node, i, inv)
-            if nxt in parents:
-                continue
-            if len(parents) >= node_limit:
-                return None
-            parents[nxt] = (node, -i if inv else i)
-            if _tail_pairs_equal(nxt, pairs):
-                return OrbitResult(t, parents, False).word_to(nxt)
-            frontier.append(nxt)
-    return None
+    codes = _codes_of(t)
+    return normalize_codes(codes.move, codes.encode(t), target_reduced_length,
+                           node_limit)

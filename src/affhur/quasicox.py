@@ -13,17 +13,17 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .hurwitz import BraidWord, ReflectionTuple, apply_braid, connect, lr_normalize
+from .hurwitz import (BraidWord, ReflectionTuple, _affine_move, _move_table,
+                      apply_braid, connect_codes, normalize_codes,
+                      reflection_codes)
 from .intlattice import (IntegerLattice, contains, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
-from .rootsys import Root, RootSystem, RootSystemError, coroot
-from .weyl_aff import (AffineReflection, AffineWeylElement,
-                       aff_conjugate_reflection, aff_identity, as_element,
-                       fixed_affine_subspace, product_of_reflections,
-                       recognize_reflection)
+from .rootsys import Root, RootSystem, coroot
+from .weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
+                       as_element, fixed_affine_subspace,
+                       product_of_reflections)
 from .weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
                        generates_w0, identity_element, reflection_element,
                        root_of_reflection, root_table)
@@ -92,7 +92,10 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
 
     Normalizes to a repeated-root tail, conjugates the first n levels to
     zero by a coweight, and compares the translation lattice generated by
-    the leftover translation's orbit with the full coroot lattice.
+    the leftover translation's orbit with the full coroot lattice. The
+    normalization runs on reflection codes (see `affhur.hurwitz`): the
+    braid word is found on the root indices and applied to the
+    (root index, level) pairs, so no group element is built.
     """
     refs = tuple(refs)
     n = rs.rank
@@ -103,19 +106,16 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
         cert = GenerationCertificate(None, None, None, None, False, None)
         return GenerationResult(False, cert)
 
-    fin_tuple = ReflectionTuple(tuple(reflection_element(rs, r.root) for r in refs))
-    word = lr_normalize(fin_tuple, n - 1)
+    codes = reflection_codes(rs, True)
+    code = tuple(codes.code_of(r) for r in refs)
+    word = normalize_codes(reflection_codes(rs, False).move,
+                           tuple(a for a, _ in code), n - 1)
     if word is None:
         raise RuntimeError("internal inconsistency: repeated-root shape "
                            "unreachable although the projection generates")
-    aff_tuple = ReflectionTuple(tuple(as_element(rs, r) for r in refs))
-    normed = apply_braid(aff_tuple, word)
-    normed_refs = [recognize_reflection(rs, e) for e in normed.entries]
-    if any(r is None for r in normed_refs):
-        raise RuntimeError("internal inconsistency: a Hurwitz move produced "
-                           "a non-reflection")
-    gammas = [r.root for r in normed_refs]
-    levels = [r.level for r in normed_refs]
+    normed = codes.braid(code, word)
+    gammas = [codes.roots[a] for a, _ in normed]
+    levels = [k for _, k in normed]
     if gammas[n - 1] != gammas[n]:
         raise RuntimeError("internal inconsistency: normalized tuple lacks "
                            "the repeated-root tail")
@@ -389,46 +389,18 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
                               f"no witness with levels bounded by {level_cap}")
 
 
-@lru_cache(maxsize=None)
-def _move_table(rs: RootSystem):
-    """Hurwitz moves on (positive-root index, level) pairs.
-
-    Returns (index, moves): index maps each positive root to its position,
-    and moves[a][b] = (c, x, y) says s_{a,k} s_{b,l} s_{a,k} = s_{c, x*l + y*k}
-    for roots a, b and all levels k, l. The closed form
-    aff_conjugate_reflection is linear in the two levels, so its values at
-    levels (0, 1) and (1, 0) give x and y.
-    """
-    pos = rs.positive_roots
-    index = {r: i for i, r in enumerate(pos)}
-    moves = []
-    for a in pos:
-        row = []
-        for b in pos:
-            at_l = aff_conjugate_reflection(rs, AffineReflection(a, 0),
-                                            AffineReflection(b, 1))
-            at_k = aff_conjugate_reflection(rs, AffineReflection(a, 1),
-                                            AffineReflection(b, 0))
-            row.append((index[at_l.root], at_l.level, at_k.level))
-        moves.append(row)
-    return index, moves
-
-
 def _moves_in_window(moves, code, bound: int):
     """Tuples one sigma_i or sigma_i^-1 away whose levels stay in [-bound, bound].
 
-    Tuples are coded as (positive-root index, level) pairs, see _move_table.
+    Tuples are coded as (positive-root index, level) pairs and `moves` is
+    the table of `_move_table`; only the entry a move creates can leave the
+    window.
     """
-    for i in range(len(code) - 1):
-        (a, k), (b, l) = code[i], code[i + 1]
-        c, x, y = moves[a][b]
-        level = x * l + y * k
-        if -bound <= level <= bound:
-            yield code[:i] + ((c, level), (a, k)) + code[i + 2:]
-        c, x, y = moves[b][a]
-        level = x * k + y * l
-        if -bound <= level <= bound:
-            yield code[:i] + ((b, l), (c, level)) + code[i + 2:]
+    for i in range(1, len(code)):
+        for letter, new in ((i, i - 1), (-i, i)):
+            moved = _affine_move(moves, code, letter)
+            if -bound <= moved[new][1] <= bound:
+                yield moved
 
 
 def fiber(rs: RootSystem, base, shift_bound: int):
@@ -458,8 +430,9 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
 
     Stages: repeated-root normalization of both tuples, projection
     alignment inside the finite Fac set, then a sigma_n power along the
-    fiber. Verified by application; falls back to plain bidirectional
-    search before giving up.
+    fiber. The stages run on reflection codes (see `affhur.hurwitz`); the
+    word is then verified once by application to the affine elements. Falls
+    back to plain bidirectional search before giving up.
     """
     t1 = tuple(t1)
     t2 = tuple(t2)
@@ -472,45 +445,47 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
         if not generates_w0(rs, [r.root for r in t]):
             raise ValueError("projection does not generate the finite group; "
                              "the element is not quasi-Coxeter")
-    aff1 = ReflectionTuple(tuple(as_element(rs, r) for r in t1))
-    aff2 = ReflectionTuple(tuple(as_element(rs, r) for r in t2))
+    codes = reflection_codes(rs, True)
+    code1 = tuple(codes.code_of(r) for r in t1)
+    code2 = tuple(codes.code_of(r) for r in t2)
     try:
-        word = _connect_pipeline(rs, aff1, aff2, n, depth_limit, node_limit)
+        word = _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit)
     except PipelineExhausted:
-        word = connect(aff1, aff2, depth_limit=depth_limit, node_limit=node_limit)
+        word = connect_codes(codes.move, code1, code2, depth_limit, node_limit)
         if word is None:
             raise
+    aff1 = ReflectionTuple(tuple(as_element(rs, r) for r in t1))
+    aff2 = ReflectionTuple(tuple(as_element(rs, r) for r in t2))
     if apply_braid(aff1, word) != aff2:
         raise RuntimeError("internal inconsistency: the braid word found "
                            "does not replay")
     return word
 
 
-def _connect_pipeline(rs, aff1, aff2, n, depth_limit, node_limit) -> BraidWord:
-    def normalize(aff):
-        fin = ReflectionTuple(tuple(e.finite for e in aff.entries))
-        word = lr_normalize(fin, n - 1, node_limit)
+def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord:
+    codes = reflection_codes(rs, True)
+    fin_move = reflection_codes(rs, False).move
+
+    def normalize(code):
+        word = normalize_codes(fin_move, tuple(a for a, _ in code), n - 1,
+                               node_limit)
         if word is None:
             raise PipelineExhausted("normalize")
-        normed = apply_braid(aff, word)
-        refs = [recognize_reflection(rs, e) for e in normed.entries]
-        return word, normed, refs
+        return word, codes.braid(code, word)
 
-    word1, u1, refs1 = normalize(aff1)
-    word2, u2, refs2 = normalize(aff2)
+    word1, u1 = normalize(code1)
+    word2, u2 = normalize(code2)
 
-    f1 = ReflectionTuple(tuple(e.finite for e in u1.entries))
-    f2 = ReflectionTuple(tuple(e.finite for e in u2.entries))
-    word_fin = connect(f1, f2, depth_limit=depth_limit, node_limit=node_limit)
+    word_fin = connect_codes(fin_move, tuple(a for a, _ in u1),
+                             tuple(a for a, _ in u2), depth_limit, node_limit)
     if word_fin is None:
         raise PipelineExhausted("finite-alignment")
-    u1p = apply_braid(u1, word_fin)
-    refs1p = [recognize_reflection(rs, e) for e in u1p.entries]
+    u1p = codes.braid(u1, word_fin)
 
-    if any(refs1p[i] != refs2[i] for i in range(n - 1)):
+    if u1p[:n - 1] != u2[:n - 1]:
         raise PipelineExhausted("fiber", "leading levels disagree")
-    gap = refs1p[n - 1].level - refs1p[n].level
-    shift = refs2[n - 1].level - refs1p[n - 1].level
+    gap = u1p[n - 1][1] - u1p[n][1]
+    shift = u2[n - 1][1] - u1p[n - 1][1]
     if gap == 0 or shift % gap != 0:
         raise PipelineExhausted("fiber", "sigma_n power cannot align the levels")
     e = shift // gap

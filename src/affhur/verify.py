@@ -13,14 +13,15 @@ import random
 import time
 from dataclasses import dataclass
 
-from .hurwitz import BraidWord, ReflectionTuple, apply_braid, connect, orbit
+from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, apply_move,
+                      connect, orbit, reflection_codes)
 from .quasicox import (FactorizationQuery, absolute_length_affine,
                        closure_generates, connect_reduced,
                        enumerate_factorizations, generates_affine,
                        is_quasi_coxeter_affine)
 from .rootsys import Root, build_root_system, parse_type
-from .weyl_aff import (AffineReflection, aff_conjugate_reflection, aff_identity,
-                       as_element, coweight_conjugate, product_of_reflections,
+from .weyl_aff import (AffineReflection, aff_conjugate_reflection, as_element,
+                       coweight_conjugate, product_of_reflections,
                        simple_system_affine, translation_element,
                        translation_part_of_product)
 from .weyl_fin import reflection_element
@@ -110,13 +111,16 @@ def _check_coweight_conjugation(rs) -> str:
 
 
 def _check_hurwitz_moves(rs, seed: int, samples: int = 50) -> str:
-    from .hurwitz import apply_move
+    # the searches move (root index, level) codes by table lookup; each code
+    # move is compared with the move made by multiplying the elements
     rng = random.Random(seed)
     pos = rs.positive_roots
+    codes = reflection_codes(rs, True)
     for _ in range(samples):
         refs = [AffineReflection(rng.choice(pos), rng.randint(-2, 2))
                 for _ in range(4)]
         t = ReflectionTuple(tuple(as_element(rs, r) for r in refs))
+        code = tuple(codes.code_of(r) for r in refs)
         prod = t.product()
         for i in (1, 2, 3):
             moved = apply_move(t, i)
@@ -124,6 +128,10 @@ def _check_hurwitz_moves(rs, seed: int, samples: int = 50) -> str:
                      "Hurwitz move changed the product")
             _require(apply_move(moved, i, inverse=True) == t,
                      "inverse move does not undo the move")
+            for letter, expected in ((i, moved), (-i, apply_move(t, i, inverse=True))):
+                _require(codes.decode(codes.move(code, letter)) == expected,
+                         f"code move {letter} disagrees with multiplication "
+                         f"for {refs}")
     return f"{samples} random 4-tuples"
 
 

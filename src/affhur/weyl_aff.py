@@ -15,7 +15,7 @@ from .linalg import Vec, solve_rational, vec_add, vec_neg
 from .rootsys import (Root, RootSystem, RootSystemError, coroot, pairing,
                       pairing_coords)
 from .weyl_fin import (FiniteWeylElement, identity_element, reflection_element,
-                       reflections, root_of_reflection, _pairing_row)
+                       root_of_reflection)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .rootsys import Root, RootSystem, RootSystemError, coroot, reflect
 class RootTable:
     """The data of one root system that its group elements share.
 
-    Built once per root system by `root_table`. It compares by identity,
+    Built once per root system `rs` by `root_table`. It compares by identity,
     which keeps elements of different root systems (B2 and C2, say) apart
     even when their permutations coincide. `inverses` memoizes inversion:
     Hurwitz moves invert the same few elements over and over. `lengths`
@@ -33,10 +33,11 @@ class RootTable:
     group element.
     """
 
-    __slots__ = ("roots", "index", "simple", "coroots", "identity", "inverses",
-                 "lengths")
+    __slots__ = ("rs", "roots", "index", "simple", "coroots", "identity",
+                 "inverses", "lengths")
 
     def __init__(self, rs: RootSystem):
+        self.rs = rs
         self.roots = rs.roots
         self.index = {r: i for i, r in enumerate(rs.roots)}
         self.simple = tuple(self.index[a] for a in rs.simple_roots)

@@ -170,9 +170,12 @@ def test_verify_unknown_suite(runner):
     (None, ["fiber", "affine:A2", "1,0:0", "1,1:1", "1,1:0", "-K", "-3"]),
     (None, ["verify", "lemmas", "--group", "Z9"]),
     (None, ["verify", "main-theorem", "--samples", "0"]),
+    (None, ["orbit", "A2", "1,0", "0,1", "--depth", "-1"]),
+    (None, ["connect", "A2", "1,0;0,1", "1,1;1,0", "--depth", "-1"]),
 ], ids=["node-limit-not-int", "node-limit-negative", "factorize-negative-K",
         "factorize-negative-length", "check-qc-negative-K", "fiber-negative-K",
-        "verify-unknown-group", "verify-zero-samples"])
+        "verify-unknown-group", "verify-zero-samples", "orbit-negative-depth",
+        "connect-negative-depth"])
 def test_bad_input_is_a_usage_error(runner, monkeypatch, node_limit, args):
     if node_limit is not None:
         monkeypatch.setenv("AFFHUR_NODE_LIMIT", node_limit)

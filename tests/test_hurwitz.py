@@ -1,8 +1,14 @@
+import random
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affhur.hurwitz import (BraidWord, ReflectionTuple, apply_braid,
-                            apply_move, connect, lr_normalize, orbit)
-from affhur.rootsys import Root, build_root_system
+                            apply_move, connect, lr_normalize, orbit,
+                            reflection_codes)
+from affhur.rootsys import Root, build_root_system, parse_type
 from affhur.weyl_aff import AffineReflection, as_element
 from affhur.weyl_fin import reflection_element
 
@@ -112,9 +118,11 @@ def test_lr_normalize(a2):
         normed = apply_braid(t, word)
         e = normed.entries
         assert e[0] == e[1] and e[2] == e[3]
-    # parity mismatch is rejected
+    # parity mismatch and a negative target are rejected
     with pytest.raises(ValueError):
         lr_normalize(t, 1)
+    with pytest.raises(ValueError):
+        lr_normalize(t, -2)
 
 
 def test_lr_normalize_already_shaped(a2):
@@ -145,3 +153,171 @@ def test_connect_raises_when_word_does_not_replay(a2, monkeypatch):
                         lambda tup, word: real(tup, word + BraidWord((1,))))
     with pytest.raises(RuntimeError, match="internal inconsistency"):
         connect(t, other)
+
+
+# ------------------------------------------------- the search on codes
+#
+# The searches run on reflection codes. The oracles below work on the group
+# elements alone: element-level apply_move/apply_braid, and breadth-first
+# searches over ReflectionTuples of elements written in the same order.
+
+CODE_GROUPS = ["A2", "B2", "G2", "A3", "B3", "F4"]
+
+
+def _reference_letters(m):
+    return [x for i in range(1, m) for x in (i, -i)]
+
+
+def _reference_word(parents, node):
+    letters = []
+    while parents[node] is not None:
+        node, letter = parents[node]
+        letters.append(letter)
+    return BraidWord(tuple(reversed(letters)))
+
+
+def _apply_letter(t, letter):
+    return apply_move(t, abs(letter), inverse=letter < 0)
+
+
+def reference_lr_normalize(t, target_reduced_length, node_limit=10 ** 6):
+    """Breadth-first search for the repeated-pair tail on the elements."""
+    m = len(t)
+    pairs = (m - target_reduced_length) // 2
+
+    def shaped(u):
+        e = u.entries
+        return all(e[m - 1 - 2 * j] == e[m - 2 - 2 * j] for j in range(pairs))
+
+    if shaped(t):
+        return BraidWord()
+    parents = {t: None}
+    frontier = deque([t])
+    while frontier:
+        node = frontier.popleft()
+        for letter in _reference_letters(m):
+            nxt = _apply_letter(node, letter)
+            if nxt in parents:
+                continue
+            if len(parents) >= node_limit:
+                return None
+            parents[nxt] = (node, letter)
+            if shaped(nxt):
+                return _reference_word(parents, nxt)
+            frontier.append(nxt)
+    return None
+
+
+def reference_connect(t1, t2, depth_limit=12, node_limit=10 ** 6):
+    """Bidirectional breadth-first search on the elements."""
+    if t1.product() != t2.product():
+        return None
+    if t1 == t2:
+        return BraidWord()
+    fwd, bwd = {t1: None}, {t2: None}
+    frontier_f, frontier_b = [t1], [t2]
+    for _ in range(depth_limit):
+        if not frontier_f and not frontier_b:
+            break
+        expand_forward = bool(frontier_f) and (not frontier_b
+                                               or len(frontier_f) <= len(frontier_b))
+        frontier, parents, other = ((frontier_f, fwd, bwd) if expand_forward
+                                    else (frontier_b, bwd, fwd))
+        nxt_frontier = []
+        for node in frontier:
+            for letter in _reference_letters(len(t1)):
+                nxt = _apply_letter(node, letter)
+                if nxt in parents:
+                    continue
+                if len(fwd) + len(bwd) >= node_limit:
+                    return None
+                parents[nxt] = (node, letter)
+                if nxt in other:
+                    return (_reference_word(fwd, nxt)
+                            + _reference_word(bwd, nxt).inverse())
+                nxt_frontier.append(nxt)
+        if expand_forward:
+            frontier_f = nxt_frontier
+        else:
+            frontier_b = nxt_frontier
+    return None
+
+
+def _draw_tuple(data, rs, affine, size):
+    roots = data.draw(st.lists(st.sampled_from(rs.positive_roots),
+                               min_size=size, max_size=size))
+    if affine:
+        levels = data.draw(st.lists(st.integers(-3, 3), min_size=size,
+                                    max_size=size))
+        return ReflectionTuple(tuple(as_element(rs, AffineReflection(r, k))
+                                     for r, k in zip(roots, levels)))
+    return ReflectionTuple(tuple(reflection_element(rs, r) for r in roots))
+
+
+def _draw_word(data, m, max_size):
+    return BraidWord(tuple(data.draw(st.lists(
+        st.integers(1, m - 1).flatmap(lambda i: st.sampled_from((i, -i))),
+        max_size=max_size))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_code_moves_match_element_moves(data):
+    rs = parse_type(data.draw(st.sampled_from(CODE_GROUPS)))
+    affine = data.draw(st.booleans())
+    m = data.draw(st.integers(2, 5))
+    t = _draw_tuple(data, rs, affine, m)
+    codes = reflection_codes(rs, affine)
+    code = codes.encode(t)
+    assert codes.decode(code) == t
+    for i in range(1, m):
+        for inverse in (False, True):
+            letter = -i if inverse else i
+            assert codes.move(code, letter) == codes.encode(apply_move(t, i, inverse))
+    word = _draw_word(data, m, 12)
+    assert codes.braid(code, word) == codes.encode(apply_braid(t, word))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_searches_return_the_reference_words(data):
+    rs = parse_type(data.draw(st.sampled_from(CODE_GROUPS[:5])))
+    affine = data.draw(st.booleans())
+    m = data.draw(st.integers(2, 5))
+    t = _draw_tuple(data, rs, affine, m)
+    target = data.draw(st.sampled_from(range(m % 2, m + 1, 2)))
+    assert lr_normalize(t, target, node_limit=1500) == \
+        reference_lr_normalize(t, target, node_limit=1500)
+    other = apply_braid(t, _draw_word(data, m, 6))
+    assert connect(t, other, depth_limit=6, node_limit=3000) == \
+        reference_connect(t, other, depth_limit=6, node_limit=3000)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_pipeline_searches_return_the_reference_words(name):
+    # the inputs connect_reduced and generates_affine search on: projections
+    # of (n+1)-tuples normalized to a length-(n-1) prefix, and affine tuples
+    # carried by braid words, connected with the default limits
+    rs = parse_type(name)
+    n = rs.rank
+    rng = random.Random(5)
+    pos = rs.positive_roots
+    for _ in range(15):
+        refs = [AffineReflection(rng.choice(pos), rng.randint(-2, 2))
+                for _ in range(n + 1)]
+        fin = ReflectionTuple(tuple(reflection_element(rs, r.root) for r in refs))
+        assert lr_normalize(fin, n - 1, node_limit=4000) == \
+            reference_lr_normalize(fin, n - 1, node_limit=4000)
+        aff = ReflectionTuple(tuple(as_element(rs, r) for r in refs))
+        word = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                               for _ in range(5)))
+        for t in (fin, aff):
+            other = apply_braid(t, word)
+            assert connect(t, other, node_limit=20000) == \
+                reference_connect(t, other, node_limit=20000)
+            # both searches give up at the same node count
+            for limit in range(2, 60, 3):
+                assert connect(t, other, node_limit=limit) == \
+                    reference_connect(t, other, node_limit=limit)
+                assert lr_normalize(t, n - 1, node_limit=limit) == \
+                    reference_lr_normalize(t, n - 1, node_limit=limit)

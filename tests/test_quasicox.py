@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.hurwitz import BraidWord, ReflectionTuple, apply_braid
+from affhur.hurwitz import BraidWord, ReflectionTuple, _move_table, apply_braid
 from affhur.intlattice import full_lattice, lattice_equal
 from affhur.linalg import solve_integer, vec_add
-from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
-                             _has_factorization, _move_table, _moves_in_window,
-                             absolute_length_affine,
+from affhur.quasicox import (FactorizationQuery, _has_factorization,
+                             _moves_in_window, absolute_length_affine,
                              closure_generates, connect_reduced,
                              enumerate_factorizations, fiber, generates_affine,
                              is_parabolic_quasi_coxeter_affine,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from affhur.rootsys import Root, RootSystemError, build_root_system, coroot
+from affhur.rootsys import Root, RootSystemError, build_root_system
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement,
                              aff_conjugate_reflection, aff_identity,
                              affine_reflection, as_element, coweight_conjugate,

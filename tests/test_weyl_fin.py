@@ -4,7 +4,6 @@ from collections import deque
 
 import pytest
 
-from affhur.intlattice import full_lattice, lattice_equal, root_span
 from affhur.linalg import identity_mat, mat_mul, mat_vec
 from affhur.rootsys import Root, RootSystemError, build_root_system, coroot
 from affhur.weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
