@@ -31,20 +31,8 @@ def vec_add(u, v):
     return tuple(x + y for x, y in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def vec_neg(u):
     return tuple(-x for x in u)
-
-
-def vec_scale(c, u):
-    return tuple(c * x for x in u)
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a))
 
 
 def mat_det(a: Mat) -> Fraction:
@@ -67,25 +55,6 @@ def mat_det(a: Mat) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return det
-
-
-def mat_inv(a: Mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse over the rationals."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def rational_rank(rows) -> int:

@@ -8,8 +8,8 @@ defaulting to 0. Parsing and formatting round-trip bit-exactly.
 from __future__ import annotations
 
 from .intlattice import IntegerLattice
-from .rootsys import (Root, RootSystem, RootSystemError, format_root,
-                      parse_root, parse_type)
+from .rootsys import (RootSystem, RootSystemError, format_root, parse_root,
+                      parse_type)
 from .weyl_aff import AffineReflection, affine_reflection
 from .hurwitz import BraidWord
 
@@ -67,10 +67,6 @@ def parse_tuple_literal(rs: RootSystem, s: str):
 
 def format_tuple(refs) -> str:
     return ";".join(format_affine_reflection(r) for r in refs)
-
-
-def root_to_json(r: Root) -> list[int]:
-    return list(r.coords)
 
 
 def reflection_to_json(r: AffineReflection) -> dict:

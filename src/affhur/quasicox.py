@@ -20,13 +20,12 @@ from .hurwitz import (BraidWord, ReflectionTuple, _affine_move, _move_table,
 from .intlattice import (IntegerLattice, contains, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
-from .rootsys import Root, RootSystem, coroot
+from .rootsys import Root, RootSystem, bilinear_row, coroot
 from .weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
                        as_element, fixed_affine_subspace,
                        product_of_reflections)
-from .weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
-                       generates_w0, identity_element, reflection_element,
-                       root_of_reflection, root_table)
+from .weyl_fin import (absolute_length, all_elements, generates_w0,
+                       identity_element, root_sequences)
 
 
 class PipelineExhausted(RuntimeError):
@@ -66,20 +65,13 @@ class FactorizationQuery:
 
 
 def _root_orbit(rs: RootSystem, root: Root) -> list[Root]:
-    """Orbit of a root under the full finite group (simple-reflection closure)."""
-    from .rootsys import reflect
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for s in rs.simple_roots:
-                x = reflect(rs, s, r)
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    return sorted(seen)
+    """Orbit of a root under the finite group, in root order.
+
+    The Weyl group of an irreducible root system acts transitively on the
+    roots of each length, so the orbit is every root of the same length.
+    """
+    norm = rs.norm_sq(root)
+    return [r for r in rs.roots if rs.norm_sq(r) == norm]
 
 
 def _coweight_rows(rs: RootSystem, roots):
@@ -204,48 +196,6 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
         lattice = span(basis, n)
 
 
-def _root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
-    """Root sequences whose reflections multiply to `target`, lazily.
-
-    Yields (roots, columns) for every b_1..b_m of positive roots with
-    s_{b_1} ... s_{b_m} = target, in itertools.product order. A depth-first
-    search over prefixes p = s_{b_1} ... s_{b_i} keeps the remainder
-    r = p^-1 target and cuts a prefix unless l_T(r) <= m - i with the
-    parity of m - i; a remainder passing this test is a product of exactly
-    m - i reflections, so every branch kept ends in a sequence. columns[i]
-    is the coroot of s_{b_1} ... s_{b_{i-1}}(b_i): levels k_i make the
-    affine reflections s_{b_i,k_i} multiply to (target, t) exactly when
-    sum_i k_i columns[i] = target(t).
-    """
-    table = root_table(rs)
-    refl = [(r, table.index[r], reflection_element(rs, r))
-            for r in rs.positive_roots]
-    roots: list = [None] * m
-    cols: list = [None] * m
-
-    def dfs(i, prefix, rest):
-        left = m - i - 1  # reflections still to choose after this one
-        if left == 0:
-            # rest is a reflection: the test that admitted it allows no other
-            r = root_of_reflection(rs, rest)
-            roots[i] = r
-            cols[i] = table.coroots[prefix.perm[table.index[r]]]
-            yield tuple(roots), tuple(cols)
-            return
-        for r, idx, s in refl:
-            nxt = s * rest
-            length = absolute_length(nxt)
-            if length > left or (left - length) % 2:
-                continue
-            roots[i] = r
-            cols[i] = table.coroots[prefix.perm[idx]]
-            yield from dfs(i + 1, prefix * s, nxt)
-
-    length = absolute_length(target)
-    if m > 0 and length <= m and (m - length) % 2 == 0:
-        yield from dfs(0, identity_element(rs), target)
-
-
 def _levels_in_window(cols, rhs, bound: int):
     """Integer vectors k in [-bound, bound]^m with sum_i k_i cols[i] = rhs.
 
@@ -276,13 +226,13 @@ def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
     """All reflection factorizations of the target with levels in [-K, K].
 
     Complete in root sequences; complete in levels for the given bound.
-    Root sequences come from a prefix search pruned by absolute length: a
-    prefix is kept only while the remainder p^-1 w0 (w0 the finite part of
-    the target) has l_T at most the number of slots left, with the same
-    parity. For each sequence the levels form an exact linear system; its
-    free coordinates run over [-K, K], its pivot coordinates are solved
-    for, and the points that are integral and inside the window are kept.
-    The result is sorted.
+    The root sequences of the finite part w0 of the target come from
+    `weyl_fin.root_sequences`, a prefix search that keeps a prefix only
+    while the remainder p^-1 w0 has l_T at most the number of slots left,
+    with the same parity. For each sequence the levels form an exact
+    linear system; its free coordinates run over [-K, K], its pivot
+    coordinates are solved for, and the points that are integral and
+    inside the window are kept. The result is sorted.
     """
     m = query.length
     K = query.level_bound
@@ -291,7 +241,7 @@ def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
         return [()] if target.is_identity() else []
     rhs = target.finite.act_coroot(target.translation)
     results = []
-    for seq, cols in _root_sequences(rs, target.finite, m):
+    for seq, cols in root_sequences(rs, target.finite, m):
         for ks in _levels_in_window(cols, rhs, K):
             results.append(tuple(AffineReflection(r, k)
                                  for r, k in zip(seq, ks)))
@@ -310,11 +260,10 @@ def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
         return w.is_identity()
     rhs = w.finite.act_coroot(w.translation)
     return any(solve_integer(tuple(zip(*cols)), rhs) is not None
-               for _, cols in _root_sequences(rs, w.finite, m))
+               for _, cols in root_sequences(rs, w.finite, m))
 
 
-def absolute_length_affine(rs: RootSystem, w: AffineWeylElement,
-                           ceiling: int | None = None) -> int:
+def absolute_length_affine(rs: RootSystem, w: AffineWeylElement) -> int:
     """Reflection length in the affine group.
 
     Searches lengths of the right parity up to the affine bound 2n for a
@@ -322,8 +271,7 @@ def absolute_length_affine(rs: RootSystem, w: AffineWeylElement,
     """
     if w.is_identity():
         return 0
-    if ceiling is None:
-        ceiling = 2 * rs.rank
+    ceiling = 2 * rs.rank
     # a product of reflections has determinant (-1)^(its length), so the
     # parity of every factorization is that of l_T of the finite part
     start = 2 - absolute_length(w.finite) % 2
@@ -431,8 +379,8 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     Stages: repeated-root normalization of both tuples, projection
     alignment inside the finite Fac set, then a sigma_n power along the
     fiber. The stages run on reflection codes (see `affhur.hurwitz`); the
-    word is then verified once by application to the affine elements. Falls
-    back to plain bidirectional search before giving up.
+    word is then verified once by application to the affine elements. A
+    stage that runs out of its limits raises `PipelineExhausted`.
     """
     t1 = tuple(t1)
     t2 = tuple(t2)
@@ -448,12 +396,7 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     codes = reflection_codes(rs, True)
     code1 = tuple(codes.code_of(r) for r in t1)
     code2 = tuple(codes.code_of(r) for r in t2)
-    try:
-        word = _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit)
-    except PipelineExhausted:
-        word = connect_codes(codes.move, code1, code2, depth_limit, node_limit)
-        if word is None:
-            raise
+    word = _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit)
     aff1 = ReflectionTuple(tuple(as_element(rs, r) for r in t1))
     aff2 = ReflectionTuple(tuple(as_element(rs, r) for r in t2))
     if apply_braid(aff1, word) != aff2:
@@ -522,7 +465,7 @@ def _generates_parabolic(rs: RootSystem, refs) -> bool:
     point, basis = sub
     fixer = []
     for alpha in rs.positive_roots:
-        row = _bilinear_row(rs, alpha)
+        row = bilinear_row(rs, alpha)
         if any(sum(r * u[j] for j, r in enumerate(row)) != 0 for u in basis):
             continue
         k = sum(r * point[j] for j, r in enumerate(row))
@@ -530,13 +473,6 @@ def _generates_parabolic(rs: RootSystem, refs) -> bool:
             continue
         fixer.append(AffineReflection(alpha, int(k)))
     return _finite_closure(rs, refs) == _finite_closure(rs, fixer)
-
-
-def _bilinear_row(rs: RootSystem, alpha: Root):
-    """Row of the functional v -> (v | alpha) on root coordinates."""
-    n = rs.rank
-    return tuple(sum(rs.symmetrizer[i] * rs.cartan[i][j] * alpha.coords[i]
-                     for i in range(n)) for j in range(n))
 
 
 def _finite_closure(rs: RootSystem, refs, node_limit: int = 10 ** 5):

@@ -203,6 +203,13 @@ def coroot(rs: RootSystem, alpha: Root) -> CorootVector:
     return CorootVector(tuple(out))
 
 
+def bilinear_row(rs: RootSystem, alpha: Root) -> Vec:
+    """Row of the functional v -> (v | alpha) on root coordinates."""
+    n = rs.rank
+    return tuple(sum(rs.symmetrizer[i] * rs.cartan[i][j] * alpha.coords[i]
+                     for i in range(n)) for j in range(n))
+
+
 def pairing(rs: RootSystem, lam: CorootVector, alpha: Root) -> int:
     """(lambda | alpha) for a coroot-lattice vector and a root."""
     if len(lam.coords) != rs.rank or len(alpha.coords) != rs.rank:

@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Vec, solve_rational, vec_add, vec_neg
-from .rootsys import (Root, RootSystem, RootSystemError, coroot, pairing,
-                      pairing_coords)
+from .rootsys import (Root, RootSystem, RootSystemError, bilinear_row, coroot,
+                      pairing, pairing_coords)
 from .weyl_fin import (FiniteWeylElement, identity_element, reflection_element,
                        root_of_reflection)
 
@@ -158,16 +158,8 @@ def fixed_affine_subspace(rs: RootSystem, gens):
                for i in range(rs.rank)]
         return (tuple(Fraction(0) for _ in range(rs.rank)),
                 tuple(tuple(row) for row in eye))
-    rows = []
-    rhs = []
-    for g in gens:
-        # (v | alpha) with v in root coordinates: row is the symmetrized form
-        n = rs.rank
-        row = tuple(sum(rs.symmetrizer[i] * rs.cartan[i][j] * g.root.coords[i]
-                        for i in range(n)) for j in range(n))
-        rows.append(row)
-        rhs.append(g.level)
-    return solve_rational(rows, rhs)
+    return solve_rational([bilinear_row(rs, g.root) for g in gens],
+                          [g.level for g in gens])
 
 
 def simple_system_affine(rs: RootSystem) -> tuple[AffineReflection, ...]:

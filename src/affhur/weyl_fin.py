@@ -1,4 +1,4 @@
-"""Finite Weyl group elements, absolute length and reduced factorizations.
+"""Finite Weyl group elements, absolute length and reflection factorizations.
 
 An element is stored as the permutation it induces on the root system:
 `perm[i]` is the index of the image of root i, with roots indexed in the
@@ -7,6 +7,10 @@ inversion inverts one, so group operations do no arithmetic. The
 per-root-system data (root list, root index, simple-root indices, coroot
 coordinates) lives in one shared `RootTable`; the matrices of the action
 on root and coroot coordinates are derived from it on demand.
+
+`root_sequences` is the one search over reflection sequences: the
+reduced factorizations, the Fac sets and the affine enumeration of
+`affhur.quasicox` are all read from it.
 """
 
 from __future__ import annotations
@@ -165,24 +169,61 @@ def leq_T(u: FiniteWeylElement, v: FiniteWeylElement) -> bool:
     return absolute_length(u) + absolute_length(u.inverse() * v) == absolute_length(v)
 
 
-def reduced_factorizations(rs: RootSystem, w: FiniteWeylElement):
-    """All reduced reflection factorizations of w, in canonical DFS order."""
-    out: list[tuple[FiniteWeylElement, ...]] = []
-    refs = reflections(rs)
+def root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
+    """Root sequences whose reflections multiply to `target`, lazily.
 
-    def dfs(current: FiniteWeylElement, length: int, prefix):
-        if length == 0:
-            out.append(tuple(prefix))
+    Yields (roots, columns) for every b_1..b_m of positive roots with
+    s_{b_1} ... s_{b_m} = target, in itertools.product order; for m = 0
+    that is ((), ()) when target is the identity. A depth-first search
+    over prefixes p = s_{b_1} ... s_{b_i} keeps the remainder
+    r = p^-1 target and cuts a prefix unless l_T(r) <= m - i. l_T(r) has
+    the parity of det r, so once l_T(target) has the parity of m, that of
+    l_T(r) is the parity of m - i; a remainder passing the test is then a
+    product of exactly m - i reflections, and every branch kept ends in a
+    sequence. For m = l_T(target) the test reads l_T(r) = m - i: the
+    sequences are the reduced factorizations. columns[i] is the coroot of
+    s_{b_1} ... s_{b_{i-1}}(b_i): levels k_i make the affine reflections
+    s_{b_i,k_i} multiply to (target, t) exactly when
+    sum_i k_i columns[i] = target(t).
+    """
+    table = root_table(rs)
+    refl = [(r, table.index[r], reflection_element(rs, r))
+            for r in rs.positive_roots]
+    roots: list = [None] * m
+    cols: list = [None] * m
+
+    def dfs(i, prefix, rest):
+        left = m - i - 1  # reflections still to choose after this one
+        if left == 0:
+            # rest is a reflection: the test that admitted it allows no other
+            r = root_of_reflection(rs, rest)
+            roots[i] = r
+            cols[i] = table.coroots[prefix.perm[table.index[r]]]
+            yield tuple(roots), tuple(cols)
             return
-        for _, t in refs:
-            rest = t * current
-            if absolute_length(rest) == length - 1:
-                prefix.append(t)
-                dfs(rest, length - 1, prefix)
-                prefix.pop()
+        for r, idx, s in refl:
+            nxt = s * rest
+            if absolute_length(nxt) > left:
+                continue
+            roots[i] = r
+            cols[i] = table.coroots[prefix.perm[idx]]
+            yield from dfs(i + 1, prefix * s, nxt)
 
-    dfs(w, absolute_length(w), [])
-    return out
+    length = absolute_length(target)
+    if m == 0:
+        if length == 0:
+            yield (), ()
+    elif length <= m and (m - length) % 2 == 0:
+        yield from dfs(0, identity_element(rs), target)
+
+
+def reduced_factorizations(rs: RootSystem, w: FiniteWeylElement):
+    """All reduced reflection factorizations of w, in itertools.product order.
+
+    The identity has the one empty factorization.
+    """
+    return [tuple(reflection_element(rs, r) for r in roots)
+            for roots, _ in root_sequences(rs, w, absolute_length(w))]
 
 
 def roots_of_tuple(rs: RootSystem, elements) -> tuple[Root, ...]:
@@ -241,37 +282,25 @@ def is_parabolic(rs: RootSystem, roots) -> bool:
 
 def is_quasi_coxeter_fin(rs: RootSystem, w: FiniteWeylElement) -> bool:
     """Some reduced factorization of w generates the whole group."""
-    return any(generates_w0(rs, roots_of_tuple(rs, fac))
-               for fac in reduced_factorizations(rs, w))
+    return any(generates_w0(rs, roots)
+               for roots, _ in root_sequences(rs, w, absolute_length(w)))
 
 
 def is_parabolic_quasi_coxeter_fin(rs: RootSystem, w: FiniteWeylElement) -> bool:
     """Some reduced factorization of w generates a parabolic subgroup."""
-    return any(is_parabolic(rs, roots_of_tuple(rs, fac))
-               for fac in reduced_factorizations(rs, w))
+    return any(is_parabolic(rs, roots)
+               for roots, _ in root_sequences(rs, w, absolute_length(w)))
 
 
 def fac_set(rs: RootSystem, target: FiniteWeylElement, length: int):
     """All length-m reflection tuples with product `target` generating W.
 
-    The Fac set of the transitivity pipeline; exhaustive over reflection
-    sequences, so only sensible at small rank.
+    The Fac set of the transitivity pipeline, in itertools.product order:
+    the root sequences of `root_sequences` whose roots pass `generates_w0`.
     """
-    refs = reflections(rs)
-    out = []
-
-    def dfs(prefix, product):
-        if len(prefix) == length:
-            if product == target and generates_w0(rs, roots_of_tuple(rs, prefix)):
-                out.append(tuple(prefix))
-            return
-        for _, t in refs:
-            prefix.append(t)
-            dfs(prefix, product * t)
-            prefix.pop()
-
-    dfs([], identity_element(rs))
-    return out
+    return [tuple(reflection_element(rs, r) for r in roots)
+            for roots, _ in root_sequences(rs, target, length)
+            if generates_w0(rs, roots)]
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affhur.linalg import (echelon_integer, hnf, hnf_contains, hnf_reduce,
-                           identity_mat, mat_det, mat_inv, mat_mul, mat_vec,
-                           rational_rank, smith_normal_form, solve_integer,
-                           solve_rational)
+                           mat_det, mat_mul, mat_vec, rational_rank,
+                           smith_normal_form, solve_integer, solve_rational)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -78,8 +77,6 @@ def test_mat_mul_and_mat_vec_entrywise(operands):
 def test_det_and_inverse():
     m = ((2, 1), (1, 1))
     assert mat_det(m) == 1
-    assert mat_mul([[int(x) for x in row] for row in mat_inv(m)], m) == \
-        identity_mat(2)
 
 
 @settings(max_examples=50, deadline=None)

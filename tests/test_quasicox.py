@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from affhur.hurwitz import BraidWord, ReflectionTuple, _move_table, apply_braid
 from affhur.intlattice import full_lattice, lattice_equal
 from affhur.linalg import solve_integer, vec_add
-from affhur.quasicox import (FactorizationQuery, _has_factorization,
-                             _moves_in_window, absolute_length_affine,
+from affhur import quasicox
+from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
+                             _has_factorization, _moves_in_window,
+                             _root_orbit, absolute_length_affine,
                              closure_generates, connect_reduced,
                              enumerate_factorizations, fiber, generates_affine,
                              is_parabolic_quasi_coxeter_affine,
@@ -18,7 +20,7 @@ from affhur.rootsys import Root, build_root_system, coroot, parse_type
 from affhur.verify import suite_main_theorem
 from affhur.weyl_aff import (AffineReflection, aff_identity, as_element,
                              product_of_reflections, simple_system_affine)
-from affhur.weyl_fin import identity_element, reflection_element
+from affhur.weyl_fin import all_elements, identity_element, reflection_element
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,15 @@ def test_closure_oracle_matches(a2):
     ]
     for refs in samples:
         assert closure_generates(a2, refs) == generates_affine(a2, refs).generates
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+def test_root_orbit_is_the_weyl_group_orbit(name):
+    rs = parse_type(name)
+    elements = all_elements(rs)
+    for gamma in rs.roots:
+        orbit = {w.act_root(gamma) for w in elements}
+        assert _root_orbit(rs, gamma) == sorted(orbit)
 
 
 # ------------------------------------------------------------ enumeration
@@ -282,6 +293,16 @@ def test_connect_reduced_rejects_non_generating_projection(a2):
     w = product_of_reflections(a2, bad)
     with pytest.raises(ValueError):
         connect_reduced(a2, w, bad, bad)
+
+
+def test_connect_reduced_raises_when_a_stage_is_exhausted(a2, monkeypatch):
+    # no fallback search: a stage out of its limits ends the pipeline
+    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+    t1 = simple_system_affine(a2)
+    w = product_of_reflections(a2, t1)
+    with pytest.raises(PipelineExhausted) as exc:
+        connect_reduced(a2, w, t1, t1)
+    assert exc.value.stage == "normalize"
 
 
 # --------------------------------------------------------- quasi-Coxeter

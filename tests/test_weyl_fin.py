@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from collections import deque
 
 import pytest
 
+from affhur.hurwitz import ReflectionTuple, orbit
 from affhur.linalg import identity_mat, mat_mul, mat_vec
 from affhur.rootsys import Root, RootSystemError, build_root_system, coroot
 from affhur.weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
@@ -79,17 +81,61 @@ def test_leq_T():
     assert not leq_T(c, s)
 
 
-def test_reduced_factorizations_coxeter_a2():
-    rs = build_root_system("A", 2)
-    c = reflection_element(rs, Root((1, 0))) * reflection_element(rs, Root((0, 1)))
+# Coxeter elements: Deligne's count n! h^n / |W| of reduced factorizations,
+# with h the Coxeter number (number of roots over the rank)
+COXETER_RED_T = [("A", 2, 3), ("A", 3, 16), ("B", 3, 27), ("A", 4, 125),
+                 ("B", 4, 256), ("D", 4, 162), ("F", 4, 432)]
+
+
+@pytest.mark.parametrize("family,rank,count", COXETER_RED_T,
+                         ids=[f"{f}{n}" for f, n, _ in COXETER_RED_T])
+def test_reduced_factorizations_coxeter(family, rank, count):
+    rs = build_root_system(family, rank)
+    h = len(rs.roots) // rank
+    assert math.factorial(rank) * h ** rank == count * len(all_elements(rs))
+    c = identity_element(rs)
+    for a in rs.simple_roots:
+        c = c * reflection_element(rs, a)
     facs = reduced_factorizations(rs, c)
-    assert len(facs) == 3  # (n+1)^(n-1) for A_n
+    assert len(facs) == count == len(set(facs))
     for fac in facs:
         prod = identity_element(rs)
         for t in fac:
             prod = prod * t
         assert prod == c
-        assert len(fac) == 2
+        assert len(fac) == rank
+
+
+def test_reduced_factorizations_identity():
+    rs = build_root_system("B", 2)
+    assert reduced_factorizations(rs, identity_element(rs)) == [()]
+
+
+def test_red_t_single_orbit_d4():
+    """Red_T of each quasi-Coxeter element of D4 is one Hurwitz orbit.
+
+    D4 has 44 quasi-Coxeter elements: the 32 Coxeter elements, one
+    conjugacy class, and the 12 of Carter's class D4(a1), the first
+    quasi-Coxeter elements that are not Coxeter.
+    """
+    rs = build_root_system("D", 4)
+    elements = all_elements(rs)
+    c = identity_element(rs)
+    for a in rs.simple_roots:
+        c = c * reflection_element(rs, a)
+    coxeter_class = {g * c * g.inverse() for g in elements}
+    sizes = {}
+    for w in elements:
+        if absolute_length(w) != 4 or not is_quasi_coxeter_fin(rs, w):
+            continue
+        facs = reduced_factorizations(rs, w)
+        res = orbit(ReflectionTuple(facs[0]))
+        assert res.exhausted
+        assert set(res.tuples) == {ReflectionTuple(f) for f in facs}
+        sizes[w] = len(facs)
+    assert len(sizes) == 44
+    assert {w for w, k in sizes.items() if k == 162} == coxeter_class
+    assert sorted(sizes.values()) == [162] * 32 + [192] * 12
 
 
 def test_generates_w0():
