@@ -335,21 +335,28 @@ def cmd_verify(suites, groups, seed, samples, fmt):
                    for name in names]
     checks = []
     lines = []
-    ok_all = True
+    failed = limited = False
     for name, results in zip(names, all_results):
         if not results:
             lines.append(f"[{name}] WARNING: no checks ran (empty group list)")
         for c in results:
-            ok_all &= c.ok
-            checks.append({"suite": name, "name": c.name, "ok": c.ok,
-                           "seconds": round(c.seconds, 4), "detail": c.detail})
-            status = "PASS" if c.ok else "FAIL"
+            failed |= not c.ok and not c.limit
+            limited |= c.limit
+            check = {"suite": name, "name": c.name, "ok": c.ok,
+                     "seconds": round(c.seconds, 4), "detail": c.detail}
+            if c.limit:
+                check["limit"] = True
+            checks.append(check)
+            status = "PASS" if c.ok else "LIMIT" if c.limit else "FAIL"
             lines.append(f"[{name}] {status} {c.name} ({c.seconds:.2f}s) {c.detail}")
-    lines.append("all checks passed" if ok_all else "FAILURES present")
+    code, summary = ((EXIT_FAIL, "FAILURES present") if failed
+                     else (EXIT_LIMITS, "LIMITS hit, no check failed") if limited
+                     else (EXIT_OK, "all checks passed"))
+    lines.append(summary)
     payload = {"command": "verify", "seed": seed, "suites": names,
-               "checks": checks, "ok": ok_all}
+               "checks": checks, "ok": code == EXIT_OK}
     _emit(fmt, payload, lines)
-    sys.exit(EXIT_OK if ok_all else EXIT_FAIL)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

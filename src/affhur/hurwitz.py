@@ -90,9 +90,8 @@ def _conjugation_table(rs: RootSystem) -> tuple:
 def _move_table(rs: RootSystem):
     """Hurwitz moves on (positive-root index, level) pairs.
 
-    Returns (index, moves): index maps each positive root to its position,
-    and moves[a][b] = (c, x, y) says s_{a,k} s_{b,l} s_{a,k} = s_{c, x*l + y*k}
-    for roots a, b and all levels k, l. The closed form
+    moves[a][b] = (c, x, y) says s_{a,k} s_{b,l} s_{a,k} = s_{c, x*l + y*k}
+    for positive-root indices a, b and all levels k, l. The closed form
     aff_conjugate_reflection is linear in the two levels, so its values at
     levels (0, 1) and (1, 0) give x and y.
     """
@@ -108,7 +107,7 @@ def _move_table(rs: RootSystem):
                                             AffineReflection(b, 0))
             row.append((index[at_l.root], at_l.level, at_k.level))
         moves.append(row)
-    return index, moves
+    return moves
 
 
 def _finite_move(conj, code: tuple, letter: int) -> tuple:
@@ -143,7 +142,7 @@ class ReflectionCodes:
         self.affine = affine
         self.roots = rs.positive_roots
         self.index = {r: i for i, r in enumerate(self.roots)}
-        self.move = (partial(_affine_move, _move_table(rs)[1]) if affine
+        self.move = (partial(_affine_move, _move_table(rs)) if affine
                      else partial(_finite_move, _conjugation_table(rs)))
 
     def code_of(self, r: AffineReflection) -> tuple[int, int]:

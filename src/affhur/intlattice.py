@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import Mat, hnf, hnf_contains, hnf_reduce, mat_det, smith_normal_form
+from .linalg import Mat, hnf, hnf_contains, hnf_reduce, smith_normal_form
 from .rootsys import Root, RootSystem, RootSystemError, coroot, reflect
 
 INFINITE = math.inf
@@ -59,35 +59,27 @@ def is_sublattice(sub: IntegerLattice, sup: IntegerLattice) -> bool:
     return all(contains(sup, row) for row in sub.basis)
 
 
+def _pivot_product(basis: Mat) -> int:
+    return math.prod(next(x for x in row if x) for row in basis)
+
+
 def index(sub: IntegerLattice, sup: IntegerLattice):
     """Index [sup : sub]; INFINITE when the ranks differ.
 
-    Raises ValueError unless sub is contained in sup.
+    Raises ValueError unless sub is contained in sup. Of equal rank, sub
+    and sup span the same rational space, so their HNF bases have their
+    pivots in the same columns and are triangular there: the index is the
+    ratio of the pivot products.
     """
     if not is_sublattice(sub, sup):
         raise ValueError("first lattice is not contained in the second")
     if sub.rank < sup.rank:
         return INFINITE
-    # express sub basis rows over the sup basis and take |det|
-    coeffs = []
-    for row in sub.basis:
-        w = list(row)
-        c = [0] * sup.rank
-        for i, brow in enumerate(sup.basis):
-            pcol = next(j for j, x in enumerate(brow) if x != 0)
-            q, r = divmod(w[pcol], brow[pcol])
-            if r:
-                raise RuntimeError("internal inconsistency: a sublattice "
-                                   "vector has no integral coefficient")
-            c[i] = q
-            for j in range(len(w)):
-                w[j] -= q * brow[j]
-        if any(w):
-            raise RuntimeError("internal inconsistency: a sublattice vector "
-                               "is not reduced to zero by its superlattice")
-        coeffs.append(tuple(c))
-    det = mat_det(tuple(coeffs))
-    return abs(int(det))
+    q, r = divmod(_pivot_product(sub.basis), _pivot_product(sup.basis))
+    if r:
+        raise RuntimeError("internal inconsistency: the pivot product of a "
+                           "lattice does not divide that of its sublattice")
+    return q
 
 
 def connection_index(rs: RootSystem) -> int:

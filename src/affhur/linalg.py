@@ -1,7 +1,11 @@
 """Exact integer and rational linear algebra on small matrices.
 
 Matrices are tuples of row tuples; everything is arbitrary-precision.
-Rational routines use fractions.Fraction, never floats.
+`echelon_integer` is the one Gaussian elimination: a fraction-free reduced
+echelon form over the integers, from which rank and the rational solutions
+of `solve_rational` are read off. Lattices go through the Hermite normal
+form (`hnf`), integer systems through the Smith normal form
+(`solve_integer`). Rational answers are fractions.Fraction, never floats.
 """
 
 from __future__ import annotations
@@ -33,90 +37,6 @@ def vec_add(u, v):
 
 def vec_neg(u):
     return tuple(-x for x in u)
-
-
-def mat_det(a: Mat) -> Fraction:
-    """Determinant via fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def rational_rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-    return rank
-
-
-def solve_rational(rows, rhs):
-    """Solve A x = b over the rationals.
-
-    Returns (particular solution, nullspace basis) with Fraction entries,
-    or None if the system is inconsistent.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else len(rhs)
-    m = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if m[r][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -m[r][fc]
-        basis.append(tuple(v))
-    return tuple(x), tuple(basis)
 
 
 def echelon_integer(rows, rhs):
@@ -152,6 +72,33 @@ def echelon_integer(rows, rhs):
         return None
     free = [c for c in range(ncols) if c not in pivots]
     return [(col, tuple(m[r])) for r, col in enumerate(pivots)], free
+
+
+def solve_rational(rows, rhs):
+    """Solve A x = b over the rationals.
+
+    Returns (particular solution, nullspace basis) with Fraction entries,
+    or None if the system is inconsistent. Both are read off the reduced
+    echelon form of `echelon_integer`: the particular solution is 0 in
+    the free columns, and each free column gives the basis vector that is
+    1 there and 0 in the other free columns.
+    """
+    system = echelon_integer(rows, rhs)
+    if system is None:
+        return None
+    pivots, free = system
+    ncols = len(pivots) + len(free)
+    x = [Fraction(0)] * ncols
+    for col, row in pivots:
+        x[col] = Fraction(row[-1], row[col])
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for col, row in pivots:
+            v[col] = Fraction(-row[f], row[col])
+        basis.append(tuple(v))
+    return tuple(x), tuple(basis)
 
 
 def hnf(vectors, ncols: int) -> Mat:

@@ -14,9 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hurwitz import (BraidWord, ReflectionTuple, _affine_move, _move_table,
-                      apply_braid, connect_codes, normalize_codes,
-                      reflection_codes)
+from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, connect_codes,
+                      normalize_codes, reflection_codes)
 from .intlattice import (IntegerLattice, contains, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
@@ -74,20 +73,14 @@ def _root_orbit(rs: RootSystem, root: Root) -> list[Root]:
     return [r for r in rs.roots if rs.norm_sq(r) == norm]
 
 
-def _coweight_rows(rs: RootSystem, roots):
-    """Coefficient rows of v -> (v | root) for v in coroot coordinates."""
-    return [tuple(mat_vec(rs.cartan, r.coords)) for r in roots]
-
-
 def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     """Decide whether n+1 affine reflections generate the affine group.
 
     Normalizes to a repeated-root tail, conjugates the first n levels to
     zero by a coweight, and compares the translation lattice generated by
     the leftover translation's orbit with the full coroot lattice. The
-    normalization runs on reflection codes (see `affhur.hurwitz`): the
-    braid word is found on the root indices and applied to the
-    (root index, level) pairs, so no group element is built.
+    normalization runs on reflection codes (see `_normalize_tail`), so no
+    group element is built.
     """
     refs = tuple(refs)
     n = rs.rank
@@ -99,20 +92,19 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
         return GenerationResult(False, cert)
 
     codes = reflection_codes(rs, True)
-    code = tuple(codes.code_of(r) for r in refs)
-    word = normalize_codes(reflection_codes(rs, False).move,
-                           tuple(a for a, _ in code), n - 1)
-    if word is None:
+    found = _normalize_tail(rs, tuple(codes.code_of(r) for r in refs))
+    if found is None:
         raise RuntimeError("internal inconsistency: repeated-root shape "
                            "unreachable although the projection generates")
-    normed = codes.braid(code, word)
+    word, normed = found
     gammas = [codes.roots[a] for a, _ in normed]
     levels = [k for _, k in normed]
     if gammas[n - 1] != gammas[n]:
         raise RuntimeError("internal inconsistency: normalized tuple lacks "
                            "the repeated-root tail")
 
-    rows = _coweight_rows(rs, gammas[:n])
+    # rows of v -> (v | gamma) for v in coroot coordinates
+    rows = [mat_vec(rs.cartan, g.coords) for g in gammas[:n]]
     sol = solve_rational(rows, [-l for l in levels[:n]])
     if sol is None or sol[1]:
         raise RuntimeError("internal inconsistency: normalized roots must "
@@ -130,6 +122,20 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     cert = GenerationCertificate(word, lam, gammas[n - 1], gap,
                                  projected_generates, lattice)
     return GenerationResult(verdict, cert)
+
+
+def _normalize_tail(rs: RootSystem, code: tuple, node_limit: int = 10 ** 6):
+    """Braid an affine code (n+1)-tuple to a repeated-root tail.
+
+    Returns (word, normalized code), or None when the search ran out of
+    `node_limit`. The word is searched on the root indices alone, then
+    applied to the (root index, level) pairs.
+    """
+    word = normalize_codes(reflection_codes(rs, False).move,
+                           tuple(a for a, _ in code), rs.rank - 1, node_limit)
+    if word is None:
+        return None
+    return word, reflection_codes(rs, True).braid(code, word)
 
 
 def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
@@ -313,10 +319,10 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     # the generated subgroup is a Hurwitz invariant: once a tuple fails to
     # generate, so does every tuple reached from it by moves inside the
     # window, and the first generating tuple in sorted order is still found
-    index, moves = _move_table(rs)
+    codes = reflection_codes(rs, True)
     settled: set = set()
     for fac in facs:
-        code = tuple((index[r.root], r.level) for r in fac)
+        code = tuple(codes.code_of(r) for r in fac)
         if code in settled:
             continue
         if generates_affine(rs, fac).generates:
@@ -324,7 +330,7 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
         settled.add(code)
         stack = [code]
         while stack:
-            for moved in _moves_in_window(moves, stack.pop(), level_cap):
+            for moved in _moves_in_window(codes.move, stack.pop(), level_cap):
                 if moved not in settled:
                     settled.add(moved)
                     stack.append(moved)
@@ -337,16 +343,16 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
                               f"no witness with levels bounded by {level_cap}")
 
 
-def _moves_in_window(moves, code, bound: int):
+def _moves_in_window(move, code, bound: int):
     """Tuples one sigma_i or sigma_i^-1 away whose levels stay in [-bound, bound].
 
-    Tuples are coded as (positive-root index, level) pairs and `moves` is
-    the table of `_move_table`; only the entry a move creates can leave the
-    window.
+    Tuples are coded as (positive-root index, level) pairs and `move` is
+    the affine `ReflectionCodes.move`; only the entry a move creates can
+    leave the window.
     """
     for i in range(1, len(code)):
         for letter, new in ((i, i - 1), (-i, i)):
-            moved = _affine_move(moves, code, letter)
+            moved = move(code, letter)
             if -bound <= moved[new][1] <= bound:
                 yield moved
 
@@ -407,19 +413,18 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
 
 def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord:
     codes = reflection_codes(rs, True)
-    fin_move = reflection_codes(rs, False).move
 
     def normalize(code):
-        word = normalize_codes(fin_move, tuple(a for a, _ in code), n - 1,
-                               node_limit)
-        if word is None:
+        found = _normalize_tail(rs, code, node_limit)
+        if found is None:
             raise PipelineExhausted("normalize")
-        return word, codes.braid(code, word)
+        return found
 
     word1, u1 = normalize(code1)
     word2, u2 = normalize(code2)
 
-    word_fin = connect_codes(fin_move, tuple(a for a, _ in u1),
+    word_fin = connect_codes(reflection_codes(rs, False).move,
+                             tuple(a for a, _ in u1),
                              tuple(a for a, _ in u2), depth_limit, node_limit)
     if word_fin is None:
         raise PipelineExhausted("finite-alignment")

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, apply_move,
                       connect, orbit, reflection_codes)
-from .quasicox import (FactorizationQuery, absolute_length_affine,
-                       closure_generates, connect_reduced,
-                       enumerate_factorizations, generates_affine,
-                       is_quasi_coxeter_affine)
+from .quasicox import (FactorizationQuery, PipelineExhausted,
+                       absolute_length_affine, closure_generates,
+                       connect_reduced, enumerate_factorizations,
+                       generates_affine, is_quasi_coxeter_affine)
 from .rootsys import Root, build_root_system, parse_type
 from .weyl_aff import (AffineReflection, aff_conjugate_reflection, as_element,
                        coweight_conjugate, product_of_reflections,
@@ -35,6 +35,7 @@ class CheckResult:
     ok: bool
     seconds: float
     detail: str = ""
+    limit: bool = False  # not ok because a search ran out of its limits
 
 
 class CheckFailed(Exception):
@@ -49,16 +50,19 @@ def _require(condition, message: str) -> None:
 
 def _check(results: list, name: str, fn) -> None:
     t0 = time.perf_counter()
+    ok, limit = False, False
     try:
         detail = fn()
         ok = True
     except CheckFailed as exc:
         detail = str(exc)
-        ok = False
+    except PipelineExhausted as exc:  # a limit hit decides nothing
+        detail = f"{type(exc).__name__}: {exc}"
+        limit = True
     except Exception as exc:  # a crashed check is a failed check
         detail = f"{type(exc).__name__}: {exc}"
-        ok = False
-    results.append(CheckResult(name, ok, time.perf_counter() - t0, detail or ""))
+    results.append(CheckResult(name, ok, time.perf_counter() - t0, detail or "",
+                               limit))
 
 
 # ---------------------------------------------------------------- lemmas

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter, mul
 
-from .linalg import Mat, identity_mat, rational_rank, solve_rational
+from .linalg import Mat, echelon_integer, solve_rational
 from .intlattice import (coroot_span, full_lattice, lattice_equal, root_span,
                          smallest_subsystem)
-from .rootsys import Root, RootSystem, RootSystemError, coroot, reflect
+from .rootsys import (Root, RootSystem, RootSystemError, bilinear_row, coroot,
+                      reflect)
 
 
 class RootTable:
@@ -118,13 +119,6 @@ def identity_element(rs: RootSystem) -> FiniteWeylElement:
     return FiniteWeylElement(t.identity, t)
 
 
-def _pairing_row(rs: RootSystem, alpha: Root):
-    """Row vector j -> (alpha-coroot | alpha_j), i.e. the functional <., alpha-coroot>."""
-    v = coroot(rs, alpha).coords
-    return tuple(sum(v[i] * rs.cartan[i][j] for i in range(rs.rank))
-                 for j in range(rs.rank))
-
-
 @lru_cache(maxsize=None)
 def reflection_element(rs: RootSystem, alpha: Root) -> FiniteWeylElement:
     """s_alpha as a root permutation; identical for alpha and -alpha."""
@@ -151,16 +145,19 @@ def root_of_reflection(rs: RootSystem, w: FiniteWeylElement) -> Root | None:
 
 
 def absolute_length(w: FiniteWeylElement) -> int:
-    """Reflection length, computed as the codimension of the fixed space."""
-    lengths = w.table.lengths
-    length = lengths.get(w.perm)
+    """Reflection length, computed as the codimension of the fixed space.
+
+    That is the rank of w - 1, counted as the pivots of its transpose: row
+    j is w(alpha_j) - alpha_j, read from the root table.
+    """
+    t = w.table
+    length = t.lengths.get(w.perm)
     if length is None:
-        n = w.rank
-        eye = identity_mat(n)
-        mat = w.matrix
-        diff = [[mat[i][j] - eye[i][j] for j in range(n)] for i in range(n)]
-        length = rational_rank(diff) if any(any(row) for row in diff) else 0
-        lengths[w.perm] = length
+        rows = [tuple(x - 1 if i == j else x
+                      for i, x in enumerate(t.roots[w.perm[s]].coords))
+                for j, s in enumerate(t.simple)]
+        pivots, _ = echelon_integer(rows, [0] * len(rows))
+        length = t.lengths[w.perm] = len(pivots)
     return length
 
 
@@ -250,17 +247,6 @@ def generates_w0(rs: RootSystem, roots) -> bool:
             and lattice_equal(coroot_span(rs, roots), full))
 
 
-def _fixed_space_basis(rs: RootSystem, roots):
-    """Rational basis of the subspace fixed by all s_beta (root coordinates)."""
-    rows = [_pairing_row(rs, r) for r in roots]
-    sol = solve_rational(rows, [0] * len(rows))
-    if sol is None:
-        raise RuntimeError("internal inconsistency: a homogeneous system "
-                           "has no solution")
-    _, basis = sol
-    return basis
-
-
 def is_parabolic(rs: RootSystem, roots) -> bool:
     """Whether <s_beta> is a parabolic subgroup, via the fixed-space fixer.
 
@@ -271,12 +257,11 @@ def is_parabolic(rs: RootSystem, roots) -> bool:
     if not roots:
         return True
     closure = smallest_subsystem(rs, roots)
-    basis = _fixed_space_basis(rs, roots)
-    fixer = set()
-    for alpha in rs.roots:
-        pair_row = _pairing_row(rs, alpha)
-        if all(sum(p * u[j] for j, p in enumerate(pair_row)) == 0 for u in basis):
-            fixer.add(alpha)
+    # U is the common kernel of the functionals (. | beta), in root
+    # coordinates; a homogeneous system is always solvable
+    _, basis = solve_rational([bilinear_row(rs, r) for r in roots], [0] * len(roots))
+    fixer = {alpha for alpha in rs.roots
+             if all(sum(map(mul, bilinear_row(rs, alpha), u)) == 0 for u in basis)}
     return fixer == set(closure)
 
 

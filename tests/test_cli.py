@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import affhur
+from affhur import quasicox, verify
 from affhur.cli import main
 
 WORD = ["1,0:0", "0,1:0", "1,1:1"]
@@ -190,6 +191,38 @@ def test_verify_single_sample_connects_nothing_and_fails(runner):
     res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "1")
     assert res.exit_code == 1
     assert "all checks passed" not in res.output
+
+
+def test_verify_limit_hit_exits_3(runner, monkeypatch):
+    # a pipeline stage out of its limits decides nothing: LIMIT, not FAIL
+    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2")
+    assert res.exit_code == 3
+    assert "[main-theorem] LIMIT connect-all-pairs-A2" in res.output
+    assert "PipelineExhausted" in res.output
+    assert "FAIL" not in res.output and "all checks passed" not in res.output
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2",
+              "--format", "json")
+    assert res.exit_code == 3
+    data = json.loads(res.output)
+    assert data["ok"] is False
+    limited = [c for c in data["checks"] if c.get("limit")]
+    assert [c["name"] for c in limited] == ["connect-all-pairs-A2"]
+    assert not limited[0]["ok"]
+
+
+def test_verify_limit_hit_with_a_failure_exits_1(runner, monkeypatch):
+    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+
+    def failing(rs):
+        raise verify.CheckFailed("made to fail")
+
+    monkeypatch.setattr(verify, "_check_stage2_orbit_exhausted", failing)
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2")
+    assert res.exit_code == 1
+    assert "[main-theorem] FAIL stage2-orbit-exhausted-A2" in res.output
+    assert "[main-theorem] LIMIT connect-all-pairs-A2" in res.output
+    assert "FAILURES present" in res.output
 
 
 # a check made to fail, run with assertions stripped

@@ -1,4 +1,9 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affhur.intlattice import (INFINITE, connection_index, contains,
                                coroot_span, full_lattice, index,
@@ -37,6 +42,35 @@ def test_index():
     assert index(line, full) == INFINITE
     with pytest.raises(ValueError):
         index(full, even)
+
+
+def _det(m) -> int:
+    """Leibniz expansion: a determinant that shares no code with affhur."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        pairs = itertools.combinations(range(n), 2)
+        inversions = sum(perm[i] > perm[j] for i, j in pairs)
+        total += (-1) ** inversions * math.prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_index_is_the_coefficient_determinant(data):
+    # sub = C * (basis of sup), so [sup : sub] = |det C| when C is invertible
+    n = data.draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    vectors = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                 min_size=1, max_size=4))
+    sup = span(vectors, n)
+    r = sup.rank
+    c = data.draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                           min_size=r, max_size=r))
+    sub = span([[sum(c[i][k] * sup.basis[k][j] for k in range(r)) for j in range(n)]
+                for i in range(r)], n)
+    det = _det(c)
+    assert index(sub, sup) == (abs(det) if det else INFINITE)
 
 
 def test_connection_indices():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affhur.linalg import (echelon_integer, hnf, hnf_contains, hnf_reduce,
-                           mat_det, mat_mul, mat_vec, rational_rank,
-                           smith_normal_form, solve_integer, solve_rational)
+                           identity_mat, mat_mul, mat_vec, smith_normal_form,
+                           solve_integer, solve_rational)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -13,6 +13,47 @@ small_int = st.integers(min_value=-6, max_value=6)
 def square(n):
     return st.lists(st.lists(small_int, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(lambda r: tuple(map(tuple, r)))
+
+
+def solve_rational_reference(rows, rhs):
+    """Gauss-Jordan elimination over Fraction: the oracle for solve_rational.
+
+    Returns (particular solution, nullspace basis) or None, like the
+    function it checks.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else len(rhs)
+    m = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])] for i in range(nrows)]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(nrows):
+            if r != row and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+    for r in range(row, nrows):
+        if m[r][ncols] != 0:
+            return None
+    x = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -m[r][fc]
+        basis.append(tuple(v))
+    return tuple(x), tuple(basis)
 
 
 def test_hnf_canonical_example():
@@ -74,24 +115,6 @@ def test_mat_mul_and_mat_vec_entrywise(operands):
                                   for i in range(n))
 
 
-def test_det_and_inverse():
-    m = ((2, 1), (1, 1))
-    assert mat_det(m) == 1
-
-
-@settings(max_examples=50, deadline=None)
-@given(square(3))
-def test_det_multiplicative(m):
-    n = ((1, 2, 0), (0, 1, 1), (1, 0, 1))
-    assert mat_det(mat_mul(m, n)) == mat_det(m) * mat_det(n)
-
-
-def test_rational_rank():
-    assert rational_rank([(1, 2), (2, 4)]) == 1
-    assert rational_rank([(1, 0), (0, 1)]) == 2
-    assert rational_rank([(0, 0)]) == 0
-
-
 def test_solve_rational_inconsistent():
     assert solve_rational([(1, 1), (1, 1)], [0, 1]) is None
 
@@ -113,7 +136,9 @@ def test_smith_normal_form_diagonalizes():
                 assert x == divisors[i] > 0
             else:
                 assert x == 0
-    assert abs(mat_det(u)) == 1 and abs(mat_det(v)) == 1
+    # unimodular: the rows span the whole integer lattice
+    assert hnf(u, len(u)) == identity_mat(len(u))
+    assert hnf(v, len(v)) == identity_mat(len(v))
 
 
 def test_solve_integer():
@@ -164,13 +189,13 @@ def linear_systems(draw):
 def test_echelon_integer_solves_the_system(system, choice):
     rows, rhs = system
     ech = echelon_integer(rows, rhs)
-    ref = solve_rational(rows, rhs)
+    ref = solve_rational_reference(rows, rhs)
     assert (ech is None) == (ref is None)
     if ech is None:
         return
     pivots, free = ech
     ncols = len(rows[0])
-    assert len(pivots) == rational_rank(rows)
+    assert len(pivots) == ncols - len(ref[1])  # the rank
     assert sorted([c for c, _ in pivots] + list(free)) == list(range(ncols))
     # any free coordinates determine the pivot coordinates of a solution
     x = [Fraction(0)] * ncols
@@ -180,3 +205,20 @@ def test_echelon_integer_solves_the_system(system, choice):
         assert all(row[c] == 0 for c, _ in pivots if c != col)
         x[col] = Fraction(row[-1] - sum(row[f] * x[f] for f in free), row[col])
     assert list(mat_vec(rows, x)) == list(rhs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_rational_matches_reference(system):
+    # the reduced echelon form is unique, so the answers agree exactly,
+    # basis vectors in the same order
+    rows, rhs = system
+    assert solve_rational(rows, rhs) == solve_rational_reference(rows, rhs)
+
+
+def test_solve_rational_fractional_solution():
+    x, basis = solve_rational([(2, 4), (0, 3)], [1, 2])
+    assert x == (Fraction(-5, 6), Fraction(2, 3)) and basis == ()
+    x, basis = solve_rational([(0, 2, 1)], [3])
+    assert x == (0, Fraction(3, 2), 0)
+    assert basis == ((1, 0, 0), (0, Fraction(-1, 2), 1))

@@ -1,0 +1,31 @@
+"""The benchmark's tracer wraps affhur functions by name; each name must exist."""
+
+import importlib
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves():
+    targets = _load_tracing().TARGETS
+    assert targets
+    missing = []
+    for layer, modname, attr, _hot in targets:
+        owner = importlib.import_module(modname)
+        if "." in attr:  # a method, patched on its class
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(owner, cls_name, object))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(f"{layer}: {modname}.{attr}")
+    assert not missing, "tracer targets missing from affhur: " + ", ".join(missing)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.hurwitz import BraidWord, ReflectionTuple, _move_table, apply_braid
+from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid,
+                            reflection_codes)
 from affhur.intlattice import full_lattice, lattice_equal
 from affhur.linalg import solve_integer, vec_add
 from affhur import quasicox
@@ -305,6 +306,15 @@ def test_connect_reduced_raises_when_a_stage_is_exhausted(a2, monkeypatch):
     assert exc.value.stage == "normalize"
 
 
+def test_generates_affine_keeps_its_own_error_when_normalization_fails(
+        a2, monkeypatch):
+    # a generating projection always normalizes, so a failure is internal
+    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+    with pytest.raises(RuntimeError, match="internal inconsistency") as exc:
+        generates_affine(a2, simple_system_affine(a2))
+    assert not isinstance(exc.value, PipelineExhausted)
+
+
 # --------------------------------------------------------- quasi-Coxeter
 
 def test_is_quasi_coxeter_affine_positive(a2):
@@ -345,21 +355,26 @@ def test_is_quasi_coxeter_affine_short_element_conclusive(a2):
 def test_move_table_matches_group_multiplication(name):
     rs = parse_type(name)
     pos = rs.positive_roots
-    index, moves = _move_table(rs)
+    moves = _move_table(rs)
+    codes = reflection_codes(rs, True)
+    index = codes.index
     assert index == {r: i for i, r in enumerate(pos)}
     for a, b in itertools.product(pos, repeat=2):
+        c, x, y = moves[index[a]][index[b]]
         for k, l in itertools.product(range(-2, 3), repeat=2):
             ea = as_element(rs, AffineReflection(a, k))
             eb = as_element(rs, AffineReflection(b, l))
+            assert as_element(rs, AffineReflection(pos[c], x * l + y * k)) \
+                == ea * eb * ea
             code = ((index[a], k), (index[b], l))
-            fwd, inv = _moves_in_window(moves, code, 20)
+            fwd, inv = _moves_in_window(codes.move, code, 20)
             assert fwd[1] == (index[a], k) and inv[0] == (index[b], l)
             assert as_element(rs, AffineReflection(pos[fwd[0][0]], fwd[0][1])) \
                 == ea * eb * ea
             assert as_element(rs, AffineReflection(pos[inv[1][0]], inv[1][1])) \
                 == eb * ea * eb
             # the window drops moves that leave it
-            inside = list(_moves_in_window(moves, code, 2))
+            inside = list(_moves_in_window(codes.move, code, 2))
             assert inside == [t for t in (fwd, inv)
                               if all(abs(lv) <= 2 for _, lv in t)]
 
