@@ -104,7 +104,7 @@ def cmd_roots(group, fmt):
         "group": f"{rs.family}{rs.rank}",
         "roots": [list(r.coords) for r in rs.roots],
         "positive_roots": [list(r.coords) for r in rs.positive_roots],
-        "coroots": [list(coroot(rs, r).coords) for r in rs.roots],
+        "coroots": [list(coroot(rs, r)) for r in rs.roots],
         "highest_root": list(rs.highest_root.coords),
         "connection_index": connection_index(rs),
         "cartan_matrix": [list(row) for row in rs.cartan],

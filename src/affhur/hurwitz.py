@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .rootsys import RootSystem
-from .weyl_aff import (AffineReflection, AffineWeylElement,
-                       aff_conjugate_reflection, as_element,
+from .weyl_aff import (AffineReflection, AffineWeylElement, as_element,
                        recognize_reflection)
 from .weyl_fin import reflection_element, root_of_reflection
 
@@ -78,34 +77,34 @@ def apply_braid(t: ReflectionTuple, word: BraidWord) -> ReflectionTuple:
 # ------------------------------------------------------------------ codes
 
 @lru_cache(maxsize=None)
-def _conjugation_table(rs: RootSystem) -> tuple:
-    """conj[a][b] = c with s_a s_b s_a = s_c, for positive-root indices a, b, c."""
-    pos = rs.positive_roots
-    index = {r: i for i, r in enumerate(pos)}
-    return tuple(tuple(index[reflection_element(rs, a).act_root(b).positive()]
-                       for b in pos) for a in pos)
-
-
-@lru_cache(maxsize=None)
 def _move_table(rs: RootSystem):
     """Hurwitz moves on (positive-root index, level) pairs.
 
     moves[a][b] = (c, x, y) says s_{a,k} s_{b,l} s_{a,k} = s_{c, x*l + y*k}
-    for positive-root indices a, b and all levels k, l. The closed form
-    aff_conjugate_reflection is linear in the two levels, so its values at
-    levels (0, 1) and (1, 0) give x and y.
+    for positive-root indices a, b and all levels k, l. The closed form is
+
+        s_{alpha,k} s_{beta,l} s_{alpha,k} = s_{s_alpha(beta), l - p*k},
+        p = <beta, alpha-coroot>,
+
+    and both of its parts are read off the root permutation of s_alpha:
+    the image of beta is s_alpha(beta) = beta - p*alpha, so p is the
+    quotient of beta - s_alpha(beta) by alpha in any coordinate where
+    alpha is non-zero. A positive image gives (c, 1, -p); a negative one
+    is stored by its positive root, s_{-gamma,-m} = s_{gamma,m}, and gives
+    (c, -1, p). The finite move is the column c alone.
     """
     pos = rs.positive_roots
     index = {r: i for i, r in enumerate(pos)}
     moves = []
     for a in pos:
+        s_a = reflection_element(rs, a)
+        j = next(j for j, x in enumerate(a.coords) if x)
         row = []
         for b in pos:
-            at_l = aff_conjugate_reflection(rs, AffineReflection(a, 0),
-                                            AffineReflection(b, 1))
-            at_k = aff_conjugate_reflection(rs, AffineReflection(a, 1),
-                                            AffineReflection(b, 0))
-            row.append((index[at_l.root], at_l.level, at_k.level))
+            image = s_a.act_root(b)
+            p = (b.coords[j] - image.coords[j]) // a.coords[j]
+            row.append((index[image], 1, -p) if image.is_positive
+                       else (index[-image], -1, p))
         moves.append(row)
     return moves
 
@@ -142,8 +141,10 @@ class ReflectionCodes:
         self.affine = affine
         self.roots = rs.positive_roots
         self.index = {r: i for i, r in enumerate(self.roots)}
-        self.move = (partial(_affine_move, _move_table(rs)) if affine
-                     else partial(_finite_move, _conjugation_table(rs)))
+        moves = _move_table(rs)
+        self.move = (partial(_affine_move, moves) if affine
+                     else partial(_finite_move,
+                                  tuple(tuple(c for c, _, _ in row) for row in moves)))
 
     def code_of(self, r: AffineReflection) -> tuple[int, int]:
         """The affine code of s_{root, level}; s_{-alpha,-k} = s_{alpha,k}."""

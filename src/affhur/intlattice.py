@@ -122,4 +122,4 @@ def root_span(rs: RootSystem, roots) -> IntegerLattice:
 
 
 def coroot_span(rs: RootSystem, roots) -> IntegerLattice:
-    return span([coroot(rs, r).coords for r in roots], rs.rank)
+    return span([coroot(rs, r) for r in roots], rs.rank)

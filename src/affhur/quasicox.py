@@ -19,12 +19,11 @@ from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, connect_codes,
 from .intlattice import (IntegerLattice, contains, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
-from .rootsys import Root, RootSystem, bilinear_row, coroot
+from .rootsys import Root, RootSystem, coroot
 from .weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
-                       as_element, fixed_affine_subspace,
-                       product_of_reflections)
+                       as_element, product_of_reflections)
 from .weyl_fin import (absolute_length, all_elements, generates_w0,
-                       identity_element, root_sequences)
+                       identity_element, is_parabolic, root_sequences)
 
 
 class PipelineExhausted(RuntimeError):
@@ -113,8 +112,7 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
 
     gap = levels[n - 1] - levels[n]
     orbit = _root_orbit(rs, gammas[n - 1])
-    lattice = span([tuple(gap * c for c in coroot(rs, b).coords) for b in orbit],
-                   n)
+    lattice = span([tuple(gap * c for c in coroot(rs, b)) for b in orbit], n)
     verdict = lattice_equal(lattice, full_lattice(n))
     if verdict and (abs(gap) != 1 or not rs.is_long(gammas[n - 1])):
         raise RuntimeError("internal inconsistency: generation verdict violates "
@@ -445,9 +443,9 @@ def is_parabolic_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
                                       level_cap: int = 2) -> bool:
     """Whether some reduced factorization of w generates a parabolic subgroup.
 
-    Full-length elements defer to the quasi-Coxeter test; shorter ones are
-    checked against the full fixer of the fixed affine subspace of each
-    enumerated factorization (a best-effort scan, complete per level bound).
+    Full-length elements defer to the quasi-Coxeter test; shorter ones
+    pass each enumerated factorization, levels included, to
+    `weyl_fin.is_parabolic` (a best-effort scan, complete per level bound).
     """
     if w.is_identity():
         return True
@@ -457,40 +455,6 @@ def is_parabolic_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
         return False  # proper parabolics are finite; the full group needs n+1
     if m == n + 1:
         return is_quasi_coxeter_affine(rs, w, level_cap).is_quasi_coxeter
-    for fac in enumerate_factorizations(rs, FactorizationQuery(w, m, level_cap)):
-        if _generates_parabolic(rs, fac):
-            return True
-    return False
-
-
-def _generates_parabolic(rs: RootSystem, refs) -> bool:
-    sub = fixed_affine_subspace(rs, refs)
-    if sub is None:
-        return False  # infinite subgroup; proper parabolics are finite
-    point, basis = sub
-    fixer = []
-    for alpha in rs.positive_roots:
-        row = bilinear_row(rs, alpha)
-        if any(sum(r * u[j] for j, r in enumerate(row)) != 0 for u in basis):
-            continue
-        k = sum(r * point[j] for j, r in enumerate(row))
-        if Fraction(k).denominator != 1:
-            continue
-        fixer.append(AffineReflection(alpha, int(k)))
-    return _finite_closure(rs, refs) == _finite_closure(rs, fixer)
-
-
-def _finite_closure(rs: RootSystem, refs, node_limit: int = 10 ** 5):
-    gens = [as_element(rs, r) for r in refs]
-    seen = {aff_identity(rs)}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= node_limit:
-                    raise RuntimeError("closure is not finite within the node cap")
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    query = FactorizationQuery(w, m, level_cap)
+    return any(is_parabolic(rs, [r.root for r in fac], [r.level for r in fac])
+               for fac in enumerate_factorizations(rs, query))

@@ -41,13 +41,6 @@ class Root:
         return self if self.is_positive else -self
 
 
-@dataclass(frozen=True)
-class CorootVector:
-    """A coroot-lattice vector in simple-coroot coordinates."""
-
-    coords: Vec
-
-
 def _dynkin_data(family: str, rank: int):
     """Edges of the Dynkin diagram and the symmetrizer d."""
     n = rank
@@ -189,7 +182,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 
 
 @lru_cache(maxsize=None)
-def coroot(rs: RootSystem, alpha: Root) -> CorootVector:
+def coroot(rs: RootSystem, alpha: Root) -> Vec:
     """Coroot 2*alpha/(alpha|alpha) in simple-coroot coordinates."""
     if not rs.is_root(alpha):
         raise RootSystemError(f"{alpha.coords} is not a root of {rs.family}{rs.rank}")
@@ -200,7 +193,7 @@ def coroot(rs: RootSystem, alpha: Root) -> CorootVector:
         if num % d_alpha != 0:
             raise RootSystemError("non-integral coroot coordinates")
         out.append(num // d_alpha)
-    return CorootVector(tuple(out))
+    return tuple(out)
 
 
 def bilinear_row(rs: RootSystem, alpha: Root) -> Vec:
@@ -210,15 +203,8 @@ def bilinear_row(rs: RootSystem, alpha: Root) -> Vec:
                      for i in range(n)) for j in range(n))
 
 
-def pairing(rs: RootSystem, lam: CorootVector, alpha: Root) -> int:
-    """(lambda | alpha) for a coroot-lattice vector and a root."""
-    if len(lam.coords) != rs.rank or len(alpha.coords) != rs.rank:
-        raise RootSystemError("rank mismatch in pairing")
-    return sum(v * x for v, x in zip(lam.coords, mat_vec(rs.cartan, alpha.coords)))
-
-
 def pairing_coords(rs: RootSystem, lam_coords, alpha: Root):
-    """Pairing for a coweight given by (possibly rational) coroot coordinates."""
+    """(lambda | alpha) for a coweight in (possibly rational) coroot coordinates."""
     return sum(v * x for v, x in zip(lam_coords, mat_vec(rs.cartan, alpha.coords)))
 
 
@@ -226,9 +212,8 @@ def reflect(rs: RootSystem, alpha: Root, beta: Root) -> Root:
     """s_alpha(beta) = beta - <beta, alpha-coroot> alpha."""
     if not rs.is_root(alpha) or not rs.is_root(beta):
         raise RootSystemError("reflect arguments must be roots")
-    p = pairing(rs, coroot(rs, alpha), beta)
-    result = Root(tuple(b - p * a for a, b in zip(alpha.coords, beta.coords)))
-    return result
+    p = pairing_coords(rs, coroot(rs, alpha), beta)
+    return Root(tuple(b - p * a for a, b in zip(alpha.coords, beta.coords)))
 
 
 def parse_type(s: str) -> RootSystem:

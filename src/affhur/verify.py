@@ -20,11 +20,10 @@ from .quasicox import (FactorizationQuery, PipelineExhausted,
                        connect_reduced, enumerate_factorizations,
                        generates_affine, is_quasi_coxeter_affine)
 from .rootsys import Root, build_root_system, parse_type
-from .weyl_aff import (AffineReflection, aff_conjugate_reflection, as_element,
-                       coweight_conjugate, product_of_reflections,
-                       simple_system_affine, translation_element,
-                       translation_part_of_product)
-from .weyl_fin import reflection_element
+from .weyl_aff import (AffineReflection, as_element, coweight_conjugate,
+                       product_of_reflections, simple_system_affine,
+                       translation_element, translation_part_of_product)
+from .weyl_fin import generates_w0, reflection_element
 
 SUITES = ("lemmas", "example-a2", "generation", "main-theorem")
 DEFAULT_SEED = 20230
@@ -68,6 +67,9 @@ def _check(results: list, name: str, fn) -> None:
 # ---------------------------------------------------------------- lemmas
 
 def _check_conjugation(rs, level: int) -> str:
+    # the closed form is the move table of the searches: the first entry
+    # of sigma_1 applied to the codes of (s_a, s_b) is s_a s_b s_a
+    codes = reflection_codes(rs, True)
     count = 0
     for a_root in rs.roots:
         for b_root in rs.roots:
@@ -76,8 +78,9 @@ def _check_conjugation(rs, level: int) -> str:
                 ea = as_element(rs, a)
                 for kb in range(-level, level + 1):
                     b = AffineReflection(b_root, kb)
-                    closed = aff_conjugate_reflection(rs, a, b)
-                    _require(as_element(rs, closed) == ea * as_element(rs, b) * ea,
+                    c, kc = codes.move((codes.code_of(a), codes.code_of(b)), 1)[0]
+                    _require(as_element(rs, AffineReflection(codes.roots[c], kc))
+                             == ea * as_element(rs, b) * ea,
                              f"conjugation closed form fails for {a}, {b}")
                     count += 1
     return f"{count} conjugation identities"
@@ -238,22 +241,48 @@ def suite_example_a2(**_ignored) -> list[CheckResult]:
 
 # ---------------------------------------------------------- generation
 
-def _check_necessity(rs, level: int) -> str:
+def _leading_parts(rs, level: int, seed: int, samples: int):
+    """The n-1 leading reflections of the tuples `_check_necessity` scans.
+
+    Up to rank 2 every choice of roots and levels in the window. From rank
+    3 on that is too many: a seeded sample of at most `samples` distinct
+    root choices is taken, each with seeded levels. The roots are drawn
+    among those that some long root completes to a generating set, so that
+    the scan meets generating tuples.
+    """
     pos = rs.positive_roots
+    lead = rs.rank - 1
+    window = range(-level, level + 1)
+    if lead <= 1:
+        return [tuple(map(AffineReflection, roots, ks))
+                for roots in itertools.product(pos, repeat=lead)
+                for ks in itertools.product(window, repeat=lead)]
+    longs = [g for g in pos if rs.is_long(g)]
+    completable = [roots for roots in itertools.product(pos, repeat=lead)
+                   if any(generates_w0(rs, roots + (g,)) for g in longs)]
+    rng = random.Random(seed)
+    return [tuple(AffineReflection(r, rng.choice(window)) for r in roots)
+            for roots in rng.sample(completable, min(samples, len(completable)))]
+
+
+def _check_necessity(rs, level: int, seed: int, samples: int) -> str:
+    # normalized (n+1)-tuples: n-1 leading reflections, then one root at
+    # two levels, with every repeated root and every pair of tail levels
+    window = range(-level, level + 1)
     positives = 0
     total = 0
-    for g1, g2 in itertools.product(pos, repeat=2):
-        for ls in itertools.product(range(-level, level + 1), repeat=3):
-            refs = (AffineReflection(g1, ls[0]), AffineReflection(g2, ls[1]),
-                    AffineReflection(g2, ls[2]))
-            total += 1
-            res = generates_affine(rs, refs)
-            if res.generates:
-                positives += 1
-                cert = res.certificate
-                _require(abs(cert.level_gap) == 1, "level gap is not a unit")
-                _require(rs.is_long(cert.repeated_root),
-                         "repeated root is short")
+    for head in _leading_parts(rs, level, seed, samples):
+        for g in rs.positive_roots:
+            for k1, k2 in itertools.product(window, repeat=2):
+                refs = head + (AffineReflection(g, k1), AffineReflection(g, k2))
+                total += 1
+                res = generates_affine(rs, refs)
+                if res.generates:
+                    positives += 1
+                    cert = res.certificate
+                    _require(abs(cert.level_gap) == 1, "level gap is not a unit")
+                    _require(rs.is_long(cert.repeated_root),
+                             "repeated root is short")
     _require(positives > 0, "necessity scan found no generating tuple")
     return f"{positives}/{total} normalized tuples generate"
 
@@ -283,7 +312,7 @@ def suite_generation(groups=("C2", "G2"), seed: int = DEFAULT_SEED,
         rs = parse_type(g)
         name = f"{rs.family}{rs.rank}"
         _check(out, f"unit-gap-long-root-necessity-{name}",
-               lambda rs=rs: _check_necessity(rs, level))
+               lambda rs=rs: _check_necessity(rs, level, seed, samples))
         _check(out, f"criterion-vs-closure-oracle-{name}",
                lambda rs=rs: _check_oracle_agreement(rs, seed, samples))
     return out

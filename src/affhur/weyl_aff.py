@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Vec, solve_rational, vec_add, vec_neg
-from .rootsys import (Root, RootSystem, RootSystemError, bilinear_row, coroot,
-                      pairing, pairing_coords)
+from .linalg import Vec, vec_add, vec_neg
+from .rootsys import Root, RootSystem, RootSystemError, coroot, pairing_coords
 from .weyl_fin import (FiniteWeylElement, identity_element, reflection_element,
                        root_of_reflection)
 
@@ -66,7 +65,7 @@ def aff_identity(rs: RootSystem) -> AffineWeylElement:
 @lru_cache(maxsize=None)
 def as_element(rs: RootSystem, r: AffineReflection) -> AffineWeylElement:
     """Normal form of s_{alpha,k}: (s_alpha, -k * alpha-coroot)."""
-    v = coroot(rs, r.root).coords
+    v = coroot(rs, r.root)
     return AffineWeylElement(reflection_element(rs, r.root),
                              tuple(-r.level * x for x in v))
 
@@ -80,7 +79,7 @@ def recognize_reflection(rs: RootSystem, x: AffineWeylElement) -> AffineReflecti
     alpha = root_of_reflection(rs, x.finite)
     if alpha is None:
         return None
-    v = coroot(rs, alpha).coords
+    v = coroot(rs, alpha)
     # translation must be -k * coroot(alpha)
     k = None
     for t, c in zip(x.translation, v):
@@ -97,14 +96,6 @@ def recognize_reflection(rs: RootSystem, x: AffineWeylElement) -> AffineReflecti
     return AffineReflection(alpha, k)
 
 
-def aff_conjugate_reflection(rs: RootSystem, a: AffineReflection,
-                             b: AffineReflection) -> AffineReflection:
-    """Closed form of s_{a} s_{b} s_{a}: level l - k * 2(alpha|beta)/(alpha|alpha)."""
-    from .rootsys import reflect
-    p = pairing(rs, coroot(rs, a.root), b.root)
-    return affine_reflection(rs, reflect(rs, a.root, b.root), b.level - a.level * p)
-
-
 def translation_part_of_product(rs: RootSystem, refs):
     """Normal form (finite product, translation) of a reflection product.
 
@@ -118,7 +109,7 @@ def translation_part_of_product(rs: RootSystem, refs):
     translation = (0,) * rs.rank
     suffix = identity_element(rs)  # s_{b_m} ... s_{b_{i+1}}, built from the right
     for r in reversed(refs):
-        term = suffix.act_coroot(coroot(rs, r.root).coords)
+        term = suffix.act_coroot(coroot(rs, r.root))
         translation = vec_add(translation, tuple(-r.level * x for x in term))
         suffix = suffix * reflection_element(rs, r.root)
     # reflections are involutions: (s_{b_m} ... s_{b_1})^-1 = s_{b_1} ... s_{b_m}
@@ -144,22 +135,6 @@ def coweight_conjugate(rs: RootSystem, lam_coords, r: AffineReflection) -> Affin
         raise RootSystemError("vector is not in the coweight lattice")
     shift = pairing_coords(rs, lam_coords, r.root)
     return AffineReflection(r.root, r.level + int(shift))
-
-
-def fixed_affine_subspace(rs: RootSystem, gens):
-    """Solve (v|alpha_i) = k_i exactly; returns (point, basis) or None.
-
-    Coordinates are rational over the simple roots. None means the
-    reflection hyperplanes have empty intersection (infinite subgroup).
-    """
-    gens = list(gens)
-    if not gens:
-        eye = [[Fraction(1) if i == j else Fraction(0) for j in range(rs.rank)]
-               for i in range(rs.rank)]
-        return (tuple(Fraction(0) for _ in range(rs.rank)),
-                tuple(tuple(row) for row in eye))
-    return solve_rational([bilinear_row(rs, g.root) for g in gens],
-                          [g.level for g in gens])
 
 
 def simple_system_affine(rs: RootSystem) -> tuple[AffineReflection, ...]:

@@ -46,7 +46,7 @@ class RootTable:
         self.roots = rs.roots
         self.index = {r: i for i, r in enumerate(rs.roots)}
         self.simple = tuple(self.index[a] for a in rs.simple_roots)
-        self.coroots = tuple(coroot(rs, r).coords for r in rs.roots)
+        self.coroots = tuple(coroot(rs, r) for r in rs.roots)
         self.identity = tuple(range(len(rs.roots)))
         self.inverses: dict = {}
         self.lengths: dict = {}
@@ -247,22 +247,48 @@ def generates_w0(rs: RootSystem, roots) -> bool:
             and lattice_equal(coroot_span(rs, roots), full))
 
 
-def is_parabolic(rs: RootSystem, roots) -> bool:
-    """Whether <s_beta> is a parabolic subgroup, via the fixed-space fixer.
+def fixed_affine_subspace(rs: RootSystem, roots, levels):
+    """Common fixed points of the affine reflections s_{beta_i, k_i}.
 
-    Computes the fixed space U of the subgroup and compares its root
-    closure with the set of all roots vanishing on U.
+    Solves (v | beta_i) = k_i exactly in rational simple-root coordinates
+    and returns (point, basis of the direction), or None when the
+    hyperplanes have empty intersection. No reflections fix everything.
+    """
+    # with no roots, the one equation 0 = 0 gives the system its width
+    rows = [bilinear_row(rs, r) for r in roots] or [(0,) * rs.rank]
+    return solve_rational(rows, list(levels) or [0])
+
+
+def is_parabolic(rs: RootSystem, roots, levels=None) -> bool:
+    """Whether the reflections s_{beta_i, k_i} generate a parabolic subgroup.
+
+    The levels k_i default to 0, the reflections of the finite group.
+    Parabolic means equal to the pointwise fixer F of the fixed space.
+    When the hyperplanes (v | beta_i) = k_i meet in p + U, the generated
+    group G fixes p, so it maps injectively onto its linear part, the
+    reflection group of the root closure of the beta_i. So does F, which
+    is generated by the reflections whose hyperplanes contain p + U, with
+    linear part the reflection group of {alpha : alpha vanishes on U,
+    (p | alpha) is an integer}. As G lies in F and a reflection subgroup
+    is determined by its reflections, G = F exactly when these two root
+    sets are equal. Hyperplanes without a common point generate an
+    infinite group, which is not parabolic.
     """
     roots = list(roots)
     if not roots:
         return True
-    closure = smallest_subsystem(rs, roots)
-    # U is the common kernel of the functionals (. | beta), in root
-    # coordinates; a homogeneous system is always solvable
-    _, basis = solve_rational([bilinear_row(rs, r) for r in roots], [0] * len(roots))
-    fixer = {alpha for alpha in rs.roots
-             if all(sum(map(mul, bilinear_row(rs, alpha), u)) == 0 for u in basis)}
-    return fixer == set(closure)
+    sub = fixed_affine_subspace(rs, roots,
+                                [0] * len(roots) if levels is None else levels)
+    if sub is None:
+        return False
+    point, basis = sub
+    fixer = set()
+    for alpha in rs.roots:
+        row = bilinear_row(rs, alpha)
+        if (all(sum(map(mul, row, u)) == 0 for u in basis)
+                and sum(map(mul, row, point)).denominator == 1):
+            fixer.add(alpha)
+    return fixer == smallest_subsystem(rs, roots)
 
 
 def is_quasi_coxeter_fin(rs: RootSystem, w: FiniteWeylElement) -> bool:

@@ -125,8 +125,8 @@ def test_criterion_6_lattice_lemmas():
         assert not lattice_equal(mixed, full), \
             f"mixed sublattice of {name} is not proper"
 
-        dual = span([tuple(delta * c for c in coroot(rs, r).coords) for r in longs]
-                    + [coroot(rs, s).coords for s in shorts], rs.rank)
+        dual = span([tuple(delta * c for c in coroot(rs, r)) for r in longs]
+                    + [coroot(rs, s) for s in shorts], rs.rank)
         assert not lattice_equal(dual, full), \
             f"dual mixed sublattice of {name} is not proper"
         for a in rs.simple_roots:

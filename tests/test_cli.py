@@ -162,6 +162,20 @@ def test_verify_unknown_suite(runner):
     assert run(runner, "verify", "nope").exit_code == 2
 
 
+@pytest.mark.parametrize("suite,group", [
+    ("lemmas", "A1"),
+    ("example-a2", "A1"), ("example-a2", "B3"),
+    ("generation", "A1"), ("generation", "B3"),
+    ("main-theorem", "A1"), ("main-theorem", "B3"),
+])
+def test_verify_smoke(runner, suite, group):
+    # every suite runs on the smallest rank and on a rank-3 group; lemmas
+    # only on A1, as they scan every pair of roots
+    res = run(runner, "verify", suite, "--group", group, "--samples", "2")
+    assert res.exit_code == 0, res.output
+    assert res.output.rstrip().endswith("all checks passed")
+
+
 @pytest.mark.parametrize("node_limit,args", [
     ("abc", ["orbit", "A2", "1,0", "0,1"]),
     ("-1", ["orbit", "A2", "1,0", "0,1"]),

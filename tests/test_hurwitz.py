@@ -1,3 +1,6 @@
+import importlib.util
+import itertools
+import os
 import random
 from collections import deque
 
@@ -11,6 +14,17 @@ from affhur.hurwitz import (BraidWord, ReflectionTuple, apply_braid,
 from affhur.rootsys import Root, build_root_system, parse_type
 from affhur.weyl_aff import AffineReflection, as_element
 from affhur.weyl_fin import reflection_element
+
+MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "perfbench", "model.py")
+
+
+def _load_model():
+    # the benchmark's matrix model shares no code with affhur
+    spec = importlib.util.spec_from_file_location("perfbench_model", MODEL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -321,3 +335,28 @@ def test_pipeline_searches_return_the_reference_words(name):
                     reference_connect(t, other, node_limit=limit)
                 assert lr_normalize(t, n - 1, node_limit=limit) == \
                     reference_lr_normalize(t, n - 1, node_limit=limit)
+
+
+@pytest.mark.parametrize("name,roots,level", [
+    ("A2", "all", 2), ("B2", "all", 2), ("G2", "all", 2), ("A3", "all", 2),
+    ("B3", "positive", 1), ("C3", "positive", 1), ("D4", "positive", 1),
+    ("F4", "positive", 1),
+])
+def test_move_table_matches_matrix_model(name, roots, level):
+    # both letters on 2-tuples, against the product of affine matrices;
+    # negative roots enter through code_of, s_{-alpha,-k} = s_{alpha,k}
+    rs = parse_type(name)
+    model = _load_model().Group(name)
+    codes = reflection_codes(rs, True)
+
+    def canonical(root, k):
+        return (root, k) if max(root) > 0 else (tuple(-x for x in root), -k)
+
+    refs = [(r.coords, k) for r in (rs.roots if roots == "all" else rs.positive_roots)
+            for k in range(-level, level + 1)]
+    for pair in itertools.product(refs, repeat=2):
+        code = tuple(codes.code_of(AffineReflection(Root(r), k)) for r, k in pair)
+        for letter in (1, -1):
+            moved = codes.move(code, letter)
+            expected = tuple(canonical(*x) for x in model.move(pair, letter))
+            assert tuple((codes.roots[c].coords, k) for c, k in moved) == expected

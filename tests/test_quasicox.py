@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid,
                             reflection_codes)
 from affhur.intlattice import full_lattice, lattice_equal
-from affhur.linalg import solve_integer, vec_add
+from affhur.linalg import solve_integer, solve_rational, vec_add
 from affhur import quasicox
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
                              _has_factorization, _moves_in_window,
@@ -17,11 +18,13 @@ from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
                              enumerate_factorizations, fiber, generates_affine,
                              is_parabolic_quasi_coxeter_affine,
                              is_quasi_coxeter_affine)
-from affhur.rootsys import Root, build_root_system, coroot, parse_type
+from affhur.rootsys import (Root, bilinear_row, build_root_system, coroot,
+                            parse_type)
 from affhur.verify import suite_main_theorem
 from affhur.weyl_aff import (AffineReflection, aff_identity, as_element,
                              product_of_reflections, simple_system_affine)
-from affhur.weyl_fin import all_elements, identity_element, reflection_element
+from affhur.weyl_fin import (all_elements, identity_element, is_parabolic,
+                             reflection_element)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +151,7 @@ def _oracle_coroots(rs, seq):
     vs = []
     suffix = identity_element(rs)
     for r in reversed(seq):
-        vs.append(suffix.act_coroot(coroot(rs, r).coords))
+        vs.append(suffix.act_coroot(coroot(rs, r)))
         suffix = suffix * reflection_element(rs, r)
     vs.reverse()
     return vs
@@ -404,6 +407,24 @@ def test_parabolic_quasi_coxeter_affine(a2):
     assert is_parabolic_quasi_coxeter_affine(a2, w)
     full = product_of_reflections(a2, simple_system_affine(a2))
     assert is_parabolic_quasi_coxeter_affine(a2, full)
+    # a proper subset of the affine simple system generates a standard
+    # parabolic subgroup, so its product, in either order, qualifies
+    for name in ("A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "D4"):
+        rs = parse_type(name)
+        simple = simple_system_affine(rs)
+        for size in range(1, len(simple)):
+            for subset in itertools.combinations(simple, size):
+                for word in (subset, subset[::-1]):
+                    w = product_of_reflections(rs, word)
+                    assert is_parabolic_quasi_coxeter_affine(rs, w), (name, word)
+
+
+def test_parabolic_quasi_coxeter_affine_translation_is_not(a2):
+    # s_{alpha,0} s_{alpha,1} is a translation: its factorizations have
+    # parallel hyperplanes, so no fixed point and an infinite subgroup
+    w = product_of_reflections(a2, (ref((1, 0), 0), ref((1, 0), 1)))
+    assert not w.is_identity() and w.finite.is_identity()
+    assert not is_parabolic_quasi_coxeter_affine(a2, w)
 
 
 def test_parabolic_quasi_coxeter_affine_negative(b2):
@@ -412,3 +433,54 @@ def test_parabolic_quasi_coxeter_affine_negative(b2):
     w = product_of_reflections(b2, (AffineReflection(longs[0], 0),
                                     AffineReflection(longs[1], 0)))
     assert not is_parabolic_quasi_coxeter_affine(b2, w)
+
+
+def _closure(rs, refs):
+    """The subgroup generated by the affine reflections, as a set of elements."""
+    gens = [as_element(rs, r) for r in refs]
+    seen = {aff_identity(rs)}
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)
+
+
+def _generates_parabolic_reference(rs, refs):
+    """The group-closure parabolic test, a reference for `is_parabolic`.
+
+    Builds the subgroup the reflections generate and the subgroup of the
+    reflections whose hyperplanes contain the common fixed space, both as
+    element sets, and compares them.
+    """
+    sub = solve_rational([bilinear_row(rs, r.root) for r in refs],
+                         [r.level for r in refs])
+    if sub is None:
+        return False  # no common fixed point: an infinite subgroup
+    point, basis = sub
+    fixer = []
+    for alpha in rs.positive_roots:
+        row = bilinear_row(rs, alpha)
+        if any(sum(map(mul, row, u)) for u in basis):
+            continue
+        k = sum(map(mul, row, point))
+        if k.denominator == 1:
+            fixer.append(AffineReflection(alpha, int(k)))
+    return _closure(rs, refs) == _closure(rs, fixer)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_is_parabolic_matches_group_closure(data):
+    rs = parse_type(data.draw(st.sampled_from(["A1", "A2", "B2", "G2", "A3",
+                                               "B3", "C3"])))
+    refs = data.draw(st.lists(
+        st.builds(AffineReflection, st.sampled_from(rs.positive_roots),
+                  st.integers(-2, 2)),
+        min_size=1, max_size=rs.rank))
+    assert is_parabolic(rs, [r.root for r in refs], [r.level for r in refs]) \
+        == _generates_parabolic_reference(rs, refs)

@@ -219,7 +219,7 @@ def reflection_matrices(rs, alpha):
     """
     n = rs.rank
     a = alpha.coords
-    av = coroot(rs, alpha).coords
+    av = coroot(rs, alpha)
     # <alpha_j, alpha-coroot> and <alpha, alpha_j-coroot> as Cartan sums
     on_roots = tuple(tuple((i == j) - a[i] * sum(av[k] * rs.cartan[k][j] for k in range(n))
                            for j in range(n)) for i in range(n))
@@ -244,7 +244,7 @@ def check_against_matrices(pairs):
 
 def check_actions(rs, elements):
     eye = identity_mat(rs.rank)
-    probes = [coroot(rs, r).coords for r in rs.roots] + [tuple(range(1, rs.rank + 1))]
+    probes = [coroot(rs, r) for r in rs.roots] + [tuple(range(1, rs.rank + 1))]
     for u in elements:
         assert (u * u.inverse()).is_identity() and (u.inverse() * u).is_identity()
         assert mat_mul(u.matrix, u.inverse().matrix) == eye
