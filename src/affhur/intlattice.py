@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .linalg import Mat, hnf, hnf_contains, hnf_reduce, smith_normal_form
-from .rootsys import Root, RootSystem, RootSystemError, coroot, reflect
+from .rootsys import RootSystem, coroot
 
 INFINITE = math.inf
 
@@ -89,32 +89,6 @@ def connection_index(rs: RootSystem) -> int:
     for d in divisors:
         prod *= d
     return abs(prod)
-
-
-def smallest_subsystem(rs: RootSystem, roots) -> frozenset[Root]:
-    """Closure of a root set under reflections by its own reflection subgroup.
-
-    Fixed point of R -> R union s_beta(R); equals the smallest root
-    subsystem containing R.
-    """
-    roots = list(roots)
-    if not roots:
-        raise RootSystemError("smallest_subsystem needs a non-empty root set")
-    closed: set[Root] = set()
-    for r in roots:
-        closed.add(r)
-        closed.add(-r)
-    changed = True
-    while changed:
-        changed = False
-        current = list(closed)
-        for a in current:
-            for b in current:
-                c = reflect(rs, a, b)
-                if c not in closed:
-                    closed.add(c)
-                    changed = True
-    return frozenset(closed)
 
 
 def root_span(rs: RootSystem, roots) -> IntegerLattice:

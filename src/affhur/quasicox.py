@@ -27,7 +27,7 @@ from .weyl_fin import (absolute_length, all_elements, generates_w0,
 
 
 class PipelineExhausted(RuntimeError):
-    """A connect_reduced stage ran out of its limits."""
+    """A search stage ran out of its limits."""
 
     def __init__(self, stage: str, detail: str = ""):
         super().__init__(f"pipeline stage {stage!r} exhausted its limits"

@@ -347,11 +347,12 @@ def _check_connect_all_pairs(rs, seed: int, samples: int) -> str:
 
 
 def _check_stage2_orbit_exhausted(rs) -> str:
-    w = product_of_reflections(rs, simple_system_affine(rs))
     fin = ReflectionTuple(tuple(reflection_element(rs, r.root)
                                 for r in simple_system_affine(rs)))
     res = orbit(fin)
-    _require(res.exhausted, "finite projection orbit not exhausted")
+    if not res.exhausted:
+        raise PipelineExhausted("orbit", f"finite projection orbit passed "
+                                f"{len(res.parents)} nodes")
     return f"finite orbit of size {len(res.parents)} exhausted"
 
 

@@ -5,12 +5,16 @@ An element is stored as the permutation it induces on the root system:
 order of `RootSystem.roots`. Multiplication composes permutations and
 inversion inverts one, so group operations do no arithmetic. The
 per-root-system data (root list, root index, simple-root indices, coroot
-coordinates) lives in one shared `RootTable`; the matrices of the action
-on root and coroot coordinates are derived from it on demand.
+coordinates) lives in one shared `RootTable`; the action on coroot
+coordinates and the matrix of the action on root coordinates are derived
+from it on demand.
 
 `root_sequences` is the one search over reflection sequences: the
 reduced factorizations, the Fac sets and the affine enumeration of
-`affhur.quasicox` are all read from it.
+`affhur.quasicox` are all read from it. `smallest_subsystem`, the root
+closure of a set of reflections, is an orbit of the same permutations;
+`is_parabolic` compares it with the roots that fix the reflections'
+common fixed space.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from functools import lru_cache
 from operator import itemgetter, mul
 
 from .linalg import Mat, echelon_integer, solve_rational
-from .intlattice import (coroot_span, full_lattice, lattice_equal, root_span,
-                         smallest_subsystem)
+from .intlattice import coroot_span, full_lattice, lattice_equal, root_span
 from .rootsys import (Root, RootSystem, RootSystemError, bilinear_row, coroot,
                       reflect)
 
@@ -101,12 +104,6 @@ class FiniteWeylElement:
         return tuple(zip(*(t.roots[self.perm[s]].coords for s in t.simple)))
 
     @property
-    def comatrix(self) -> Mat:
-        """Action on coroot coordinates; column j is the coroot of w(alpha_j)."""
-        t = self.table
-        return tuple(zip(*(t.coroots[self.perm[s]] for s in t.simple)))
-
-    @property
     def rank(self) -> int:
         return len(self.table.simple)
 
@@ -159,11 +156,6 @@ def absolute_length(w: FiniteWeylElement) -> int:
         pivots, _ = echelon_integer(rows, [0] * len(rows))
         length = t.lengths[w.perm] = len(pivots)
     return length
-
-
-def leq_T(u: FiniteWeylElement, v: FiniteWeylElement) -> bool:
-    """Absolute order: l(u) + l(u^-1 v) = l(v)."""
-    return absolute_length(u) + absolute_length(u.inverse() * v) == absolute_length(v)
 
 
 def root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
@@ -223,16 +215,6 @@ def reduced_factorizations(rs: RootSystem, w: FiniteWeylElement):
             for roots, _ in root_sequences(rs, w, absolute_length(w))]
 
 
-def roots_of_tuple(rs: RootSystem, elements) -> tuple[Root, ...]:
-    roots = []
-    for t in elements:
-        r = root_of_reflection(rs, t)
-        if r is None:
-            raise RootSystemError("tuple entry is not a reflection")
-        roots.append(r)
-    return tuple(roots)
-
-
 def generates_w0(rs: RootSystem, roots) -> bool:
     """Whether the reflections of the given roots generate the full group.
 
@@ -257,6 +239,32 @@ def fixed_affine_subspace(rs: RootSystem, roots, levels):
     # with no roots, the one equation 0 = 0 gives the system its width
     rows = [bilinear_row(rs, r) for r in roots] or [(0,) * rs.rank]
     return solve_rational(rows, list(levels) or [0])
+
+
+def smallest_subsystem(rs: RootSystem, roots) -> frozenset[Root]:
+    """The smallest root subsystem containing the given roots.
+
+    It is their orbit under the group G generated by the s_beta: the orbit
+    contains them and is closed under its own reflections, since
+    s_{w(beta)} = w s_beta w^-1 lies in G for every w in G, and every set
+    with both properties contains it. The orbit is taken on root indices,
+    one permutation lookup per root and generator.
+    """
+    roots = list(roots)
+    if not roots:
+        raise RootSystemError("smallest_subsystem needs a non-empty root set")
+    table = root_table(rs)
+    perms = [reflection_element(rs, b).perm for b in roots]
+    seen = {table.index[b] for b in roots}
+    todo = list(seen)
+    while todo:
+        i = todo.pop()
+        for perm in perms:
+            j = perm[i]
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return frozenset(table.roots[i] for i in seen)
 
 
 def is_parabolic(rs: RootSystem, roots, levels=None) -> bool:

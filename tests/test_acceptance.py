@@ -10,15 +10,18 @@ import time
 
 from affhur.hurwitz import ReflectionTuple, orbit
 from affhur.intlattice import (connection_index, contains, coroot_span,
-                               full_lattice, lattice_equal, root_span,
-                               smallest_subsystem, span)
+                               full_lattice, lattice_equal, root_span, span)
 from affhur.rootsys import build_root_system, coroot
 from affhur.verify import (suite_example_a2, suite_generation, suite_lemmas,
                            suite_main_theorem)
 from affhur.weyl_fin import (absolute_length, all_elements, fac_set,
                              generates_w0, is_parabolic_quasi_coxeter_fin,
                              reduced_factorizations, reflection_element,
-                             roots_of_tuple)
+                             root_of_reflection, smallest_subsystem)
+
+
+def roots_of_tuple(rs, elements):
+    return tuple(root_of_reflection(rs, t) for t in elements)
 
 
 def _finish(num: int, desc: str, t0: float, budget: float, detail: str = ""):

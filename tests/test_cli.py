@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import affhur
-from affhur import quasicox, verify
+from affhur import hurwitz, quasicox, verify
 from affhur.cli import main
 
 WORD = ["1,0:0", "0,1:0", "1,1:1"]
@@ -223,6 +223,20 @@ def test_verify_limit_hit_exits_3(runner, monkeypatch):
     limited = [c for c in data["checks"] if c.get("limit")]
     assert [c["name"] for c in limited] == ["connect-all-pairs-A2"]
     assert not limited[0]["ok"]
+
+
+def test_verify_orbit_limit_hit_exits_3(runner, monkeypatch):
+    # an orbit cut at its node limit decides nothing either
+    monkeypatch.setattr(verify, "orbit",
+                        lambda t: hurwitz.orbit(t, node_limit=5))
+    stage2 = verify.suite_main_theorem(groups=("A2",), samples=2)[0]
+    assert stage2.name == "stage2-orbit-exhausted-A2"
+    assert stage2.limit and not stage2.ok
+    assert "PipelineExhausted" in stage2.detail
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2")
+    assert res.exit_code == 3
+    assert "[main-theorem] LIMIT stage2-orbit-exhausted-A2" in res.output
+    assert "FAIL" not in res.output
 
 
 def test_verify_limit_hit_with_a_failure_exits_1(runner, monkeypatch):

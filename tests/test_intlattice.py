@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from affhur.intlattice import (INFINITE, connection_index, contains,
                                coroot_span, full_lattice, index,
                                is_sublattice, lattice_equal, reduce_mod,
-                               root_span, smallest_subsystem, span)
-from affhur.rootsys import Root, RootSystemError, build_root_system
+                               root_span, span)
+from affhur.rootsys import build_root_system
 
 
 def test_span_canonical_example():
@@ -78,25 +78,6 @@ def test_connection_indices():
                 ("F", 4): 1, ("D", 4): 4, ("E", 6): 3, ("C", 3): 2}
     for (family, rank), idx in expected.items():
         assert connection_index(build_root_system(family, rank)) == idx
-
-
-def test_smallest_subsystem_a2():
-    rs = build_root_system("A", 2)
-    sub = smallest_subsystem(rs, [Root((1, 0))])
-    assert sub == {Root((1, 0)), Root((-1, 0))}
-    sub2 = smallest_subsystem(rs, [Root((1, 0)), Root((0, 1))])
-    assert sub2 == rs.root_set
-    with pytest.raises(RootSystemError):
-        smallest_subsystem(rs, [])
-
-
-def test_smallest_subsystem_b2_long_roots():
-    rs = build_root_system("B", 2)
-    longs = [r for r in rs.positive_roots if rs.is_long(r)]
-    sub = smallest_subsystem(rs, longs)
-    # the long roots of B2 form an A1 x A1 subsystem, closed already
-    assert len(sub) == 4
-    assert all(rs.is_long(r) for r in sub)
 
 
 def test_root_and_coroot_span():

@@ -7,14 +7,15 @@ import pytest
 
 from affhur.hurwitz import ReflectionTuple, orbit
 from affhur.linalg import identity_mat, mat_mul, mat_vec
-from affhur.rootsys import Root, RootSystemError, build_root_system, coroot
+from affhur.rootsys import (Root, RootSystemError, build_root_system, coroot,
+                            reflect)
 from affhur.weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
                              fac_set, generates_w0, identity_element,
                              is_parabolic, is_parabolic_quasi_coxeter_fin,
-                             is_quasi_coxeter_fin, leq_T,
-                             reduced_factorizations, reflection_element,
-                             reflections, root_of_reflection, root_table,
-                             roots_of_tuple)
+                             is_quasi_coxeter_fin, reduced_factorizations,
+                             reflection_element, reflections,
+                             root_of_reflection, root_table,
+                             smallest_subsystem)
 
 GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("G", 2): 12, ("A", 3): 24}
 
@@ -70,6 +71,11 @@ def test_absolute_length_against_bfs_oracle(family, rank):
     rs = build_root_system(family, rank)
     for w in all_elements(rs):
         assert absolute_length(w) == bfs_absolute_length(rs, w)
+
+
+def leq_T(u, v):
+    """Absolute order: l(u) + l(u^-1 v) = l(v)."""
+    return absolute_length(u) + absolute_length(u.inverse() * v) == absolute_length(v)
 
 
 def test_leq_T():
@@ -138,6 +144,32 @@ def test_red_t_single_orbit_d4():
     assert sorted(sizes.values()) == [162] * 32 + [192] * 12
 
 
+# parabolic quasi-Coxeter elements, the identity included; in type A that
+# is every element
+PARABOLIC_QC_COUNTS = [("A", 3, 24), ("B", 3, 38), ("C", 3, 38), ("D", 4, 191)]
+
+
+@pytest.mark.parametrize("family,rank,count", PARABOLIC_QC_COUNTS,
+                         ids=[f"{f}{n}" for f, n, _ in PARABOLIC_QC_COUNTS])
+def test_red_t_single_orbit_parabolic_quasi_coxeter(family, rank, count):
+    """The finite case of the paper's theorem: Red_T of every parabolic
+    quasi-Coxeter element is one Hurwitz orbit."""
+    rs = build_root_system(family, rank)
+    found = 0
+    for w in all_elements(rs):
+        if not is_parabolic_quasi_coxeter_fin(rs, w):
+            continue
+        found += 1
+        facs = reduced_factorizations(rs, w)
+        if w.is_identity():
+            assert facs == [()]
+            continue
+        res = orbit(ReflectionTuple(facs[0]))
+        assert res.exhausted
+        assert set(res.tuples) == {ReflectionTuple(f) for f in facs}
+    assert found == count
+
+
 def test_generates_w0():
     rs = build_root_system("B", 2)
     longs = [r for r in rs.positive_roots if rs.is_long(r)]
@@ -163,6 +195,70 @@ def test_generates_matches_group_closure():
                         seen.add(y)
                         queue.append(y)
             assert generates_w0(rs, [a, b]) == (len(seen) == 8)
+
+
+def pairwise_closure(rs, roots):
+    """Reference root closure: reflect every ordered pair until nothing changes."""
+    closed = set()
+    for r in roots:
+        closed.add(r)
+        closed.add(-r)
+    changed = True
+    while changed:
+        changed = False
+        current = list(closed)
+        for a in current:
+            for b in current:
+                c = reflect(rs, a, b)
+                if c not in closed:
+                    closed.add(c)
+                    changed = True
+    return frozenset(closed)
+
+
+def test_smallest_subsystem_a2():
+    rs = build_root_system("A", 2)
+    sub = smallest_subsystem(rs, [Root((1, 0))])
+    assert sub == {Root((1, 0)), Root((-1, 0))}
+    sub2 = smallest_subsystem(rs, [Root((1, 0)), Root((0, 1))])
+    assert sub2 == rs.root_set
+    with pytest.raises(RootSystemError):
+        smallest_subsystem(rs, [])
+
+
+def test_smallest_subsystem_b2_long_roots():
+    rs = build_root_system("B", 2)
+    longs = [r for r in rs.positive_roots if rs.is_long(r)]
+    sub = smallest_subsystem(rs, longs)
+    # the long roots of B2 form an A1 x A1 subsystem, closed already
+    assert len(sub) == 4
+    assert all(rs.is_long(r) for r in sub)
+
+
+def random_root_tuples(rs, count, lengths, seed):
+    rng = random.Random(seed)
+    return [[rng.choice(rs.roots) for _ in range(rng.choice(lengths))]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                         ("F", 4), ("E", 6)])
+def test_smallest_subsystem_matches_pairwise_closure(family, rank):
+    rs = build_root_system(family, rank)
+    for roots in random_root_tuples(rs, 30, range(1, rank + 1), 1707):
+        assert smallest_subsystem(rs, roots) == pairwise_closure(rs, roots)
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4), ("F", 4),
+                                         ("E", 6)])
+def test_generates_w0_iff_closure_is_everything(family, rank):
+    rs = build_root_system(family, rank)
+    seen = set()
+    for roots in random_root_tuples(rs, 40, (rank, rank + 1), 1706):
+        whole = smallest_subsystem(rs, roots) == rs.root_set
+        assert generates_w0(rs, roots) == whole
+        seen.add(whole)
+    assert seen == {True, False}
 
 
 def test_is_parabolic():
@@ -191,6 +287,10 @@ def test_quasi_coxeter_fin():
     assert is_parabolic_quasi_coxeter_fin(rs, s_long)
 
 
+def roots_of_tuple(rs, elements):
+    return tuple(root_of_reflection(rs, t) for t in elements)
+
+
 def test_fac_set():
     rs = build_root_system("A", 2)
     s1 = reflection_element(rs, Root((1, 0)))
@@ -207,8 +307,7 @@ def test_fac_set():
 def test_roots_of_tuple_rejects_non_reflection():
     rs = build_root_system("A", 2)
     c = reflection_element(rs, Root((1, 0))) * reflection_element(rs, Root((0, 1)))
-    with pytest.raises(RootSystemError):
-        roots_of_tuple(rs, [c])
+    assert root_of_reflection(rs, c) is None
 
 
 def reflection_matrices(rs, alpha):
@@ -228,9 +327,15 @@ def reflection_matrices(rs, alpha):
     return on_roots, on_coroots
 
 
+def comatrix(u):
+    """Action on coroot coordinates; column j is the coroot of u(alpha_j)."""
+    rs = u.table.rs
+    return tuple(zip(*(coroot(rs, u.act_root(a)) for a in rs.simple_roots)))
+
+
 def check_reflections(rs):
     for r, t in reflections(rs):
-        assert (t.matrix, t.comatrix) == reflection_matrices(rs, r)
+        assert (t.matrix, comatrix(t)) == reflection_matrices(rs, r)
         assert root_of_reflection(rs, t) == r
 
 
@@ -239,7 +344,7 @@ def check_against_matrices(pairs):
     for u, v in pairs:
         uv = u * v
         assert uv.matrix == mat_mul(u.matrix, v.matrix)
-        assert uv.comatrix == mat_mul(u.comatrix, v.comatrix)
+        assert comatrix(uv) == mat_mul(comatrix(u), comatrix(v))
 
 
 def check_actions(rs, elements):
@@ -251,7 +356,7 @@ def check_actions(rs, elements):
         for r in rs.roots:
             assert u.act_root(r) == Root(mat_vec(u.matrix, r.coords))
         for v in probes:
-            assert u.act_coroot(v) == mat_vec(u.comatrix, v)
+            assert u.act_coroot(v) == mat_vec(comatrix(u), v)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 2), ("G", 2),
