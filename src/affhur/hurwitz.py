@@ -17,6 +17,7 @@ negative is its inverse.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -251,12 +252,13 @@ def orbit(t: ReflectionTuple, node_limit: int = 10 ** 6,
     return OrbitResult(t, parents, exhausted, codes)
 
 
-def connect_codes(move, start: tuple, goal: tuple, depth_limit: int = 12,
+def connect_codes(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
                   node_limit: int = 10 ** 6) -> BraidWord | None:
     """Bidirectional BFS for a braid word sending code tuple start to goal.
 
-    None means "not found within limits". The products are not compared:
-    that is the caller's job.
+    None means "not found within limits". A `depth_limit` of None bounds
+    the search by `node_limit` alone. The products are not compared: that
+    is the caller's job.
     """
     if start == goal:
         return BraidWord()
@@ -265,7 +267,7 @@ def connect_codes(move, start: tuple, goal: tuple, depth_limit: int = 12,
     bwd: dict = {goal: None}
     frontier_f = [start]
     frontier_b = [goal]
-    for _ in range(depth_limit):
+    for _ in itertools.count() if depth_limit is None else range(depth_limit):
         # expand the smaller frontier
         if not frontier_f and not frontier_b:
             break

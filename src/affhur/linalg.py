@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import add, mul, neg
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -32,11 +32,11 @@ def mat_vec(a: Mat, v) -> tuple:
 
 
 def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_neg(u):
-    return tuple(-x for x in u)
+    return tuple(map(neg, u))
 
 
 def echelon_integer(rows, rhs):

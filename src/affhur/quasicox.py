@@ -377,14 +377,17 @@ def fiber(rs: RootSystem, base, shift_bound: int):
 
 
 def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
-                    depth_limit: int = 16, node_limit: int = 10 ** 6) -> BraidWord:
+                    depth_limit: int | None = None,
+                    node_limit: int = 10 ** 6) -> BraidWord:
     """Braid word connecting two reduced factorizations of a quasi-Coxeter w.
 
     Stages: repeated-root normalization of both tuples, projection
     alignment inside the finite Fac set, then a sigma_n power along the
     fiber. The stages run on reflection codes (see `affhur.hurwitz`); the
     word is then verified once by application to the affine elements. A
-    stage that runs out of its limits raises `PipelineExhausted`.
+    stage that runs out of its limits raises `PipelineExhausted`. The
+    alignment search is bounded by `node_limit` alone unless a
+    `depth_limit` is given.
     """
     t1 = tuple(t1)
     t2 = tuple(t2)

@@ -5,26 +5,27 @@ An element is stored as the permutation it induces on the root system:
 order of `RootSystem.roots`. Multiplication composes permutations and
 inversion inverts one, so group operations do no arithmetic. The
 per-root-system data (root list, root index, simple-root indices, coroot
-coordinates) lives in one shared `RootTable`; the action on coroot
-coordinates and the matrix of the action on root coordinates are derived
-from it on demand.
+coordinates) lives in one shared `RootTable`. The action on coroot
+coordinates is read from it once per element and memoized there; the
+matrix of the action on root coordinates is derived on demand.
 
 `root_sequences` is the one search over reflection sequences: the
 reduced factorizations, the Fac sets and the affine enumeration of
-`affhur.quasicox` are all read from it. `smallest_subsystem`, the root
-closure of a set of reflections, is an orbit of the same permutations;
-`is_parabolic` compares it with the roots that fix the reflections'
-common fixed space.
+`affhur.quasicox` are all read from it. The root closure of a set of
+reflections is an orbit of the same permutations on root indices:
+`smallest_subsystem` returns it, `generates_w0` asks whether it is all
+of the roots, and `is_parabolic` compares it with the roots that fix the
+reflections' common fixed space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import lcm
 from operator import itemgetter, mul
 
 from .linalg import Mat, echelon_integer, solve_rational
-from .intlattice import coroot_span, full_lattice, lattice_equal, root_span
 from .rootsys import (Root, RootSystem, RootSystemError, bilinear_row, coroot,
                       reflect)
 
@@ -37,12 +38,13 @@ class RootTable:
     even when their permutations coincide. `inverses` memoizes inversion:
     Hurwitz moves invert the same few elements over and over. `lengths`
     memoizes absolute length, which the factorization searches ask of the
-    same elements over and over. Each memo holds at most one entry per
-    group element.
+    same elements over and over. `coactions` memoizes the rows of the
+    action on coroot coordinates, which every affine product and inverse
+    applies. Each memo holds at most one entry per group element.
     """
 
     __slots__ = ("rs", "roots", "index", "simple", "coroots", "identity",
-                 "inverses", "lengths")
+                 "inverses", "lengths", "coactions")
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -53,6 +55,7 @@ class RootTable:
         self.identity = tuple(range(len(rs.roots)))
         self.inverses: dict = {}
         self.lengths: dict = {}
+        self.coactions: dict = {}
 
 
 @lru_cache(maxsize=None)
@@ -94,8 +97,11 @@ class FiniteWeylElement:
         coroot.
         """
         t = self.table
-        cols = [t.coroots[self.perm[s]] for s in t.simple]
-        return tuple([sum(map(mul, row, v)) for row in zip(*cols)])
+        rows = t.coactions.get(self.perm)
+        if rows is None:
+            rows = t.coactions[self.perm] = tuple(
+                zip(*[t.coroots[self.perm[s]] for s in t.simple]))
+        return tuple([sum(map(mul, row, v)) for row in rows])
 
     @property
     def matrix(self) -> Mat:
@@ -218,15 +224,16 @@ def reduced_factorizations(rs: RootSystem, w: FiniteWeylElement):
 def generates_w0(rs: RootSystem, roots) -> bool:
     """Whether the reflections of the given roots generate the full group.
 
-    Decided by the lattice criterion: the roots span the root lattice and
-    their coroots span the coroot lattice.
+    They do exactly when their root closure is every root: the reflection
+    subgroup they generate has the closure as its root system, and W is
+    generated by the reflections of all roots. The tests compare this with
+    the lattice criterion of Baumeister, Dyer, Stump and Wegener: the
+    roots span the root lattice and their coroots the coroot lattice.
     """
     roots = list(roots)
     if not roots:
         raise RootSystemError("generates_w0 needs a non-empty root set")
-    full = full_lattice(rs.rank)
-    return (lattice_equal(root_span(rs, roots), full)
-            and lattice_equal(coroot_span(rs, roots), full))
+    return len(_closure_indices(rs, roots)) == len(rs.roots)
 
 
 def fixed_affine_subspace(rs: RootSystem, roots, levels):
@@ -241,18 +248,11 @@ def fixed_affine_subspace(rs: RootSystem, roots, levels):
     return solve_rational(rows, list(levels) or [0])
 
 
-def smallest_subsystem(rs: RootSystem, roots) -> frozenset[Root]:
-    """The smallest root subsystem containing the given roots.
+def _closure_indices(rs: RootSystem, roots: list) -> set[int]:
+    """Root indices of the orbit of `roots` under their reflections.
 
-    It is their orbit under the group G generated by the s_beta: the orbit
-    contains them and is closed under its own reflections, since
-    s_{w(beta)} = w s_beta w^-1 lies in G for every w in G, and every set
-    with both properties contains it. The orbit is taken on root indices,
-    one permutation lookup per root and generator.
+    One permutation lookup per root and generator; `roots` is non-empty.
     """
-    roots = list(roots)
-    if not roots:
-        raise RootSystemError("smallest_subsystem needs a non-empty root set")
     table = root_table(rs)
     perms = [reflection_element(rs, b).perm for b in roots]
     seen = {table.index[b] for b in roots}
@@ -264,7 +264,28 @@ def smallest_subsystem(rs: RootSystem, roots) -> frozenset[Root]:
             if j not in seen:
                 seen.add(j)
                 todo.append(j)
-    return frozenset(table.roots[i] for i in seen)
+    return seen
+
+
+def smallest_subsystem(rs: RootSystem, roots) -> frozenset[Root]:
+    """The smallest root subsystem containing the given roots.
+
+    It is their orbit under the group G generated by the s_beta: the orbit
+    contains them and is closed under its own reflections, since
+    s_{w(beta)} = w s_beta w^-1 lies in G for every w in G, and every set
+    with both properties contains it.
+    """
+    roots = list(roots)
+    if not roots:
+        raise RootSystemError("smallest_subsystem needs a non-empty root set")
+    table = root_table(rs)
+    return frozenset(table.roots[i] for i in _closure_indices(rs, roots))
+
+
+def _integral(v) -> tuple[int, list[int]]:
+    """(d, d v) for the least d > 0 that makes the rational vector v integral."""
+    d = lcm(*(x.denominator for x in v))
+    return d, [int(x * d) for x in v]
 
 
 def is_parabolic(rs: RootSystem, roots, levels=None) -> bool:
@@ -281,6 +302,10 @@ def is_parabolic(rs: RootSystem, roots, levels=None) -> bool:
     is determined by its reflections, G = F exactly when these two root
     sets are equal. Hyperplanes without a common point generate an
     infinite group, which is not parabolic.
+
+    The scan over the roots runs on integers: with d p and the basis of U
+    made integral, (p | alpha) is an integer exactly when d divides
+    (d p | alpha).
     """
     roots = list(roots)
     if not roots:
@@ -290,13 +315,15 @@ def is_parabolic(rs: RootSystem, roots, levels=None) -> bool:
     if sub is None:
         return False
     point, basis = sub
+    d, p = _integral(point)
+    dirs = [_integral(u)[1] for u in basis]
     fixer = set()
-    for alpha in rs.roots:
+    for i, alpha in enumerate(rs.roots):
         row = bilinear_row(rs, alpha)
-        if (all(sum(map(mul, row, u)) == 0 for u in basis)
-                and sum(map(mul, row, point)).denominator == 1):
-            fixer.add(alpha)
-    return fixer == smallest_subsystem(rs, roots)
+        if (all(sum(map(mul, row, u)) == 0 for u in dirs)
+                and sum(map(mul, row, p)) % d == 0):
+            fixer.add(i)
+    return fixer == _closure_indices(rs, roots)
 
 
 def is_quasi_coxeter_fin(rs: RootSystem, w: FiniteWeylElement) -> bool:

@@ -22,7 +22,8 @@ from affhur.rootsys import (Root, bilinear_row, build_root_system, coroot,
                             parse_type)
 from affhur.verify import suite_main_theorem
 from affhur.weyl_aff import (AffineReflection, aff_identity, as_element,
-                             product_of_reflections, simple_system_affine)
+                             product_of_reflections, recognize_reflection,
+                             simple_system_affine)
 from affhur.weyl_fin import (all_elements, identity_element, is_parabolic,
                              reflection_element)
 
@@ -279,10 +280,44 @@ def test_connect_reduced_round_trip(a2):
     w = product_of_reflections(a2, t1)
     e1 = ReflectionTuple(tuple(as_element(a2, r) for r in t1))
     moved = apply_braid(e1, BraidWord((1, 2, -1, 2, 2)))
-    from affhur.weyl_aff import recognize_reflection
     t2 = tuple(recognize_reflection(a2, e) for e in moved.entries)
     word = connect_reduced(a2, w, t1, t2)
     assert apply_braid(e1, word) == moved
+
+
+def test_connect_reduced_depth_limit_cuts_the_alignment():
+    # the finite alignment of this A3 pair takes 5 letters: a depth limit
+    # of 5 finds the default word, and 4 cuts the search
+    a3 = build_root_system("A", 3)
+    t1 = simple_system_affine(a3)
+    w = product_of_reflections(a3, t1)
+    e1 = ReflectionTuple(tuple(as_element(a3, r) for r in t1))
+    moved = apply_braid(e1, BraidWord((3, -2, 3, -3, -3, -3)))
+    t2 = tuple(recognize_reflection(a3, e) for e in moved.entries)
+    word = connect_reduced(a3, w, t1, t2)
+    assert apply_braid(e1, word) == moved
+    assert connect_reduced(a3, w, t1, t2, depth_limit=5) == word
+    with pytest.raises(PipelineExhausted) as exc:
+        connect_reduced(a3, w, t1, t2, depth_limit=4)
+    assert exc.value.stage == "finite-alignment"
+
+
+def test_connect_reduced_default_needs_no_depth_guess():
+    # a sampled pair of `verify main-theorem --group D5` whose finite
+    # alignment is longer than 16 letters
+    d5 = build_root_system("D", 5)
+    w = product_of_reflections(d5, simple_system_affine(d5))
+    t1 = (ref((1, 1, 1, 1, 0), 1), ref((0, 1, 2, 1, 1)), ref((0, 1, 1, 0, 1)),
+          ref((1, 1, 1, 0, 1), 1), ref((0, 0, 1, 0, 0)), ref((0, 1, 1, 0, 0), 1))
+    t2 = (ref((0, 0, 1, 0, 1), -1), ref((0, 0, 1, 1, 0), -1),
+          ref((1, 1, 1, 1, 1)), ref((0, 1, 0, 0, 0), 2), ref((1, 1, 2, 1, 1)),
+          ref((1, 0, 0, 0, 0), 1))
+    e1 = ReflectionTuple(tuple(as_element(d5, r) for r in t1))
+    e2 = ReflectionTuple(tuple(as_element(d5, r) for r in t2))
+    assert apply_braid(e1, connect_reduced(d5, w, t1, t2)) == e2
+    with pytest.raises(PipelineExhausted) as exc:
+        connect_reduced(d5, w, t1, t2, depth_limit=16)
+    assert exc.value.stage == "finite-alignment"
 
 
 def test_connect_reduced_rejects_mismatch(a2):

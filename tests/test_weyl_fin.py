@@ -2,16 +2,19 @@ import itertools
 import math
 import random
 from collections import deque
+from operator import mul
 
 import pytest
 
 from affhur.hurwitz import ReflectionTuple, orbit
+from affhur.intlattice import coroot_span, full_lattice, lattice_equal, root_span
 from affhur.linalg import identity_mat, mat_mul, mat_vec
-from affhur.rootsys import (Root, RootSystemError, build_root_system, coroot,
-                            reflect)
-from affhur.weyl_fin import (FiniteWeylElement, absolute_length, all_elements,
-                             fac_set, generates_w0, identity_element,
-                             is_parabolic, is_parabolic_quasi_coxeter_fin,
+from affhur.rootsys import (Root, RootSystemError, bilinear_row,
+                            build_root_system, coroot, reflect)
+from affhur.weyl_fin import (FiniteWeylElement, RootTable, absolute_length,
+                             all_elements, fac_set, fixed_affine_subspace,
+                             generates_w0, identity_element, is_parabolic,
+                             is_parabolic_quasi_coxeter_fin,
                              is_quasi_coxeter_fin, reduced_factorizations,
                              reflection_element, reflections,
                              root_of_reflection, root_table,
@@ -249,15 +252,25 @@ def test_smallest_subsystem_matches_pairwise_closure(family, rank):
         assert smallest_subsystem(rs, roots) == pairwise_closure(rs, roots)
 
 
+def spans_both_lattices(rs, roots):
+    """The lattice criterion for generating W: the roots span the root
+    lattice and their coroots span the coroot lattice."""
+    full = full_lattice(rs.rank)
+    return (lattice_equal(root_span(rs, roots), full)
+            and lattice_equal(coroot_span(rs, roots), full))
+
+
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4), ("F", 4),
                                          ("E", 6)])
 def test_generates_w0_iff_closure_is_everything(family, rank):
+    """`generates_w0` asks whether the root closure is everything; the
+    lattice criterion decides generation independently of the closure."""
     rs = build_root_system(family, rank)
     seen = set()
     for roots in random_root_tuples(rs, 40, (rank, rank + 1), 1706):
-        whole = smallest_subsystem(rs, roots) == rs.root_set
-        assert generates_w0(rs, roots) == whole
-        seen.add(whole)
+        generates = spans_both_lattices(rs, roots)
+        assert generates_w0(rs, roots) == generates
+        seen.add(generates)
     assert seen == {True, False}
 
 
@@ -272,6 +285,38 @@ def test_is_parabolic():
     longs = [r for r in rsb.positive_roots if rsb.is_long(r)]
     assert not is_parabolic(rsb, longs)
     assert is_parabolic(rsb, [])
+
+
+def fraction_scan_is_parabolic(rs, roots, levels):
+    """Reference for `is_parabolic`: the fixer set scanned in `Fraction`s.
+
+    A root fixes p + U when its row of the bilinear form vanishes on U
+    and pairs with p to an integer.
+    """
+    sub = fixed_affine_subspace(rs, roots, levels)
+    if sub is None:
+        return False
+    point, basis = sub
+    fixer = set()
+    for alpha in rs.roots:
+        row = bilinear_row(rs, alpha)
+        if (all(sum(map(mul, row, u)) == 0 for u in basis)
+                and sum(map(mul, row, point)).denominator == 1):
+            fixer.add(alpha)
+    return fixer == smallest_subsystem(rs, roots)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_is_parabolic_matches_fraction_scan(name):
+    rs = build_root_system(name[0], int(name[1]))
+    verdicts = set()
+    for m in (1, 2, 3):
+        for roots in itertools.combinations(rs.positive_roots, m):
+            for levels in itertools.product((-1, 0, 1), repeat=m):
+                verdict = is_parabolic(rs, roots, levels)
+                assert verdict == fraction_scan_is_parabolic(rs, roots, levels)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_quasi_coxeter_fin():
@@ -380,6 +425,34 @@ def test_permutations_agree_with_matrix_oracle_sampled(family, rank, order):
     pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(300)]
     check_against_matrices(pairs)
     check_actions(rs, rng.sample(elements, 40))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("C", 2), ("G", 2), ("B", 3)])
+def test_coroot_action_memo(family, rank):
+    rs = build_root_system(family, rank)
+    table = RootTable(rs)
+    elements = [FiniteWeylElement(w.perm, table) for w in all_elements(rs)]
+    probes = [coroot(rs, r) for r in rs.roots] + [tuple(range(1, rank + 1))]
+    for u in elements:
+        assert u.perm not in table.coactions
+        for _ in range(2):
+            for v in probes:
+                assert u.act_coroot(v) == mat_vec(comatrix(u), v)
+        assert len(table.coactions) <= len(elements)
+    assert table.coactions.keys() == {u.perm for u in elements}
+
+
+def test_coroot_action_memo_keeps_b2_and_c2_apart():
+    b2, c2 = build_root_system("B", 2), build_root_system("C", 2)
+    tables = (RootTable(b2), RootTable(c2))
+    differ = 0
+    for w in all_elements(b2):
+        # the same permutation read in either table, asked alternately
+        u, twin = (FiniteWeylElement(w.perm, t) for t in tables)
+        for x in (u, twin, u, twin):
+            assert x.act_coroot((1, 2)) == mat_vec(comatrix(x), (1, 2))
+        differ += comatrix(u) != comatrix(twin)
+    assert differ
 
 
 def test_equal_permutations_of_different_systems_differ():
