@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .linalg import Mat, hnf, hnf_contains, hnf_reduce, smith_normal_form
-from .rootsys import RootSystem, coroot
+from .linalg import Mat, hnf, hnf_contains, hnf_reduce
+from .rootsys import RootSystem
 
 INFINITE = math.inf
 
@@ -83,17 +83,7 @@ def index(sub: IntegerLattice, sup: IntegerLattice):
 
 
 def connection_index(rs: RootSystem) -> int:
-    """|P(Phi)/L(Phi)| = |det(Cartan matrix)|, via Smith normal form."""
-    divisors, _, _ = smith_normal_form(rs.cartan)
-    prod = 1
-    for d in divisors:
-        prod *= d
-    return abs(prod)
-
-
-def root_span(rs: RootSystem, roots) -> IntegerLattice:
-    return span([r.coords for r in roots], rs.rank)
-
-
-def coroot_span(rs: RootSystem, roots) -> IntegerLattice:
-    return span([coroot(rs, r) for r in roots], rs.rank)
+    """|P(Phi)/L(Phi)| = |det(Cartan matrix)|: the index of the lattice
+    spanned by the rows of the Cartan matrix."""
+    n = rs.rank
+    return index(span(rs.cartan, n), full_lattice(n))

@@ -3,9 +3,10 @@
 Matrices are tuples of row tuples; everything is arbitrary-precision.
 `echelon_integer` is the one Gaussian elimination: a fraction-free reduced
 echelon form over the integers, from which rank and the rational solutions
-of `solve_rational` are read off. Lattices go through the Hermite normal
-form (`hnf`), integer systems through the Smith normal form
-(`solve_integer`). Rational answers are fractions.Fraction, never floats.
+of `solve_rational` are read off. The Hermite normal form (`hnf`) is the
+other: it answers every integer-lattice question, integral solvability
+(`solve_integer`) included. Rational answers are fractions.Fraction, never
+floats.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from operator import add, mul, neg
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
-
-
-def identity_mat(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -168,100 +165,12 @@ def hnf_reduce(basis: Mat, v) -> tuple:
     return tuple(w)
 
 
-def smith_normal_form(a: Mat):
-    """Diagonalize A as D = U A V with unimodular U, V.
+def solve_integer(rows, rhs) -> bool:
+    """Whether A x = b has an integral solution.
 
-    Returns (divisors, U, V) where divisors are the nonzero diagonal
-    entries of D. The divisibility chain is not enforced; callers here
-    only need the diagonal form (determinant products, integer solving).
+    A x runs over the integer combinations of the columns of A, so the
+    answer is whether b lies in the lattice they span: one HNF and one
+    membership test, decided exactly (no bound on x). The name stays
+    because `perfbench/tracing.py` times the function under it.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    m = [list(row) for row in a]
-    u = [list(r) for r in identity_mat(nrows)] if nrows else []
-    v = [list(r) for r in identity_mat(ncols)] if ncols else []
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(i, j, c):  # row_i += c * row_j
-        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):  # col_i += c * col_j
-        for r in m:
-            r[i] += c * r[j]
-        for r in v:
-            r[i] += c * r[j]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # find a pivot
-        piv = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if m[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, nrows):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    add_row(i, t, -q)
-                    if m[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, ncols):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    add_col(j, t, -q)
-                    if m[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    divisors = [m[i][i] for i in range(t)]
-    return divisors, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
-
-
-def solve_integer(rows, rhs):
-    """Solve A x = b over the integers.
-
-    Returns (particular solution, kernel basis) or None when no integral
-    solution exists. Solvability is decided exactly (no bound on x).
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    divisors, u, v = smith_normal_form(tuple(tuple(r) for r in rows))
-    c = mat_vec(u, rhs)
-    r = len(divisors)
-    y = [0] * ncols
-    for i in range(r):
-        if c[i] % divisors[i] != 0:
-            return None
-        y[i] = c[i] // divisors[i]
-    for i in range(r, nrows):
-        if c[i] != 0:
-            return None
-    x = mat_vec(v, y)
-    kernel = tuple(tuple(row[j] for row in v) for j in range(r, ncols))
-    return tuple(x), kernel
+    return hnf_contains(hnf(list(zip(*rows)), len(rhs)), rhs)

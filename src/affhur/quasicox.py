@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, connect_codes,
                       normalize_codes, reflection_codes)
-from .intlattice import (IntegerLattice, contains, full_lattice, lattice_equal,
+from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, coroot
@@ -169,7 +169,6 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
         return False
 
     lattice = span([], n)
-    basis: list = []
     while True:
         new_translation = None
         seen = {(identity_element(rs), (0,) * n)}
@@ -193,11 +192,8 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
         if new_translation is None:
             # closure terminated: all pure translations lie in the lattice
             return lattice_equal(lattice, full_lattice(n))
-        for w in proj:
-            v = w.act_coroot(new_translation)
-            if not contains(span(basis, n), v):
-                basis.append(v)
-        lattice = span(basis, n)
+        lattice = span(lattice.basis + tuple(w.act_coroot(new_translation)
+                                             for w in proj), n)
 
 
 def _levels_in_window(cols, rhs, bound: int):
@@ -263,7 +259,7 @@ def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
     if m == 0:
         return w.is_identity()
     rhs = w.finite.act_coroot(w.translation)
-    return any(solve_integer(tuple(zip(*cols)), rhs) is not None
+    return any(solve_integer(tuple(zip(*cols)), rhs)
                for _, cols in root_sequences(rs, w.finite, m))
 
 
@@ -413,6 +409,8 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
 
 
 def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord:
+    if code1 == code2:
+        return BraidWord()
     codes = reflection_codes(rs, True)
 
     def normalize(code):

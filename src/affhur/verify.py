@@ -22,8 +22,9 @@ from .quasicox import (FactorizationQuery, PipelineExhausted,
 from .rootsys import Root, build_root_system, parse_type
 from .weyl_aff import (AffineReflection, as_element, coweight_conjugate,
                        product_of_reflections, simple_system_affine,
-                       translation_element, translation_part_of_product)
-from .weyl_fin import generates_w0, reflection_element
+                       translation_element)
+from .weyl_fin import (all_elements, generates_w0, reflection_element,
+                       root_sequences)
 
 SUITES = ("lemmas", "example-a2", "generation", "main-theorem")
 DEFAULT_SEED = 20230
@@ -87,17 +88,24 @@ def _check_conjugation(rs, level: int) -> str:
 
 
 def _check_product_form(rs, level: int) -> str:
-    refl = [AffineReflection(r, k) for r in rs.positive_roots
-            for k in range(-level, level + 1)]
+    # the enumeration solves sum_i k_i cols[i] = target(t) for the levels of
+    # a root sequence of `root_sequences`; each triple of reflections has odd
+    # l_T <= 3, so it is yielded once, under the finite part of its product
+    window = range(-level, level + 1)
     count = 0
-    for seq in itertools.product(refl, repeat=3):
-        # translation_part_of_product is the closed form alone; its one
-        # comparison with product_of_reflections is made here
-        fin, tr = translation_part_of_product(rs, seq)
-        prod = product_of_reflections(rs, seq)
-        _require((fin, tr) == (prod.finite, prod.translation),
-                 f"closed form disagrees with the product for {seq}")
-        count += 1
+    for target in all_elements(rs):
+        for roots, cols in root_sequences(rs, target, 3):
+            for ks in itertools.product(window, repeat=3):
+                seq = tuple(map(AffineReflection, roots, ks))
+                prod = product_of_reflections(rs, seq)
+                expected = tuple(sum(k * c[j] for k, c in zip(ks, cols))
+                                 for j in range(rs.rank))
+                _require(prod.finite == target
+                         and target.act_coroot(prod.translation) == expected,
+                         f"closed form disagrees with the product for {seq}")
+                count += 1
+    triples = (len(rs.positive_roots) * len(window)) ** 3
+    _require(count == triples, f"{count} of {triples} reflection triples seen")
     return f"{count} product normal forms"
 
 

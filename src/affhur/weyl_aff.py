@@ -96,26 +96,6 @@ def recognize_reflection(rs: RootSystem, x: AffineWeylElement) -> AffineReflecti
     return AffineReflection(alpha, k)
 
 
-def translation_part_of_product(rs: RootSystem, refs):
-    """Normal form (finite product, translation) of a reflection product.
-
-    Uses the closed form sum_i -k_i s_{b_m}...s_{b_{i+1}}(b_i)-coroot only;
-    the comparison with iterated multiplication (product_of_reflections)
-    is made by the caller.
-    """
-    refs = list(refs)
-    if not refs:
-        raise RootSystemError("empty reflection sequence")
-    translation = (0,) * rs.rank
-    suffix = identity_element(rs)  # s_{b_m} ... s_{b_{i+1}}, built from the right
-    for r in reversed(refs):
-        term = suffix.act_coroot(coroot(rs, r.root))
-        translation = vec_add(translation, tuple(-r.level * x for x in term))
-        suffix = suffix * reflection_element(rs, r.root)
-    # reflections are involutions: (s_{b_m} ... s_{b_1})^-1 = s_{b_1} ... s_{b_m}
-    return suffix.inverse(), translation
-
-
 def product_of_reflections(rs: RootSystem, refs) -> AffineWeylElement:
     out = aff_identity(rs)
     for r in refs:

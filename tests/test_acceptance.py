@@ -9,8 +9,8 @@ import itertools
 import time
 
 from affhur.hurwitz import ReflectionTuple, orbit
-from affhur.intlattice import (connection_index, contains, coroot_span,
-                               full_lattice, lattice_equal, root_span, span)
+from affhur.intlattice import (connection_index, contains, full_lattice,
+                               lattice_equal, span)
 from affhur.rootsys import build_root_system, coroot
 from affhur.verify import (suite_example_a2, suite_generation, suite_lemmas,
                            suite_main_theorem)
@@ -142,6 +142,14 @@ def test_criterion_6_lattice_lemmas():
     for (family, rank), expected in indices.items():
         assert connection_index(build_root_system(family, rank)) == expected
     _finish(6, "sublattice lemmas and connection indices", t0, 10.0)
+
+
+def root_span(rs, roots):
+    return span([r.coords for r in roots], rs.rank)
+
+
+def coroot_span(rs, roots):
+    return span([coroot(rs, r) for r in roots], rs.rank)
 
 
 def test_criterion_7_subsystem_lattice_equivalence():

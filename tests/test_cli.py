@@ -131,6 +131,13 @@ def test_connect_affine_reduced(runner):
     assert json.loads(res.output)["braid_word"] is not None
 
 
+def test_connect_affine_equal_tuples(runner):
+    res = run(runner, "connect", "affine:A2",
+              "1,0:0;0,1:0;1,1:1", "1,0:0;0,1:0;1,1:1", "--format", "json")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["braid_word"] == []
+
+
 def test_connect_product_mismatch(runner):
     res = run(runner, "connect", "A2", "1,0;0,1", "0,1;0,1")
     assert res.exit_code == 2

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affhur.intlattice import (INFINITE, connection_index, contains,
-                               coroot_span, full_lattice, index,
-                               is_sublattice, lattice_equal, reduce_mod,
-                               root_span, span)
-from affhur.rootsys import build_root_system
+                               full_lattice, index, is_sublattice,
+                               lattice_equal, reduce_mod, span)
+from affhur.rootsys import build_root_system, coroot
 
 
 def test_span_canonical_example():
@@ -75,7 +74,9 @@ def test_index_is_the_coefficient_determinant(data):
 
 def test_connection_indices():
     expected = {("A", 1): 2, ("A", 2): 3, ("B", 2): 2, ("G", 2): 1,
-                ("F", 4): 1, ("D", 4): 4, ("E", 6): 3, ("C", 3): 2}
+                ("F", 4): 1, ("D", 4): 4, ("E", 6): 3, ("C", 3): 2,
+                ("A", 5): 6, ("B", 4): 2, ("C", 4): 2, ("D", 5): 4,
+                ("E", 7): 2, ("E", 8): 1}
     for (family, rank), idx in expected.items():
         assert connection_index(build_root_system(family, rank)) == idx
 
@@ -83,9 +84,13 @@ def test_connection_indices():
 def test_root_and_coroot_span():
     rs = build_root_system("B", 2)
     full = full_lattice(2)
+
+    def root_span(roots):
+        return span([r.coords for r in roots], rs.rank)
+
     simples = list(rs.simple_roots)
-    assert lattice_equal(root_span(rs, simples), full)
-    assert lattice_equal(coroot_span(rs, simples), full)
+    assert lattice_equal(root_span(simples), full)
+    assert lattice_equal(span([coroot(rs, r) for r in simples], rs.rank), full)
     # the two long positive roots span index-2 sublattices
     longs = [r for r in rs.positive_roots if rs.is_long(r)]
-    assert index(root_span(rs, longs), full) == 2
+    assert index(root_span(longs), full) == 2

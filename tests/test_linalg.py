@@ -1,11 +1,11 @@
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affhur.linalg import (echelon_integer, hnf, hnf_contains, hnf_reduce,
-                           identity_mat, mat_mul, mat_vec, smith_normal_form,
-                           solve_integer, solve_rational)
+                           mat_mul, mat_vec, solve_integer, solve_rational)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -126,6 +126,96 @@ def test_solve_rational_with_nullspace():
     assert basis[0][0] + basis[0][1] == 0
 
 
+def identity_mat(n: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def smith_normal_form(a):
+    """Diagonalize A as D = U A V with unimodular U, V.
+
+    Returns (divisors, U, V) where divisors are the nonzero diagonal
+    entries of D. The divisibility chain is not enforced; the oracle below
+    only needs the diagonal form.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    m = [list(row) for row in a]
+    u = [list(r) for r in identity_mat(nrows)]
+    v = [list(r) for r in identity_mat(ncols)]
+
+    def swap_rows(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in m:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(i, j, c):  # row_i += c * row_j
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, c):  # col_i += c * col_j
+        for r in m:
+            r[i] += c * r[j]
+        for r in v:
+            r[i] += c * r[j]
+
+    t = 0
+    while t < min(nrows, ncols):
+        piv = next(((i, j) for i in range(t, nrows) for j in range(t, ncols)
+                    if m[i][j] != 0), None)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # clear row and column t; a non-zero remainder becomes the pivot
+            done = True
+            for i in range(t + 1, nrows):
+                if m[i][t]:
+                    add_row(i, t, -(m[i][t] // m[t][t]))
+                    if m[i][t]:
+                        swap_rows(t, i)
+                        done = False
+            for j in range(t + 1, ncols):
+                if m[t][j]:
+                    add_col(j, t, -(m[t][j] // m[t][t]))
+                    if m[t][j]:
+                        swap_cols(t, j)
+                        done = False
+            if done:
+                break
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    divisors = [m[i][i] for i in range(t)]
+    return divisors, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
+
+
+def solve_integer_reference(rows, rhs):
+    """Solve A x = b over the integers through the Smith normal form: the
+    oracle for solve_integer, which shares no code with it.
+
+    Returns (particular solution, kernel basis) or None when no integral
+    solution exists.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    divisors, u, v = smith_normal_form(tuple(tuple(r) for r in rows))
+    c = [sum(map(mul, row, rhs)) for row in u]
+    r = len(divisors)
+    if any(c[i] % divisors[i] for i in range(r)) or any(c[r:]):
+        return None
+    y = [c[i] // divisors[i] for i in range(r)] + [0] * (ncols - r)
+    x = tuple(sum(map(mul, row, y)) for row in v)
+    kernel = tuple(tuple(row[j] for row in v) for j in range(r, ncols))
+    return x, kernel
+
+
 def test_smith_normal_form_diagonalizes():
     a = ((2, 4, 4), (-6, 6, 12), (10, 4, 16))
     divisors, u, v = smith_normal_form(a)
@@ -142,15 +232,14 @@ def test_smith_normal_form_diagonalizes():
 
 
 def test_solve_integer():
-    sol = solve_integer([(2, 0), (0, 3)], (4, 9))
-    assert sol is not None
-    x, kernel = sol
-    assert x == (2, 3) and kernel == ()
-    assert solve_integer([(2,)], (3,)) is None
+    assert solve_integer([(2, 0), (0, 3)], (4, 9))
+    assert not solve_integer([(2,)], (3,))
+    assert solve_integer_reference([(2, 0), (0, 3)], (4, 9)) == ((2, 3), ())
+    assert solve_integer_reference([(2,)], (3,)) is None
 
 
 def test_solve_integer_kernel():
-    sol = solve_integer([(1, 1)], (3,))
+    sol = solve_integer_reference([(1, 1)], (3,))
     assert sol is not None
     x, kernel = sol
     assert x[0] + x[1] == 3
@@ -160,16 +249,49 @@ def test_solve_integer_kernel():
 @settings(max_examples=60, deadline=None)
 @given(square(2), st.tuples(small_int, small_int))
 def test_solve_integer_verified(m, rhs):
-    sol = solve_integer(m, rhs)
+    sol = solve_integer_reference(m, rhs)
+    assert solve_integer(m, rhs) == (sol is not None)
     if sol is not None:
-        x, _ = sol
+        x, kernel = sol
         assert mat_vec(m, x) == rhs
+        assert all(not any(mat_vec(m, k)) for k in kernel)
     else:
         # over the rationals there must also be no *integral* solution;
         # check by brute force in a small box
-        box = range(-40, 41)
-        assert not any(mat_vec(m, (a, b)) == rhs for a in box for b in box
-                       if abs(a) <= 8 and abs(b) <= 8)
+        box = range(-8, 9)
+        assert not any(mat_vec(m, (a, b)) == rhs for a in box for b in box)
+
+
+@st.composite
+def integer_systems(draw):
+    """A = B C with B of shape rows x r and C of shape r x cols, so rank A
+    is at most r: r = 0 gives the zero matrix, r < min(rows, cols) a
+    rank-deficient one. The right-hand side is zero, A x for an integral
+    x, or arbitrary."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    b, c = draw(matrix(nrows, r)), draw(matrix(r, ncols))
+    rows = [tuple(sum(b[i][k] * c[k][j] for k in range(r)) for j in range(ncols))
+            for i in range(nrows)]
+    kind = draw(st.sampled_from(["zero", "image", "any"]))
+    if kind == "zero":
+        rhs = (0,) * nrows
+    elif kind == "image":
+        rhs = mat_vec(rows, draw(st.lists(small_int, min_size=ncols,
+                                          max_size=ncols)))
+    else:
+        rhs = tuple(draw(st.lists(small_int, min_size=nrows, max_size=nrows)))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_systems())
+def test_solve_integer_matches_reference(system):
+    rows, rhs = system
+    sol = solve_integer_reference(rows, rhs)
+    assert solve_integer(rows, rhs) == (sol is not None)
+    if sol is not None:
+        assert mat_vec(rows, sol[0]) == rhs
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid,
                             reflection_codes)
 from affhur.intlattice import full_lattice, lattice_equal
-from affhur.linalg import solve_integer, solve_rational, vec_add
+from affhur.linalg import solve_rational, vec_add
 from affhur import quasicox
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
                              _has_factorization, _moves_in_window,
@@ -21,11 +21,13 @@ from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
 from affhur.rootsys import (Root, bilinear_row, build_root_system, coroot,
                             parse_type)
 from affhur.verify import suite_main_theorem
-from affhur.weyl_aff import (AffineReflection, aff_identity, as_element,
+from affhur.weyl_aff import (AffineReflection, AffineWeylElement,
+                             aff_identity, as_element,
                              product_of_reflections, recognize_reflection,
                              simple_system_affine)
 from affhur.weyl_fin import (all_elements, identity_element, is_parabolic,
                              reflection_element)
+from test_linalg import solve_integer_reference
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +179,7 @@ def _brute_force_factorizations(rs, target, m, bound):
             continue
         vs = _oracle_coroots(rs, seq)
         rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
-        if solve_integer(rows, target.translation) is None:
+        if solve_integer_reference(rows, target.translation) is None:
             continue
         solvable = True
         for ks in itertools.product(range(-bound, bound + 1), repeat=m):
@@ -209,6 +211,16 @@ def test_enumeration_matches_brute_force(data):
     assert enumerate_factorizations(
         rs, FactorizationQuery(target, m, bound)) == facs
     assert _has_factorization(rs, target, m) == solvable
+
+
+def test_brute_force_sees_an_insolvable_level_system():
+    # s_b s_b is the identity for every root b, so length-2 root sequences
+    # exist, but a translation off every coroot line has no length-2
+    # factorization: the oracle must reject each level system
+    b2 = parse_type("B2")
+    target = AffineWeylElement(identity_element(b2), (1, 3))
+    assert _brute_force_factorizations(b2, target, 2, 2) == ([], False)
+    assert not _has_factorization(b2, target, 2)
 
 
 def test_main_theorem_rank_four():
@@ -339,9 +351,20 @@ def test_connect_reduced_raises_when_a_stage_is_exhausted(a2, monkeypatch):
     monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
     t1 = simple_system_affine(a2)
     w = product_of_reflections(a2, t1)
+    e1 = ReflectionTuple(tuple(as_element(a2, r) for r in t1))
+    t2 = tuple(recognize_reflection(a2, e)
+               for e in apply_braid(e1, BraidWord((1,))).entries)
     with pytest.raises(PipelineExhausted) as exc:
-        connect_reduced(a2, w, t1, t1)
+        connect_reduced(a2, w, t1, t2)
     assert exc.value.stage == "normalize"
+
+
+@pytest.mark.parametrize("name", ["A2", "B3"])
+def test_connect_reduced_equal_tuples_give_the_empty_word(name):
+    # no search runs, so not even word . word^-1 comes back
+    rs = parse_type(name)
+    t = simple_system_affine(rs)
+    assert connect_reduced(rs, product_of_reflections(rs, t), t, t) == BraidWord()
 
 
 def test_generates_affine_keeps_its_own_error_when_normalization_fails(

@@ -3,14 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from affhur.rootsys import Root, RootSystemError, build_root_system
+from affhur.rootsys import Root, RootSystemError, build_root_system, coroot
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
                              affine_reflection, as_element, coweight_conjugate,
                              is_coweight, product_of_reflections,
                              recognize_reflection, simple_system_affine,
-                             translation_element, translation_part_of_product)
+                             translation_element)
 from affhur.weyl_fin import (fixed_affine_subspace, identity_element,
-                             reflection_element)
+                             reflection_element, root_sequences)
 
 
 @pytest.fixture(scope="module")
@@ -73,13 +73,22 @@ def test_projection_is_homomorphism(a2):
 
 
 def test_translation_part_closed_form(b2):
+    # the level system the enumeration solves: s_{b_i,k_i} multiply to
+    # (w, t) exactly when sum_i k_i cols[i] = w(t), where cols[i] is the
+    # coroot of s_{b_1} ... s_{b_{i-1}}(b_i)
     refl = all_reflections(b2, 1)
     for seq in itertools.product(refl[:6], repeat=3):
-        fin, tr = translation_part_of_product(b2, seq)
         prod = product_of_reflections(b2, seq)
-        assert (fin, tr) == (prod.finite, prod.translation)
-    with pytest.raises(RootSystemError):
-        translation_part_of_product(b2, [])
+        roots = tuple(r.root for r in seq)
+        cols = dict(root_sequences(b2, prod.finite, 3))[roots]
+        prefix = identity_element(b2)
+        for r, col in zip(roots, cols):
+            assert col == prefix.act_coroot(coroot(b2, r))
+            prefix = prefix * reflection_element(b2, r)
+        assert prefix == prod.finite
+        expected = tuple(sum(r.level * c[j] for r, c in zip(seq, cols))
+                         for j in range(b2.rank))
+        assert prod.finite.act_coroot(prod.translation) == expected
 
 
 def test_is_coweight(b2):

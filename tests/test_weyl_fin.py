@@ -7,8 +7,8 @@ from operator import mul
 import pytest
 
 from affhur.hurwitz import ReflectionTuple, orbit
-from affhur.intlattice import coroot_span, full_lattice, lattice_equal, root_span
-from affhur.linalg import identity_mat, mat_mul, mat_vec
+from affhur.intlattice import full_lattice, lattice_equal, span
+from affhur.linalg import mat_mul, mat_vec
 from affhur.rootsys import (Root, RootSystemError, bilinear_row,
                             build_root_system, coroot, reflect)
 from affhur.weyl_fin import (FiniteWeylElement, RootTable, absolute_length,
@@ -256,8 +256,9 @@ def spans_both_lattices(rs, roots):
     """The lattice criterion for generating W: the roots span the root
     lattice and their coroots span the coroot lattice."""
     full = full_lattice(rs.rank)
-    return (lattice_equal(root_span(rs, roots), full)
-            and lattice_equal(coroot_span(rs, roots), full))
+    return (lattice_equal(span([r.coords for r in roots], rs.rank), full)
+            and lattice_equal(span([coroot(rs, r) for r in roots], rs.rank),
+                              full))
 
 
 @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4), ("F", 4),
@@ -390,6 +391,10 @@ def check_against_matrices(pairs):
         uv = u * v
         assert uv.matrix == mat_mul(u.matrix, v.matrix)
         assert comatrix(uv) == mat_mul(comatrix(u), comatrix(v))
+
+
+def identity_mat(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def check_actions(rs, elements):
