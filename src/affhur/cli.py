@@ -86,7 +86,20 @@ def _parse_refs_or_exit(rs, refs, affine):
         _usage_error(str(exc))
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a usage error click finds while parsing a
+    command's arguments (a missing argument, a non-integer option value,
+    an unknown command) is one `error:` line with exit code 2, like the
+    commands' own checks."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _usage_error(exc.format_message())
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="affhur")
 def main():
     """Exact reflection-factorization computations in finite and affine

@@ -10,9 +10,10 @@ proof.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, itemgetter, sub
 
 from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, connect_codes,
                       normalize_codes, reflection_codes)
@@ -20,10 +21,11 @@ from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, coroot
-from .weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
-                       as_element, product_of_reflections)
+from .weyl_aff import (AffineReflection, AffineWeylElement, as_element,
+                       product_of_reflections)
 from .weyl_fin import (absolute_length, all_elements, generates_w0,
-                       identity_element, is_parabolic, root_sequences)
+                       is_parabolic, reflection_element, root_sequences,
+                       root_table)
 
 
 class PipelineExhausted(RuntimeError):
@@ -62,14 +64,22 @@ class FactorizationQuery:
             raise ValueError("length and level bound must be non-negative")
 
 
+@lru_cache(maxsize=None)
+def _roots_by_length(rs: RootSystem) -> dict:
+    """The roots of each squared length, in root order; built on first use."""
+    out: dict = {}
+    for r in rs.roots:
+        out.setdefault(rs.norm_sq(r), []).append(r)
+    return {norm: tuple(roots) for norm, roots in out.items()}
+
+
 def _root_orbit(rs: RootSystem, root: Root) -> list[Root]:
     """Orbit of a root under the finite group, in root order.
 
     The Weyl group of an irreducible root system acts transitively on the
     roots of each length, so the orbit is every root of the same length.
     """
-    norm = rs.norm_sq(root)
-    return [r for r in rs.roots if rs.norm_sq(r) == norm]
+    return list(_roots_by_length(rs)[rs.norm_sq(root)])
 
 
 def generates_affine(rs: RootSystem, refs) -> GenerationResult:
@@ -137,63 +147,57 @@ def _normalize_tail(rs: RootSystem, code: tuple, node_limit: int = 10 ** 6):
 
 
 def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
-    """Capped multiplication-closure oracle for affine generation.
+    """Multiplication-closure oracle for affine generation.
 
-    Works purely by group multiplication, independent of the lattice
-    criterion. The finite projection is closed first (exact); then words
-    in the generators are explored with states (finite part, translation
-    modulo the partial translation lattice). Each newly found pure
-    translation enlarges the lattice by its orbit under the projected
-    subgroup (which keeps state merging sound) and restarts the search.
-    When the closure terminates the verdict is exact; hitting the node cap
-    yields False (a capped verdict, not a disproof in general, though for
-    full-rank translation lattices the search always terminates).
+    Works by group multiplication and the HNF alone, independent of the
+    lattice criterion of `generates_affine`. H, the subgroup the
+    reflections generate, is W_aff exactly when its projection p(H) is W0
+    and its translations H ∩ T are the whole coroot lattice. One
+    breadth-first search over p(H) decides both. It keeps one coset
+    representative TR(c) w per finite element w reached, keyed by the root
+    permutation of w, with c a plain integer tuple in coroot coordinates.
+    Since s_{alpha,k} = TR(k alpha-coroot) s_alpha, right-multiplying
+    TR(c) w by it gives TR(c + k w(alpha)-coroot) w s_alpha. When w s_alpha
+    already has a representative TR(b) w s_alpha, the edge gives the
+    translation TR(c') (TR(b) w s_alpha)^-1 = TR(c' - b), a Schreier
+    generator. By Schreier's lemma these generate H ∩ T; their span is
+    kept as an HNF basis and enlarged only by a non-zero residue. The
+    search returns True as soon as p(H) = W0 and the span is full, and
+    False when it ends without both.
+
+    `node_limit` bounds the number of representatives, |p(H)|; past it the
+    answer is False. The verdict is exact whenever |W0| <= `node_limit`.
     """
-    gens = [as_element(rs, r) for r in refs]
+    table = root_table(rs)
     n = rs.rank
-
-    # exact projection check: p(<refs>) is the closure of the projections
-    proj = set()
-    frontier = [identity_element(rs)]
-    proj.add(frontier[0])
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                x = w * g.finite
-                if x not in proj:
-                    proj.add(x)
-                    nxt.append(x)
-        frontier = nxt
-    if len(proj) != len(all_elements(rs)):
-        return False
-
+    order = len(all_elements(rs))
+    full = full_lattice(n)
+    gens = [(itemgetter(*reflection_element(rs, r.root).perm),
+             table.index[r.root], r.level) for r in refs]
+    reps = {table.identity: (0,) * n}
+    queue = [table.identity]
     lattice = span([], n)
-    while True:
-        new_translation = None
-        seen = {(identity_element(rs), (0,) * n)}
-        queue = deque([aff_identity(rs)])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = x * g
-                t = reduce_mod(lattice, y.translation)
-                if y.finite.is_identity() and any(t):
-                    new_translation = t
-                    break
-                key = (y.finite, t)
-                if key not in seen:
-                    if len(seen) >= node_limit:
-                        return False
-                    seen.add(key)
-                    queue.append(AffineWeylElement(y.finite, t))
-            if new_translation is not None:
-                break
-        if new_translation is None:
-            # closure terminated: all pure translations lie in the lattice
-            return lattice_equal(lattice, full_lattice(n))
-        lattice = span(lattice.basis + tuple(w.act_coroot(new_translation)
-                                             for w in proj), n)
+    for w in queue:
+        c = reps[w]
+        for times_s, i, k in gens:
+            x = times_s(w)
+            y = tuple(map(add, c, [k * v for v in table.coroots[w[i]]])) if k else c
+            b = reps.get(x)
+            if b is None:
+                if len(reps) >= node_limit:
+                    return False
+                reps[x] = y
+                queue.append(x)
+            elif y == b:
+                continue
+            else:
+                r = reduce_mod(lattice, tuple(map(sub, y, b)))
+                if not any(r):
+                    continue
+                lattice = span(lattice.basis + (r,), n)
+            if len(reps) == order and lattice_equal(lattice, full):
+                return True
+    return False
 
 
 def _levels_in_window(cols, rhs, bound: int):

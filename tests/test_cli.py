@@ -5,6 +5,8 @@ import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affhur
 from affhur import hurwitz, quasicox, verify
@@ -281,3 +283,92 @@ def test_verify_fails_under_python_O():
     assert "[example-a2] FAIL a2-absolute-length" in res.stdout
     assert "absolute length 3 != 4" in res.stdout
     assert "FAILURES present" in res.stdout
+
+
+# ------------------------------------------------- property: bad input
+
+A2_POSITIVE = ("1,0", "0,1", "1,1")
+
+
+def _is_int(s):
+    try:
+        int(s)
+    except ValueError:
+        return False
+    return True
+
+
+_not_int = st.text(alphabet=" 0123456789,:;.+-_xe", max_size=6).filter(
+    lambda s: not _is_int(s))
+_root_coords = st.lists(st.integers(-3, 3), max_size=4).map(
+    lambda cs: ",".join(map(str, cs)))
+# every literal here fails to parse as a reflection of A2: wrong number of
+# coordinates, not a root, not integers, or a level that is not an integer
+_bad_literal = st.one_of(
+    _root_coords.filter(lambda s: s.count(",") != 1),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    .filter(lambda c: c not in {(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)})
+    .map(lambda c: f"{c[0]},{c[1]}"),
+    st.tuples(st.sampled_from(A2_POSITIVE), _not_int).map(":".join),
+    _not_int.filter(lambda s: "," not in s),
+)
+_good_literal = st.tuples(st.sampled_from(A2_POSITIVE), st.integers(-2, 2)).map(
+    lambda t: f"{t[0]}:{t[1]}")
+_negative = st.integers(max_value=-1).map(str)
+_bad_bound = st.one_of(_negative, _not_int)
+_env_text = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\x00"), max_size=6)
+# AFFHUR_NODE_LIMIT: not a non-negative integer, or too small for the
+# three tuples of the orbit and for a connecting word
+_bad_node_limit = st.one_of(_env_text.filter(lambda s: not _is_int(s)),
+                            _negative, st.integers(0, 2).map(str))
+
+
+@st.composite
+def bad_invocations(draw):
+    """(argv, AFFHUR_NODE_LIMIT or None), each with at least one defect."""
+    kind = draw(st.sampled_from(["literal", "tuple-length", "bound", "node-limit"]))
+    if kind == "literal":
+        command = draw(st.sampled_from(["length", "check-qc", "factorize",
+                                        "orbit", "fiber"]))
+        refs = draw(st.lists(_good_literal, max_size=3))
+        refs.insert(draw(st.integers(0, len(refs))), draw(_bad_literal))
+        bound = [] if command in ("length", "orbit") else ["-K", "1"]
+        return [command, "affine:A2", *refs, *bound], None
+    if kind == "tuple-length":
+        refs = draw(st.lists(_good_literal, min_size=1, max_size=5))
+        if len(refs) != 3 and draw(st.booleans()):
+            return ["fiber", "affine:A2", *refs, "-K", "1"], None
+        other = draw(st.lists(_good_literal, min_size=1, max_size=5)
+                     .filter(lambda r: len(r) != len(refs)))
+        return ["connect", "affine:A2", ";".join(refs), ";".join(other)], None
+    if kind == "bound":
+        value = draw(_bad_bound)
+        argv = draw(st.sampled_from([
+            ["check-qc", "affine:A2", "1,0:0", "0,1:0", "1,1:1", "-K"],
+            ["factorize", "affine:A2", "1,0:0", "1,1:1", "-K"],
+            ["fiber", "affine:A2", "1,0:0", "1,1:1", "1,1:0", "-K"],
+            ["orbit", "A2", "1,0", "0,1", "--depth"],
+            ["connect", "A2", "1,0;0,1", "1,1;1,0", "--depth"],
+        ]))
+        return [*argv, value], None
+    argv = draw(st.sampled_from([["orbit", "A2", "1,0", "0,1"],
+                                 ["connect", "A2", "1,0;0,1", "1,1;1,0"]]))
+    return argv, draw(_bad_node_limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bad_invocations(), st.sampled_from(["text", "json"]))
+def test_bad_input_never_crashes(invocation, fmt):
+    # levels stay within -K 1, so no enumeration runs long
+    argv, node_limit = invocation
+    env = {"AFFHUR_NODE_LIMIT": node_limit}
+    res = CliRunner().invoke(main, [*argv, "--format", fmt], env=env)
+    assert res.exit_code in (2, 3), (argv, node_limit, res.output)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    lines = res.stderr.splitlines()
+    if res.exit_code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert not lines

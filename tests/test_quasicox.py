@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 from operator import mul
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid,
                             reflection_codes)
-from affhur.intlattice import full_lattice, lattice_equal
+from affhur.intlattice import (full_lattice, index, lattice_equal, reduce_mod,
+                               span)
 from affhur.linalg import solve_rational, vec_add
 from affhur import quasicox
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
@@ -97,6 +99,109 @@ def test_closure_oracle_matches(a2):
     ]
     for refs in samples:
         assert closure_generates(a2, refs) == generates_affine(a2, refs).generates
+
+
+def closure_generates_reference(rs, refs, node_limit=50000):
+    """Reference closure oracle: a restart search on affine elements.
+
+    Multiplies with `AffineWeylElement.__mul__`, so it also checks the
+    semidirect rule `closure_generates` writes out by hand. The projection
+    is closed first; then words in the generators are explored with states
+    (finite part, translation modulo the partial translation lattice), and
+    each new pure translation enlarges the lattice by its orbit under the
+    projection and restarts the search. Exact when the closure terminates;
+    hitting `node_limit` states gives False.
+    """
+    gens = [as_element(rs, r) for r in refs]
+    n = rs.rank
+    proj = {identity_element(rs)}
+    frontier = list(proj)
+    while frontier:
+        frontier = [x for x in {w * g.finite for w in frontier for g in gens}
+                    if x not in proj]
+        proj.update(frontier)
+    if len(proj) != len(all_elements(rs)):
+        return False
+    lattice = span([], n)
+    while True:
+        new_translation = None
+        seen = {(identity_element(rs), (0,) * n)}
+        queue = deque([aff_identity(rs)])
+        while queue and new_translation is None:
+            x = queue.popleft()
+            for g in gens:
+                y = x * g
+                t = reduce_mod(lattice, y.translation)
+                if y.finite.is_identity() and any(t):
+                    new_translation = t
+                    break
+                if (y.finite, t) not in seen:
+                    if len(seen) >= node_limit:
+                        return False
+                    seen.add((y.finite, t))
+                    queue.append(AffineWeylElement(y.finite, t))
+        if new_translation is None:
+            return lattice_equal(lattice, full_lattice(n))
+        lattice = span(lattice.basis + tuple(w.act_coroot(new_translation)
+                                             for w in proj), n)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_closure_oracle_matches_reference(name):
+    # both verdicts occur in every group at levels in [-2, 2]
+    rs = parse_type(name)
+    rng = random.Random(f"closure-{name}")
+    verdicts = set()
+    for _ in range(300):
+        refs = tuple(AffineReflection(rng.choice(rs.positive_roots),
+                                      rng.randint(-2, 2))
+                     for _ in range(rs.rank + 1))
+        verdict = closure_generates(rs, refs)
+        assert verdict == closure_generates_reference(rs, refs), refs
+        assert verdict == generates_affine(rs, refs).generates, refs
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("case", ["projection-proper", "translations-full-"
+                                  "projection-proper", "finite", "index-4"])
+def test_closure_oracle_negatives(case, a2, b2):
+    if case == "projection-proper":
+        # the long roots of B2 span A1 x A1 only
+        longs = [r for r in b2.positive_roots if b2.is_long(r)]
+        rs, refs = b2, (AffineReflection(longs[0], 0), AffineReflection(longs[1], 1),
+                        AffineReflection(longs[1], 0))
+    elif case == "translations-full-projection-proper":
+        # affine A2 on the long roots of G2: its translations are every
+        # coroot translation, but its projection is W(A2), not W(G2)
+        rs = parse_type("G2")
+        longs = [r for r in rs.positive_roots if rs.is_long(r)]
+        top = max(longs, key=lambda r: sum(r.coords))
+        low = [r for r in longs if r != top]
+        refs = (AffineReflection(low[0], 0), AffineReflection(low[1], 0),
+                AffineReflection(top, 1))
+    elif case == "finite":
+        rs, refs = a2, (ref((1, 0)), ref((0, 1)), ref((1, 1)))
+    else:
+        # the highest root at level 2: translations by twice the coroots
+        rs, refs = a2, simple_system_affine(a2)[:2] + (ref(a2.highest_root.coords, 2),)
+        lattice = generates_affine(rs, refs).certificate.translation_lattice
+        assert index(lattice, full_lattice(2)) == 4
+    assert not closure_generates(rs, refs)
+    assert not closure_generates_reference(rs, refs)
+    assert not generates_affine(rs, refs).generates
+
+
+def test_closure_oracle_node_limit_bounds_the_projection():
+    # |W(A3)| = 24: the verdict is exact from node_limit 24 on
+    a3 = parse_type("A3")
+    simple = simple_system_affine(a3)
+    level_2 = simple[:3] + (AffineReflection(a3.highest_root, 2),)
+    assert not closure_generates(a3, simple, node_limit=23)
+    assert closure_generates(a3, simple, node_limit=24)
+    assert not closure_generates(a3, level_2, node_limit=24)
+    assert closure_generates_reference(a3, simple)
+    assert not closure_generates_reference(a3, level_2)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
