@@ -87,10 +87,20 @@ def _parse_refs_or_exit(rs, refs, affine):
 
 
 class _Main(click.Group):
-    """The command group; a usage error click finds while parsing a
-    command's arguments (a missing argument, a non-integer option value,
-    an unknown command) is one `error:` line with exit code 2, like the
-    commands' own checks."""
+    """The command group; a usage error click finds while parsing the
+    arguments (an unknown option, a missing argument, a non-integer option
+    value, an unknown command) is one `error:` line with exit code 2, like
+    the commands' own checks. With no arguments at all click prints the
+    help."""
+
+    def parse_args(self, ctx, args):
+        bare = not args  # the parse consumes `args`
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            if bare:
+                raise
+            _usage_error(exc.format_message())
 
     def invoke(self, ctx):
         try:
@@ -343,8 +353,9 @@ def cmd_verify(suites, groups, seed, samples, fmt):
             _usage_error(str(exc))
     group_list = list(groups) or None
 
+    node_limit = _node_limit()
     all_results = [verify_mod.run_suite(name, groups=group_list, seed=seed,
-                                        samples=samples)
+                                        samples=samples, node_limit=node_limit)
                    for name in names]
     checks = []
     lines = []

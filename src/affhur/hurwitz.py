@@ -130,11 +130,25 @@ def _affine_move(moves, code: tuple, letter: int) -> tuple:
     return code[:i - 1] + pair + code[i + 1:]
 
 
+class _Interned(dict):
+    """Affine code (index, k) -> s_{roots[index], k}, made on first lookup."""
+
+    def __init__(self, roots):
+        super().__init__()
+        self.roots = roots
+
+    def __missing__(self, code):
+        r = self[code] = AffineReflection(self.roots[code[0]], code[1])
+        return r
+
+
 class ReflectionCodes:
     """The reflections of one root system as codes, and Hurwitz moves on them.
 
     Finite codes are positive-root indices, affine codes (index, level)
     pairs. `move(code, letter)` applies one letter to a tuple of codes.
+    `reflection(code)` decodes an affine code to its `AffineReflection`,
+    one shared instance per code.
     """
 
     def __init__(self, rs: RootSystem, affine: bool):
@@ -142,6 +156,7 @@ class ReflectionCodes:
         self.affine = affine
         self.roots = rs.positive_roots
         self.index = {r: i for i, r in enumerate(self.roots)}
+        self.reflection = _Interned(self.roots).__getitem__
         moves = _move_table(rs)
         self.move = (partial(_affine_move, moves) if affine
                      else partial(_finite_move,
@@ -166,8 +181,8 @@ class ReflectionCodes:
     def decode(self, code: tuple) -> ReflectionTuple:
         rs, roots = self.rs, self.roots
         if self.affine:
-            return ReflectionTuple(tuple(as_element(rs, AffineReflection(roots[a], k))
-                                         for a, k in code))
+            return ReflectionTuple(tuple(as_element(rs, self.reflection(c))
+                                         for c in code))
         return ReflectionTuple(tuple(reflection_element(rs, roots[a]) for a in code))
 
     def braid(self, code: tuple, word: BraidWord) -> tuple:

@@ -48,19 +48,24 @@ def echelon_integer(rows, rhs):
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    m = [list(rows[i]) + [rhs[i]] for i in range(nrows)]
+    m = [[*r, b] for r, b in zip(rows, rhs)]
     pivots = []
     row = 0
     for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
+        if row == nrows:
+            break  # every row has its pivot; the columns left are free
+        for piv in range(row, nrows):
+            if m[piv][col]:
+                break
+        else:
             continue
         m[row], m[piv] = m[piv], m[row]
         p = m[row]
-        for r in range(nrows):
-            f = m[r][col]
-            if r != row and f:
-                new = [p[col] * x - f * y for x, y in zip(m[r], p)]
+        pc = p[col]
+        for r, other in enumerate(m):
+            f = other[col]
+            if f and r != row:
+                new = [pc * x - f * y for x, y in zip(other, p)]
                 g = gcd(*new)
                 m[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)

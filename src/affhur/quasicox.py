@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, connect_codes,
                       normalize_codes, reflection_codes)
@@ -24,7 +24,7 @@ from .rootsys import Root, RootSystem, coroot
 from .weyl_aff import (AffineReflection, AffineWeylElement, as_element,
                        product_of_reflections)
 from .weyl_fin import (absolute_length, all_elements, generates_w0,
-                       is_parabolic, reflection_element, root_sequences,
+                       is_parabolic, reflection_element, root_index_sequences,
                        root_table)
 
 
@@ -200,30 +200,51 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     return False
 
 
-def _levels_in_window(cols, rhs, bound: int):
+def _levels_in_window(cols, rhs, bound: int) -> list[tuple[int, ...]]:
     """Integer vectors k in [-bound, bound]^m with sum_i k_i cols[i] = rhs.
 
     Runs over the free coordinates of the exact solution space only and
     solves for the pivot coordinates: (2K+1)^(kernel rank) points instead
-    of the (2K+1)^m of the whole window.
+    of the (2K+1)^m of the whole window. Each pivot's equation is read
+    once into (column, right-hand side, coefficients on the free
+    coordinates, divisor).
     """
     system = echelon_integer(tuple(zip(*cols)), rhs)
     if system is None:
-        return
+        return []
     pivots, free = system
-    window = range(-bound, bound + 1)
+    solved = [(col, row[-1], [row[f] for f in free], row[col])
+              for col, row in pivots]
+    out = []
     ks = [0] * len(cols)
-    for cs in itertools.product(window, repeat=len(free)):
+    for cs in itertools.product(range(-bound, bound + 1), repeat=len(free)):
         for f, c in zip(free, cs):
             ks[f] = c
-        for col, row in pivots:
-            k, r = divmod(row[-1] - sum(row[f] * c for f, c in zip(free, cs)),
-                          row[col])
-            if r or k not in window:
+        for col, r, coeffs, d in solved:
+            k, rem = divmod(r - sum(map(mul, coeffs, cs)), d)
+            if rem or not -bound <= k <= bound:
                 break
             ks[col] = k
         else:
-            yield tuple(ks)
+            out.append(tuple(ks))
+    return out
+
+
+def _factorization_codes(rs: RootSystem, target: AffineWeylElement, m: int,
+                         bound: int) -> list[tuple]:
+    """`enumerate_factorizations` on affine codes: sorted tuples of
+    (positive-root index, level) pairs."""
+    if m == 0:
+        return [()] if target.is_identity() else []
+    rhs = target.finite.act_coroot(target.translation)
+    out = []
+    for seq, cols in root_index_sequences(rs, target.finite, m):
+        for ks in _levels_in_window(cols, rhs, bound):
+            out.append(tuple(zip(seq, ks)))
+    # positive roots are indexed in root order, so this is the order of
+    # the decoded AffineReflection tuples
+    out.sort()
+    return out
 
 
 def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
@@ -231,26 +252,19 @@ def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
 
     Complete in root sequences; complete in levels for the given bound.
     The root sequences of the finite part w0 of the target come from
-    `weyl_fin.root_sequences`, a prefix search that keeps a prefix only
-    while the remainder p^-1 w0 has l_T at most the number of slots left,
-    with the same parity. For each sequence the levels form an exact
+    `weyl_fin.root_index_sequences`, a prefix search that keeps a prefix
+    only while the remainder p^-1 w0 has l_T at most the number of slots
+    left, with the same parity. For each sequence the levels form an exact
     linear system; its free coordinates run over [-K, K], its pivot
     coordinates are solved for, and the points that are integral and
-    inside the window are kept. The result is sorted.
+    inside the window are kept. The search and the sort run on affine
+    codes, (positive-root index, level) pairs; the sorted result is
+    decoded once, each code to the one `AffineReflection` that
+    `ReflectionCodes.reflection` keeps for it.
     """
-    m = query.length
-    K = query.level_bound
-    target = query.target
-    if m == 0:
-        return [()] if target.is_identity() else []
-    rhs = target.finite.act_coroot(target.translation)
-    results = []
-    for seq, cols in root_sequences(rs, target.finite, m):
-        for ks in _levels_in_window(cols, rhs, K):
-            results.append(tuple(AffineReflection(r, k)
-                                 for r, k in zip(seq, ks)))
-    results.sort()
-    return results
+    decode = reflection_codes(rs, True).reflection
+    return [tuple(map(decode, code)) for code in _factorization_codes(
+        rs, query.target, query.length, query.level_bound)]
 
 
 def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
@@ -264,7 +278,7 @@ def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
         return w.is_identity()
     rhs = w.finite.act_coroot(w.translation)
     return any(solve_integer(tuple(zip(*cols)), rhs)
-               for _, cols in root_sequences(rs, w.finite, m))
+               for _, cols in root_index_sequences(rs, w.finite, m))
 
 
 def absolute_length_affine(rs: RootSystem, w: AffineWeylElement) -> int:
@@ -313,16 +327,16 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     if _has_factorization(rs, w, n - 1):
         return QuasiCoxeterResult(False, None, True,
                                   f"absolute length at most {n - 1}, below {m}")
-    facs = enumerate_factorizations(rs, FactorizationQuery(w, m, level_cap))
+    facs = _factorization_codes(rs, w, m, level_cap)
     # the generated subgroup is a Hurwitz invariant: once a tuple fails to
     # generate, so does every tuple reached from it by moves inside the
     # window, and the first generating tuple in sorted order is still found
     codes = reflection_codes(rs, True)
     settled: set = set()
-    for fac in facs:
-        code = tuple(codes.code_of(r) for r in fac)
+    for code in facs:
         if code in settled:
             continue
+        fac = tuple(map(codes.reflection, code))
         if generates_affine(rs, fac).generates:
             return QuasiCoxeterResult(True, fac, True, "generating witness found")
         settled.add(code)

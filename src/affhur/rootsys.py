@@ -14,6 +14,9 @@ from functools import lru_cache
 from .linalg import Mat, Vec, mat_vec
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+# the highest rank `parse_type` accepts: building a root system takes time
+# that grows about as rank^4, and the group searches grow far faster
+MAX_RANK = 12
 
 
 class RootSystemError(ValueError):
@@ -217,7 +220,10 @@ def reflect(rs: RootSystem, alpha: Root, beta: Root) -> Root:
 
 
 def parse_type(s: str) -> RootSystem:
-    """Parse a type string like 'A2' or 'b3' (case-insensitive)."""
+    """Parse a type string like 'A2' or 'b3' (case-insensitive).
+
+    Ranks above `MAX_RANK` are rejected.
+    """
     s = s.strip()
     if len(s) < 2 or s[0].upper() not in FAMILIES:
         raise RootSystemError(f"cannot parse root system type {s!r}")
@@ -225,6 +231,9 @@ def parse_type(s: str) -> RootSystem:
         rank = int(s[1:])
     except ValueError:
         raise RootSystemError(f"cannot parse root system type {s!r}") from None
+    if rank > MAX_RANK:
+        raise RootSystemError(f"rank {rank} of {s!r} is above the supported "
+                              f"maximum {MAX_RANK}")
     return build_root_system(s[0].upper(), rank)
 
 

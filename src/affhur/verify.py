@@ -328,7 +328,8 @@ def suite_generation(groups=("C2", "G2"), seed: int = DEFAULT_SEED,
 
 # -------------------------------------------------------- main-theorem
 
-def _check_connect_all_pairs(rs, seed: int, samples: int) -> str:
+def _check_connect_all_pairs(rs, seed: int, samples: int,
+                             node_limit: int) -> str:
     n = rs.rank
     w = product_of_reflections(rs, simple_system_affine(rs))
     # smallest level window holding enough tuples (K=2 suffices except at
@@ -345,7 +346,7 @@ def _check_connect_all_pairs(rs, seed: int, samples: int) -> str:
     pairs = 0
     for i, t1 in enumerate(chosen):
         for t2 in chosen[i + 1:]:
-            word = connect_reduced(rs, w, t1, t2)
+            word = connect_reduced(rs, w, t1, t2, node_limit=node_limit)
             _require(word is not None, f"no braid word from {t1} to {t2}")
             pairs += 1
     _require(pairs > 0,
@@ -354,10 +355,10 @@ def _check_connect_all_pairs(rs, seed: int, samples: int) -> str:
             f"at K={level_bound}")
 
 
-def _check_stage2_orbit_exhausted(rs) -> str:
+def _check_stage2_orbit_exhausted(rs, node_limit: int) -> str:
     fin = ReflectionTuple(tuple(reflection_element(rs, r.root)
                                 for r in simple_system_affine(rs)))
-    res = orbit(fin)
+    res = orbit(fin, node_limit=node_limit)
     if not res.exhausted:
         raise PipelineExhausted("orbit", f"finite projection orbit passed "
                                 f"{len(res.parents)} nodes")
@@ -365,20 +366,25 @@ def _check_stage2_orbit_exhausted(rs) -> str:
 
 
 def suite_main_theorem(groups=("A2", "C2", "G2"), seed: int = DEFAULT_SEED,
-                       samples: int = 50) -> list[CheckResult]:
+                       samples: int = 50,
+                       node_limit: int = 10 ** 6) -> list[CheckResult]:
+    """`node_limit` bounds the orbit search and each connect search."""
     out: list[CheckResult] = []
     for g in groups:
         rs = parse_type(g)
         name = f"{rs.family}{rs.rank}"
         _check(out, f"stage2-orbit-exhausted-{name}",
-               lambda rs=rs: _check_stage2_orbit_exhausted(rs))
+               lambda rs=rs: _check_stage2_orbit_exhausted(rs, node_limit))
         _check(out, f"connect-all-pairs-{name}",
-               lambda rs=rs: _check_connect_all_pairs(rs, seed, samples))
+               lambda rs=rs: _check_connect_all_pairs(rs, seed, samples,
+                                                      node_limit))
     return out
 
 
 def run_suite(name: str, groups=None, seed: int = DEFAULT_SEED,
-              samples: int | None = None) -> list[CheckResult]:
+              samples: int | None = None,
+              node_limit: int = 10 ** 6) -> list[CheckResult]:
+    """Run one suite; `node_limit` bounds the searches of `main-theorem`."""
     kwargs = {"seed": seed}
     if groups:
         kwargs["groups"] = tuple(groups)
@@ -393,5 +399,5 @@ def run_suite(name: str, groups=None, seed: int = DEFAULT_SEED,
     if name == "main-theorem":
         if samples is not None:
             kwargs["samples"] = samples
-        return suite_main_theorem(**kwargs)
+        return suite_main_theorem(node_limit=node_limit, **kwargs)
     raise ValueError(f"unknown suite {name!r}")

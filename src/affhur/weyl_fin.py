@@ -9,9 +9,11 @@ coordinates) lives in one shared `RootTable`. The action on coroot
 coordinates is read from it once per element and memoized there; the
 matrix of the action on root coordinates is derived on demand.
 
-`root_sequences` is the one search over reflection sequences: the
-reduced factorizations, the Fac sets and the affine enumeration of
-`affhur.quasicox` are all read from it. The root closure of a set of
+`root_index_sequences` is the one search over reflection sequences. It
+runs on raw root permutations and yields positive-root indices, which the
+affine enumeration of `affhur.quasicox` uses as they are;
+`root_sequences` decodes them to roots for the reduced factorizations,
+the Fac sets and the finite quasi-Coxeter tests. The root closure of a set of
 reflections is an orbit of the same permutations on root indices:
 `smallest_subsystem` returns it, `generates_w0` asks whether it is all
 of the roots, and `is_parabolic` compares it with the roots that fix the
@@ -153,63 +155,106 @@ def absolute_length(w: FiniteWeylElement) -> int:
     That is the rank of w - 1, counted as the pivots of its transpose: row
     j is w(alpha_j) - alpha_j, read from the root table.
     """
-    t = w.table
-    length = t.lengths.get(w.perm)
-    if length is None:
-        rows = [tuple(x - 1 if i == j else x
-                      for i, x in enumerate(t.roots[w.perm[s]].coords))
-                for j, s in enumerate(t.simple)]
-        pivots, _ = echelon_integer(rows, [0] * len(rows))
-        length = t.lengths[w.perm] = len(pivots)
+    length = w.table.lengths.get(w.perm)
+    return _perm_length(w.table, w.perm) if length is None else length
+
+
+def _perm_length(t: RootTable, perm: tuple) -> int:
+    """`absolute_length` of the element with root permutation `perm`,
+    computed and stored in the root table's memo."""
+    rows = [tuple(x - 1 if i == j else x
+                  for i, x in enumerate(t.roots[perm[s]].coords))
+            for j, s in enumerate(t.simple)]
+    pivots, _ = echelon_integer(rows, [0] * len(rows))
+    length = t.lengths[perm] = len(pivots)
     return length
 
 
-def root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
+@lru_cache(maxsize=None)
+def _reflection_perms(rs: RootSystem):
+    """The reflections as root permutations, for `root_index_sequences`.
+
+    Returns a list of (root index of b, permutation of s_b, itemgetter on
+    that permutation) over the positive roots b in root order, and a dict
+    from each permutation to the position of its root in that list.
+    """
+    table = root_table(rs)
+    refl = []
+    for r in rs.positive_roots:
+        perm = reflection_element(rs, r).perm
+        refl.append((table.index[r], perm, itemgetter(*perm)))
+    return refl, {perm: j for j, (_, perm, _) in enumerate(refl)}
+
+
+def root_index_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
     """Root sequences whose reflections multiply to `target`, lazily.
 
-    Yields (roots, columns) for every b_1..b_m of positive roots with
-    s_{b_1} ... s_{b_m} = target, in itertools.product order; for m = 0
-    that is ((), ()) when target is the identity. A depth-first search
-    over prefixes p = s_{b_1} ... s_{b_i} keeps the remainder
-    r = p^-1 target and cuts a prefix unless l_T(r) <= m - i. l_T(r) has
-    the parity of det r, so once l_T(target) has the parity of m, that of
-    l_T(r) is the parity of m - i; a remainder passing the test is then a
-    product of exactly m - i reflections, and every branch kept ends in a
-    sequence. For m = l_T(target) the test reads l_T(r) = m - i: the
-    sequences are the reduced factorizations. columns[i] is the coroot of
+    Yields (indices, columns) for every b_1..b_m of positive roots with
+    s_{b_1} ... s_{b_m} = target, in itertools.product order; indices[i]
+    is the index of b_i in `RootSystem.positive_roots`, the code of
+    `affhur.hurwitz`. For m = 0 that is ((), ()) when target is the
+    identity. A depth-first search over prefixes p = s_{b_1} ... s_{b_i}
+    keeps the remainder r = p^-1 target and cuts a prefix unless
+    l_T(r) <= m - i. l_T(r) has the parity of det r, so once l_T(target)
+    has the parity of m, that of l_T(r) is the parity of m - i; a
+    remainder passing the test is then a product of exactly m - i
+    reflections, and every branch kept ends in a sequence. For
+    m = l_T(target) the test reads l_T(r) = m - i: the sequences are the
+    reduced factorizations. columns[i] is the coroot of
     s_{b_1} ... s_{b_{i-1}}(b_i): levels k_i make the affine reflections
     s_{b_i,k_i} multiply to (target, t) exactly when
     sum_i k_i columns[i] = target(t).
+
+    The search runs on root permutations, not on elements: the remainder
+    s_b r has the permutation itemgetter(*r)(perm of s_b), and l_T is read
+    from the memo of the root table.
     """
     table = root_table(rs)
-    refl = [(r, table.index[r], reflection_element(rs, r))
-            for r in rs.positive_roots]
-    roots: list = [None] * m
+    refl, index_of = _reflection_perms(rs)
+    coroots = table.coroots
+    lengths = table.lengths
+    seq: list = [0] * m
     cols: list = [None] * m
 
     def dfs(i, prefix, rest):
         left = m - i - 1  # reflections still to choose after this one
-        if left == 0:
-            # rest is a reflection: the test that admitted it allows no other
-            r = root_of_reflection(rs, rest)
-            roots[i] = r
-            cols[i] = table.coroots[prefix.perm[table.index[r]]]
-            yield tuple(roots), tuple(cols)
-            return
-        for r, idx, s in refl:
-            nxt = s * rest
-            if absolute_length(nxt) > left:
+        times_rest = itemgetter(*rest)
+        for j, (idx, perm, times_s) in enumerate(refl):
+            nxt = times_rest(perm)  # s_b r
+            length = lengths.get(nxt)
+            if length is None:
+                length = _perm_length(table, nxt)
+            if length > left:
                 continue
-            roots[i] = r
-            cols[i] = table.coroots[prefix.perm[idx]]
-            yield from dfs(i + 1, prefix * s, nxt)
+            seq[i] = j
+            cols[i] = coroots[prefix[idx]]
+            if left > 1:
+                yield from dfs(i + 1, times_s(prefix), nxt)  # p s_b
+                continue
+            # nxt is a reflection: the test that admitted it allows no other
+            last = index_of[nxt]
+            seq[i + 1] = last
+            cols[i + 1] = coroots[prefix[perm[refl[last][0]]]]
+            yield tuple(seq), tuple(cols)
 
     length = absolute_length(target)
     if m == 0:
         if length == 0:
             yield (), ()
+    elif m == 1:
+        if length == 1:
+            j = index_of[target.perm]
+            yield (j,), (coroots[refl[j][0]],)
     elif length <= m and (m - length) % 2 == 0:
-        yield from dfs(0, identity_element(rs), target)
+        yield from dfs(0, table.identity, target.perm)
+
+
+def root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
+    """`root_index_sequences` with each index decoded to its positive root:
+    (roots, columns), in the same order."""
+    pos = rs.positive_roots
+    for seq, cols in root_index_sequences(rs, target, m):
+        yield tuple([pos[j] for j in seq]), cols
 
 
 def reduced_factorizations(rs: RootSystem, w: FiniteWeylElement):

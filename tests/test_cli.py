@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affhur
-from affhur import hurwitz, quasicox, verify
+from affhur import quasicox, verify
 from affhur.cli import main
 
 WORD = ["1,0:0", "0,1:0", "1,1:1"]
@@ -196,10 +196,16 @@ def test_verify_smoke(runner, suite, group):
     (None, ["verify", "main-theorem", "--samples", "0"]),
     (None, ["orbit", "A2", "1,0", "0,1", "--depth", "-1"]),
     (None, ["connect", "A2", "1,0;0,1", "1,1;1,0", "--depth", "-1"]),
+    (None, ["--bogus"]),
+    (None, ["--bogus", "roots", "A2"]),
+    (None, ["roots", "A80"]),
+    (None, ["verify", "main-theorem", "--group", "A13"]),
 ], ids=["node-limit-not-int", "node-limit-negative", "factorize-negative-K",
         "factorize-negative-length", "check-qc-negative-K", "fiber-negative-K",
         "verify-unknown-group", "verify-zero-samples", "orbit-negative-depth",
-        "connect-negative-depth"])
+        "connect-negative-depth", "unknown-group-option",
+        "unknown-group-option-before-command", "rank-above-cap",
+        "verify-rank-above-cap"])
 def test_bad_input_is_a_usage_error(runner, monkeypatch, node_limit, args):
     if node_limit is not None:
         monkeypatch.setenv("AFFHUR_NODE_LIMIT", node_limit)
@@ -208,6 +214,23 @@ def test_bad_input_is_a_usage_error(runner, monkeypatch, node_limit, args):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in res.output
+
+
+def test_help_and_version_still_work(runner):
+    # with no arguments click prints the help; --help and --version exit 0
+    bare = run(runner)
+    assert bare.exit_code == 2 and "Commands:" in bare.output
+    for flag in ("--help", "--version"):
+        res = run(runner, flag)
+        assert res.exit_code == 0 and res.output and not res.stderr
+    assert "check-qc" in run(runner, "--help").output
+    assert run(runner, "--version").output.startswith("affhur, version ")
+
+
+def test_rank_cap_admits_rank_twelve():
+    from affhur.rootsys import MAX_RANK, parse_type
+    assert MAX_RANK == 12
+    assert parse_type("A12").rank == 12
 
 
 def test_verify_single_sample_connects_nothing_and_fails(runner):
@@ -235,23 +258,42 @@ def test_verify_limit_hit_exits_3(runner, monkeypatch):
 
 
 def test_verify_orbit_limit_hit_exits_3(runner, monkeypatch):
-    # an orbit cut at its node limit decides nothing either
-    monkeypatch.setattr(verify, "orbit",
-                        lambda t: hurwitz.orbit(t, node_limit=5))
-    stage2 = verify.suite_main_theorem(groups=("A2",), samples=2)[0]
+    # an orbit cut at its node limit decides nothing either; A2's
+    # stage-2 orbit has 8 tuples
+    stage2 = verify.suite_main_theorem(groups=("A2",), samples=2,
+                                       node_limit=5)[0]
     assert stage2.name == "stage2-orbit-exhausted-A2"
     assert stage2.limit and not stage2.ok
     assert "PipelineExhausted" in stage2.detail
-    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2")
+    assert verify.suite_main_theorem(groups=("A2",), samples=2,
+                                     node_limit=8)[0].ok
+    monkeypatch.setenv("AFFHUR_NODE_LIMIT", "5")
+    res = run(runner, "verify", "main-theorem", "--group", "A2")
     assert res.exit_code == 3
     assert "[main-theorem] LIMIT stage2-orbit-exhausted-A2" in res.output
     assert "FAIL" not in res.output
 
 
+def test_verify_node_limit_reaches_connect(runner, monkeypatch):
+    # the limit also bounds connect_reduced's searches in connect-all-pairs
+    seen = []
+    connect_reduced = verify.connect_reduced
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["node_limit"])
+        return connect_reduced(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "connect_reduced", spy)
+    monkeypatch.setenv("AFFHUR_NODE_LIMIT", "777")
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "3")
+    assert res.exit_code == 0, res.output
+    assert seen == [777] * 3
+
+
 def test_verify_limit_hit_with_a_failure_exits_1(runner, monkeypatch):
     monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
 
-    def failing(rs):
+    def failing(rs, node_limit):
         raise verify.CheckFailed("made to fail")
 
     monkeypatch.setattr(verify, "_check_stage2_orbit_exhausted", failing)

@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import deque
-from operator import mul
+from operator import mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +26,9 @@ from affhur.verify import suite_main_theorem
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement,
                              aff_identity, as_element,
                              product_of_reflections, recognize_reflection,
-                             simple_system_affine)
-from affhur.weyl_fin import (all_elements, identity_element, is_parabolic,
-                             reflection_element)
+                             simple_system_affine, translation_element)
+from affhur.weyl_fin import (absolute_length, all_elements, identity_element,
+                             is_parabolic, reflection_element)
 from test_linalg import solve_integer_reference
 
 
@@ -270,6 +270,8 @@ def _brute_force_factorizations(rs, target, m, bound):
 
     Returns the sorted factorizations with levels in [-bound, bound] and
     whether any root sequence has an integrally solvable level system.
+    The translations of all level vectors are compared with the target's;
+    nothing is solved for.
     """
     if m == 0:
         return ([()] if target.is_identity() else []), target.is_identity()
@@ -287,12 +289,18 @@ def _brute_force_factorizations(rs, target, m, bound):
         if solve_integer_reference(rows, target.translation) is None:
             continue
         solvable = True
-        for ks in itertools.product(range(-bound, bound + 1), repeat=m):
+        # every level vector in the window: the first m-1 levels run over
+        # the window, and the last is looked up among the window's values
+        window = range(-bound, bound + 1)
+        moves = [[(k, tuple(-k * c for c in v)) for k in window] for v in vs]
+        last = {t: k for k, t in moves[-1]}
+        for head in itertools.product(*moves[:-1]):
             t = (0,) * n
-            for k, v in zip(ks, vs):
-                if k:
-                    t = vec_add(t, tuple(-k * c for c in v))
-            if t == target.translation:
+            for _, step in head:
+                t = vec_add(t, step)
+            k = last.get(tuple(map(sub, target.translation, t)))
+            if k is not None:
+                ks = [k for k, _ in head] + [k]
                 facs.append(tuple(AffineReflection(r, k)
                                   for r, k in zip(seq, ks)))
     facs.sort()
@@ -302,7 +310,8 @@ def _brute_force_factorizations(rs, target, m, bound):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_enumeration_matches_brute_force(data):
-    rs = parse_type(data.draw(st.sampled_from(["A2", "B2", "G2", "A3", "B3"])))
+    rs = parse_type(data.draw(st.sampled_from(["A2", "B2", "G2", "A3", "B3",
+                                               "C3"])))
     n = rs.rank
     built = data.draw(st.lists(
         st.tuples(st.sampled_from(rs.positive_roots), st.integers(-2, 2)),
@@ -311,7 +320,7 @@ def test_enumeration_matches_brute_force(data):
         rs, [AffineReflection(r, k) for r, k in built])
     # half the queries ask for the length the target was built with
     m = data.draw(st.one_of(st.just(len(built)), st.integers(0, n + 1)))
-    bound = data.draw(st.integers(0, 2))
+    bound = data.draw(st.integers(0, 3))
     facs, solvable = _brute_force_factorizations(rs, target, m, bound)
     assert enumerate_factorizations(
         rs, FactorizationQuery(target, m, bound)) == facs
@@ -561,6 +570,70 @@ def test_quasi_coxeter_witness_is_first_generating_tuple(name):
                      None)
         assert res.witness == first
         assert res.is_quasi_coxeter == (first is not None)
+
+
+def _is_quasi_coxeter_reference(rs, w, level_cap=2):
+    """The element path `is_quasi_coxeter_affine` took before it walked
+    affine codes: enumerate the AffineReflection tuples, encode each one
+    to look it up among the settled tuples, and hand it to
+    `generates_affine`. Returns (verdict, witness, conclusive, detail)."""
+    n = rs.rank
+    m = n + 1
+    if absolute_length(w.finite) % 2 != m % 2:
+        return False, None, True, f"parity excludes factorizations of length {m}"
+    if _has_factorization(rs, w, n - 1):
+        return False, None, True, f"absolute length at most {n - 1}, below {m}"
+    facs = enumerate_factorizations(rs, FactorizationQuery(w, m, level_cap))
+    codes = reflection_codes(rs, True)
+    settled = set()
+    for fac in facs:
+        code = tuple(codes.code_of(r) for r in fac)
+        if code in settled:
+            continue
+        if generates_affine(rs, fac).generates:
+            return True, fac, True, "generating witness found"
+        settled.add(code)
+        stack = [code]
+        while stack:
+            for moved in _moves_in_window(codes.move, stack.pop(), level_cap):
+                if moved not in settled:
+                    settled.add(moved)
+                    stack.append(moved)
+    if not facs and not _has_factorization(rs, w, m):
+        return (False, None, True, f"no length-{m} factorization exists "
+                "(integer systems insolvable)")
+    return False, None, False, f"no witness with levels bounded by {level_cap}"
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_quasi_coxeter_codes_match_the_element_path(name):
+    # Coxeter elements, their conjugates and random length-(n+1) products
+    rs = parse_type(name)
+    n = rs.rank
+    rng = random.Random(16)
+
+    def random_refs(size):
+        return [AffineReflection(rng.choice(rs.positive_roots), rng.randint(-1, 1))
+                for _ in range(size)]
+
+    coxeter = product_of_reflections(rs, simple_system_affine(rs))
+    elements = [coxeter]
+    for _ in range(4):
+        x = product_of_reflections(rs, random_refs(2))
+        elements.append(x * coxeter * x.inverse())
+    elements += [product_of_reflections(rs, random_refs(n + 1)) for _ in range(6)]
+    # the conclusive negatives: parity, and translations, some without any
+    # length-(n+1) factorization in A3
+    elements.append(product_of_reflections(rs, random_refs(n)))
+    elements += [translation_element(rs, lam) for lam in ((1, 2, 3), (2, 0, 1))]
+    verdicts = set()
+    for w in elements:
+        res = is_quasi_coxeter_affine(rs, w)
+        expected = _is_quasi_coxeter_reference(rs, w)
+        assert (res.is_quasi_coxeter, res.witness, res.conclusive,
+                res.detail) == expected
+        verdicts.add((res.is_quasi_coxeter, res.conclusive))
+    assert {(True, True), (False, True), (False, False)} <= verdicts
 
 
 def test_parabolic_quasi_coxeter_affine(a2):

@@ -17,8 +17,8 @@ from affhur.weyl_fin import (FiniteWeylElement, RootTable, absolute_length,
                              is_parabolic_quasi_coxeter_fin,
                              is_quasi_coxeter_fin, reduced_factorizations,
                              reflection_element, reflections,
-                             root_of_reflection, root_table,
-                             smallest_subsystem)
+                             root_index_sequences, root_of_reflection,
+                             root_sequences, root_table, smallest_subsystem)
 
 GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("G", 2): 12, ("A", 3): 24}
 
@@ -118,6 +118,42 @@ def test_reduced_factorizations_coxeter(family, rank, count):
 def test_reduced_factorizations_identity():
     rs = build_root_system("B", 2)
     assert reduced_factorizations(rs, identity_element(rs)) == [()]
+
+
+def _brute_force_root_sequences(rs, m):
+    """Every length-m sequence of positive roots, in itertools.product
+    order, grouped by the product of its reflections; each with its
+    columns, the coroots of s_{b_1} ... s_{b_{i-1}}(b_i), computed by
+    reflecting roots one reflection at a time."""
+    by_product = {}
+    for seq in itertools.product(rs.positive_roots, repeat=m):
+        prod = identity_element(rs)
+        for b in seq:
+            prod = prod * reflection_element(rs, b)
+        cols = []
+        for i, b in enumerate(seq):
+            image = b
+            for a in reversed(seq[:i]):
+                image = reflect(rs, a, image)
+            cols.append(coroot(rs, image))
+        by_product.setdefault(prod, []).append((seq, tuple(cols)))
+    return by_product
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2),
+                                         ("A", 3), ("B", 3)])
+def test_root_sequences_match_brute_force(family, rank):
+    # the prefix search yields exactly the filtered product, in its order,
+    # with the same columns; for every target and m <= 4
+    rs = build_root_system(family, rank)
+    pos = rs.positive_roots
+    for m in range(5):
+        by_product = _brute_force_root_sequences(rs, m)
+        for target in all_elements(rs):
+            expected = by_product.get(target, [])
+            assert list(root_sequences(rs, target, m)) == expected
+            assert [(tuple(pos[j] for j in seq), cols) for seq, cols
+                    in root_index_sequences(rs, target, m)] == expected
 
 
 def test_red_t_single_orbit_d4():
