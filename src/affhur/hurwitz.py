@@ -8,8 +8,13 @@ s_{alpha,k} by the pair (that index, k); a tuple of codes is a plain tuple
 that hashes cheaply, and a Hurwitz move on it is one lookup in a table
 built once per root system. `orbit`, `connect` and `lr_normalize` accept
 ReflectionTuples, encode them once and decode only what they return.
-`apply_move` and `apply_braid` act on the elements themselves; they replay
-and check the words the searches find.
+
+The words the searches find are replayed on group elements, not on codes,
+and checked before they are trusted. `apply_move` and `apply_braid` act
+on the elements of a ReflectionTuple; `connect` and `affhur.verify`
+replay with them. `replay_pairs` acts on affine pairs (c, w) for TR(c) w,
+the value of `affhur.weyl_aff`, with its one multiplication rule;
+`quasicox.connect_reduced` replays with it.
 
 Words are applied leftmost letter first; positive letter i is sigma_i,
 negative is its inverse.
@@ -24,8 +29,8 @@ from functools import lru_cache, partial
 
 from .rootsys import RootSystem
 from .weyl_aff import (AffineReflection, AffineWeylElement, as_element,
-                       recognize_reflection)
-from .weyl_fin import reflection_element, root_of_reflection
+                       pair_inverse, pair_mul, recognize_reflection)
+from .weyl_fin import RootTable, reflection_element, root_of_reflection
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,30 @@ def apply_braid(t: ReflectionTuple, word: BraidWord) -> ReflectionTuple:
     for letter in word.letters:
         t = apply_move(t, abs(letter), inverse=letter < 0)
     return t
+
+
+def replay_pairs(table: RootTable, entries: tuple, word: BraidWord) -> tuple:
+    """`apply_braid` on affine pairs (see `affhur.weyl_aff`) of one root table.
+
+    sigma_i sends (a, b) at slots i, i+1 to (a b a^-1, a), its inverse to
+    (b, b^-1 a b); both are computed with `pair_mul` and `pair_inverse`,
+    not with the move tables the searches use.
+    """
+    entries = list(entries)
+    for letter in word.letters:
+        i = abs(letter)
+        if not 1 <= i < len(entries):
+            raise IndexError(f"move index {i} out of range for a "
+                             f"{len(entries)}-tuple")
+        a, b = entries[i - 1], entries[i]
+        if letter > 0:
+            entries[i - 1] = pair_mul(table, pair_mul(table, a, b),
+                                      pair_inverse(table, a))
+            entries[i] = a
+        else:
+            entries[i - 1] = b
+            entries[i] = pair_mul(table, pair_mul(table, pair_inverse(table, b), a), b)
+    return tuple(entries)
 
 
 # ------------------------------------------------------------------ codes

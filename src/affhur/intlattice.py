@@ -7,9 +7,9 @@ arbitrary-precision integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .linalg import Mat, hnf, hnf_contains, hnf_reduce
+from .linalg import Mat, hnf, hnf_contains, hnf_pivots, hnf_reduce
 from .rootsys import RootSystem
 
 INFINITE = math.inf
@@ -19,6 +19,11 @@ INFINITE = math.inf
 class IntegerLattice:
     ambient_rank: int
     basis: Mat  # r x n, canonical HNF, r <= n
+    # the pivot column of each basis row, read once; determined by the basis
+    pivots: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pivots", hnf_pivots(self.basis))
 
     @property
     def rank(self) -> int:
@@ -43,12 +48,12 @@ def full_lattice(ambient_rank: int) -> IntegerLattice:
 def contains(lattice: IntegerLattice, v) -> bool:
     if len(v) != lattice.ambient_rank:
         raise ValueError("dimension mismatch")
-    return hnf_contains(lattice.basis, v)
+    return hnf_contains(lattice.basis, lattice.pivots, v)
 
 
 def reduce_mod(lattice: IntegerLattice, v):
     """Canonical residue of v modulo the lattice."""
-    return hnf_reduce(lattice.basis, v)
+    return hnf_reduce(lattice.basis, lattice.pivots, v)
 
 
 def lattice_equal(l1: IntegerLattice, l2: IntegerLattice) -> bool:
@@ -59,8 +64,8 @@ def is_sublattice(sub: IntegerLattice, sup: IntegerLattice) -> bool:
     return all(contains(sup, row) for row in sub.basis)
 
 
-def _pivot_product(basis: Mat) -> int:
-    return math.prod(next(x for x in row if x) for row in basis)
+def _pivot_product(lattice: IntegerLattice) -> int:
+    return math.prod(row[p] for row, p in zip(lattice.basis, lattice.pivots))
 
 
 def index(sub: IntegerLattice, sup: IntegerLattice):
@@ -75,7 +80,7 @@ def index(sub: IntegerLattice, sup: IntegerLattice):
         raise ValueError("first lattice is not contained in the second")
     if sub.rank < sup.rank:
         return INFINITE
-    q, r = divmod(_pivot_product(sub.basis), _pivot_product(sup.basis))
+    q, r = divmod(_pivot_product(sub), _pivot_product(sup))
     if r:
         raise RuntimeError("internal inconsistency: the pivot product of a "
                            "lattice does not divide that of its sublattice")

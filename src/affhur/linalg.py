@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, mul, neg
+from operator import add, mul
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -30,10 +30,6 @@ def mat_vec(a: Mat, v) -> tuple:
 
 def vec_add(u, v):
     return tuple(map(add, u, v))
-
-
-def vec_neg(u):
-    return tuple(map(neg, u))
 
 
 def echelon_integer(rows, rhs):
@@ -133,8 +129,7 @@ def hnf(vectors, ncols: int) -> Mat:
             result.append(p)
     # reduce entries in pivot columns, left to right so that a reduction
     # never disturbs a pivot column that was already normalized
-    for i in range(len(result)):
-        pcol = next(j for j, x in enumerate(result[i]) if x != 0)
+    for i, pcol in enumerate(hnf_pivots(result)):
         for k in range(i):
             q = result[k][pcol] // result[i][pcol]
             if q:
@@ -142,12 +137,21 @@ def hnf(vectors, ncols: int) -> Mat:
     return tuple(tuple(r) for r in result)
 
 
-def hnf_contains(basis: Mat, v) -> bool:
-    """Exact membership of v in the lattice with HNF basis `basis`."""
+def hnf_pivots(basis) -> tuple[int, ...]:
+    """The pivot column of each row of an HNF basis: its first non-zero entry.
+
+    `hnf_contains` and `hnf_reduce` take them from the caller, which reads
+    them once per basis (see `intlattice.IntegerLattice`).
+    """
+    return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
+
+
+def hnf_contains(basis: Mat, pivots, v) -> bool:
+    """Exact membership of v in the lattice with HNF basis `basis`, whose
+    pivot columns are `pivots`."""
     w = list(v)
     n = len(w)
-    for row in basis:
-        pcol = next(j for j, x in enumerate(row) if x != 0)
+    for row, pcol in zip(basis, pivots):
         if w[pcol]:
             if w[pcol] % row[pcol] != 0:
                 return False
@@ -157,12 +161,12 @@ def hnf_contains(basis: Mat, v) -> bool:
     return not any(w)
 
 
-def hnf_reduce(basis: Mat, v) -> tuple:
-    """Canonical residue of v modulo the lattice (floor division per pivot)."""
+def hnf_reduce(basis: Mat, pivots, v) -> tuple:
+    """Canonical residue of v modulo the lattice with HNF basis `basis`,
+    whose pivot columns are `pivots` (floor division per pivot)."""
     w = list(v)
     n = len(w)
-    for row in basis:
-        pcol = next(j for j, x in enumerate(row) if x != 0)
+    for row, pcol in zip(basis, pivots):
         q = w[pcol] // row[pcol]
         if q:
             for j in range(n):
@@ -178,4 +182,5 @@ def solve_integer(rows, rhs) -> bool:
     membership test, decided exactly (no bound on x). The name stays
     because `perfbench/tracing.py` times the function under it.
     """
-    return hnf_contains(hnf(list(zip(*rows)), len(rhs)), rhs)
+    basis = hnf(list(zip(*rows)), len(rhs))
+    return hnf_contains(basis, hnf_pivots(basis), rhs)

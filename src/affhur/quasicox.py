@@ -15,14 +15,14 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter, mul, sub
 
-from .hurwitz import (BraidWord, ReflectionTuple, apply_braid, connect_codes,
-                      normalize_codes, reflection_codes)
+from .hurwitz import (BraidWord, connect_codes, normalize_codes,
+                      reflection_codes, replay_pairs)
 from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, coroot
-from .weyl_aff import (AffineReflection, AffineWeylElement, as_element,
-                       product_of_reflections)
+from .weyl_aff import (AffineReflection, AffineWeylElement, pair_of,
+                       pair_product, reflection_pair)
 from .weyl_fin import (absolute_length, all_elements, generates_w0,
                        is_parabolic, reflection_element, root_index_sequences,
                        root_table)
@@ -155,9 +155,11 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     and its translations H ∩ T are the whole coroot lattice. One
     breadth-first search over p(H) decides both. It keeps one coset
     representative TR(c) w per finite element w reached, keyed by the root
-    permutation of w, with c a plain integer tuple in coroot coordinates.
-    Since s_{alpha,k} = TR(k alpha-coroot) s_alpha, right-multiplying
-    TR(c) w by it gives TR(c + k w(alpha)-coroot) w s_alpha. When w s_alpha
+    permutation of w, with c a plain integer tuple in coroot coordinates:
+    the pair (c, w) of `affhur.weyl_aff`. Since s_{alpha,k} =
+    TR(k alpha-coroot) s_alpha, right-multiplying TR(c) w by it gives
+    TR(c + k w(alpha)-coroot) w s_alpha, the pair rule's reflection step,
+    run inline. When w s_alpha
     already has a representative TR(b) w s_alpha, the edge gives the
     translation TR(c') (TR(b) w s_alpha)^-1 = TR(c' - b), a Schreier
     generator. By Schreier's lemma these generate H ∩ T; their span is
@@ -236,7 +238,7 @@ def _factorization_codes(rs: RootSystem, target: AffineWeylElement, m: int,
     (positive-root index, level) pairs."""
     if m == 0:
         return [()] if target.is_identity() else []
-    rhs = target.finite.act_coroot(target.translation)
+    rhs = pair_of(target)[0]
     out = []
     for seq, cols in root_index_sequences(rs, target.finite, m):
         for ks in _levels_in_window(cols, rhs, bound):
@@ -276,7 +278,7 @@ def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
     """
     if m == 0:
         return w.is_identity()
-    rhs = w.finite.act_coroot(w.translation)
+    rhs = pair_of(w)[0]
     return any(solve_integer(tuple(zip(*cols)), rhs)
                for _, cols in root_index_sequences(rs, w.finite, m))
 
@@ -397,8 +399,11 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
 
     Stages: repeated-root normalization of both tuples, projection
     alignment inside the finite Fac set, then a sigma_n power along the
-    fiber. The stages run on reflection codes (see `affhur.hurwitz`); the
-    word is then verified once by application to the affine elements. A
+    fiber. The stages run on reflection codes (see `affhur.hurwitz`). The
+    checks run on affine pairs (see `affhur.weyl_aff`): each input tuple's
+    product is compared with the pair of w, and the word is replayed once
+    on the pairs of t1 with `hurwitz.replay_pairs`, independent of the move
+    tables the stages search with, and compared with the pairs of t2. A
     stage that runs out of its limits raises `PipelineExhausted`. The
     alignment search is bounded by `node_limit` alone unless a
     `depth_limit` is given.
@@ -406,10 +411,15 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     t1 = tuple(t1)
     t2 = tuple(t2)
     n = rs.rank
+    table = root_table(rs)
+    # pairs are compared by permutation, so the root table must be the same
+    target = pair_of(w) if w.finite.table is table else None
+    pairs = []
     for t in (t1, t2):
         if len(t) != n + 1:
             raise ValueError(f"expected {n + 1}-tuples")
-        if product_of_reflections(rs, t) != w:
+        pairs.append(tuple(reflection_pair(rs, r) for r in t))
+        if pair_product(table, pairs[-1]) != target:
             raise ValueError("tuple is not a factorization of the target element")
         if not generates_w0(rs, [r.root for r in t]):
             raise ValueError("projection does not generate the finite group; "
@@ -418,9 +428,7 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     code1 = tuple(codes.code_of(r) for r in t1)
     code2 = tuple(codes.code_of(r) for r in t2)
     word = _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit)
-    aff1 = ReflectionTuple(tuple(as_element(rs, r) for r in t1))
-    aff2 = ReflectionTuple(tuple(as_element(rs, r) for r in t2))
-    if apply_braid(aff1, word) != aff2:
+    if replay_pairs(table, pairs[0], word) != pairs[1]:
         raise RuntimeError("internal inconsistency: the braid word found "
                            "does not replay")
     return word

@@ -355,14 +355,33 @@ def _check_connect_all_pairs(rs, seed: int, samples: int,
             f"at K={level_bound}")
 
 
+def _generating_sequence_count(rs, target, m: int) -> int:
+    """Length-m root sequences of `target` whose roots generate W0."""
+    return sum(1 for roots, _ in root_sequences(rs, target, m)
+               if generates_w0(rs, roots))
+
+
 def _check_stage2_orbit_exhausted(rs, node_limit: int) -> str:
+    """The Hurwitz orbit of the projected simple system is its whole Fac set.
+
+    Moves keep the product and the generated subgroup, so the orbit lies in
+    the set of root sequences of the same product whose roots generate W0;
+    it is all of it exactly when the two sizes agree. The set is counted by
+    the prefix search of `weyl_fin`, not by moves.
+    """
     fin = ReflectionTuple(tuple(reflection_element(rs, r.root)
                                 for r in simple_system_affine(rs)))
     res = orbit(fin, node_limit=node_limit)
+    size = len(res.parents)
     if not res.exhausted:
         raise PipelineExhausted("orbit", f"finite projection orbit passed "
-                                f"{len(res.parents)} nodes")
-    return f"finite orbit of size {len(res.parents)} exhausted"
+                                f"{size} nodes")
+    expected = _generating_sequence_count(rs, fin.product(), len(fin))
+    _require(size == expected,
+             f"finite orbit of size {size}, but {expected} generating "
+             f"root sequences have its product")
+    return (f"finite orbit of size {size} exhausted; it is all {expected} "
+            f"generating root sequences of its product")
 
 
 def suite_main_theorem(groups=("A2", "C2", "G2"), seed: int = DEFAULT_SEED,

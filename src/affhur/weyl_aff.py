@@ -1,8 +1,27 @@
-"""Affine Weyl group elements in semidirect normal form.
+"""Affine Weyl group elements: one plain value and one multiplication rule.
 
-An element is stored as the unique pair (finite part, translation) with
-w = w0 * TR(lambda), the translation acting first. Under this convention
-the affine reflection s_{alpha,k} corresponds to (s_alpha, -k * alpha-coroot).
+The value is the pair (c, w) for TR(c) w, the translation applied last: c
+is an integer tuple in simple-coroot coordinates and w is the root
+permutation of the finite part (see `affhur.weyl_fin`). The rule is
+
+    (c, u)(d, v) = (c + u(d), u v),
+
+with u(d) read from the `RootTable.coactions` memo (`RootTable.coact`),
+and the inverse of (c, u) is (-u^-1(c), u^-1). The affine reflection
+s_{alpha,k} is the pair (k alpha-coroot, perm of s_alpha), so
+right-multiplying by it gives (c + k (u alpha)-coroot, u s_alpha).
+`pair_mul`, `pair_inverse` and `reflection_pair` are the rule;
+`product_of_reflections`, `quasicox.connect_reduced` and the replay
+`hurwitz.replay_pairs` compute on pairs, and `quasicox.closure_generates`
+runs the reflection step inline, reading (u alpha)-coroot off the root
+table.
+
+`AffineWeylElement` is the boundary view that the CLI, `verify` and the
+tests read: the unique (finite part, translation) with w = w0 TR(lambda),
+the translation acting first, so that s_{alpha,k} is
+(s_alpha, -k alpha-coroot). It is the pair (w0(lambda), w0) read the other
+way round; `pair_of` and `element_of_pair` convert, and its product and
+inverse are computed by the rule above.
 """
 
 from __future__ import annotations
@@ -10,35 +29,65 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, itemgetter, neg
 
-from .linalg import Vec, vec_add, vec_neg
+from .linalg import Vec
 from .rootsys import Root, RootSystem, RootSystemError, coroot, pairing_coords
-from .weyl_fin import (FiniteWeylElement, identity_element, reflection_element,
-                       root_of_reflection)
+from .weyl_fin import (FiniteWeylElement, RootTable, identity_element,
+                       reflection_element, root_of_reflection, root_table)
+
+Pair = tuple  # (c, w) for TR(c) w: coroot coordinates, root permutation
+
+
+def pair_mul(table: RootTable, x: Pair, y: Pair) -> Pair:
+    """(c, u)(d, v) = (c + u(d), u v)."""
+    (c, u), (d, v) = x, y
+    # a root system has at least two roots, so itemgetter returns a tuple
+    uv = itemgetter(*v)(u)
+    if not any(d):  # most factors of a Hurwitz replay are level-0 reflections
+        return c, uv
+    return tuple(map(add, c, table.coact(u, d))), uv
+
+
+def pair_inverse(table: RootTable, x: Pair) -> Pair:
+    """(c, u)^-1 = (-u^-1(c), u^-1)."""
+    c, u = x
+    uinv = table.inverse(u)
+    if not any(c):
+        return c, uinv
+    return tuple(map(neg, table.coact(uinv, c))), uinv
 
 
 @dataclass(frozen=True)
 class AffineWeylElement:
     finite: FiniteWeylElement
-    translation: Vec  # coroot coordinates, integral
+    translation: Vec  # lambda in w = finite * TR(lambda); coroot coordinates
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        # (u, l)(v, m) = (uv, m + v^-1(l))
-        vinv = other.finite.inverse()
-        return AffineWeylElement(
-            self.finite * other.finite,
-            vec_add(other.translation, vinv.act_coroot(self.translation)),
-        )
+        table = self.finite.table
+        return element_of_pair(table, pair_mul(table, pair_of(self), pair_of(other)))
 
     def inverse(self) -> "AffineWeylElement":
-        return AffineWeylElement(self.finite.inverse(),
-                                 vec_neg(self.finite.act_coroot(self.translation)))
+        table = self.finite.table
+        return element_of_pair(table, pair_inverse(table, pair_of(self)))
 
     def __hash__(self) -> int:
         return hash((self.finite.perm, self.translation))
 
     def is_identity(self) -> bool:
         return self.finite.is_identity() and not any(self.translation)
+
+
+def pair_of(x: AffineWeylElement) -> Pair:
+    """w0 TR(lambda) = TR(w0(lambda)) w0."""
+    return x.finite.act_coroot(x.translation), x.finite.perm
+
+
+def element_of_pair(table: RootTable, x: Pair) -> AffineWeylElement:
+    """TR(c) u = u TR(u^-1(c))."""
+    c, u = x
+    return AffineWeylElement(FiniteWeylElement(u, table),
+                             table.coact(table.inverse(u), c))
 
 
 @dataclass(frozen=True, order=True)
@@ -63,11 +112,16 @@ def aff_identity(rs: RootSystem) -> AffineWeylElement:
 
 
 @lru_cache(maxsize=None)
+def reflection_pair(rs: RootSystem, r: AffineReflection) -> Pair:
+    """s_{alpha,k} as the pair (k alpha-coroot, perm of s_alpha)."""
+    return (tuple(r.level * x for x in coroot(rs, r.root)),
+            reflection_element(rs, r.root).perm)
+
+
+@lru_cache(maxsize=None)
 def as_element(rs: RootSystem, r: AffineReflection) -> AffineWeylElement:
     """Normal form of s_{alpha,k}: (s_alpha, -k * alpha-coroot)."""
-    v = coroot(rs, r.root)
-    return AffineWeylElement(reflection_element(rs, r.root),
-                             tuple(-r.level * x for x in v))
+    return element_of_pair(root_table(rs), reflection_pair(rs, r))
 
 
 def translation_element(rs: RootSystem, lam: Vec) -> AffineWeylElement:
@@ -96,11 +150,18 @@ def recognize_reflection(rs: RootSystem, x: AffineWeylElement) -> AffineReflecti
     return AffineReflection(alpha, k)
 
 
-def product_of_reflections(rs: RootSystem, refs) -> AffineWeylElement:
-    out = aff_identity(rs)
-    for r in refs:
-        out = out * as_element(rs, r)
+def pair_product(table: RootTable, pairs) -> Pair:
+    """The product of pairs, left to right; the identity for none."""
+    out = ((0,) * len(table.simple), table.identity)
+    for x in pairs:
+        out = pair_mul(table, out, x)
     return out
+
+
+def product_of_reflections(rs: RootSystem, refs) -> AffineWeylElement:
+    table = root_table(rs)
+    return element_of_pair(table, pair_product(
+        table, [reflection_pair(rs, r) for r in refs]))
 
 
 def is_coweight(rs: RootSystem, lam_coords) -> bool:

@@ -42,7 +42,8 @@ class RootTable:
     memoizes absolute length, which the factorization searches ask of the
     same elements over and over. `coactions` memoizes the rows of the
     action on coroot coordinates, which every affine product and inverse
-    applies. Each memo holds at most one entry per group element.
+    applies. Each memo holds at most one entry per group element, keyed by
+    its root permutation.
     """
 
     __slots__ = ("rs", "roots", "index", "simple", "coroots", "identity",
@@ -58,6 +59,29 @@ class RootTable:
         self.inverses: dict = {}
         self.lengths: dict = {}
         self.coactions: dict = {}
+
+    def inverse(self, perm: tuple) -> tuple:
+        """The inverse of a root permutation."""
+        inv = self.inverses.get(perm)
+        if inv is None:
+            out = [0] * len(perm)
+            for i, j in enumerate(perm):
+                out[j] = i
+            inv = self.inverses[perm] = tuple(out)
+        return inv
+
+    def coact(self, perm: tuple, v) -> tuple:
+        """Image of a vector in simple-coroot coordinates under the element
+        with root permutation `perm`.
+
+        Column j of the action is the coroot of w(alpha_j), the image of the
+        j-th simple coroot.
+        """
+        rows = self.coactions.get(perm)
+        if rows is None:
+            rows = self.coactions[perm] = tuple(
+                zip(*[self.coroots[perm[s]] for s in self.simple]))
+        return tuple([sum(map(mul, row, v)) for row in rows])
 
 
 @lru_cache(maxsize=None)
@@ -76,14 +100,7 @@ class FiniteWeylElement:
         return FiniteWeylElement(itemgetter(*other.perm)(self.perm), self.table)
 
     def inverse(self) -> "FiniteWeylElement":
-        t = self.table
-        inv = t.inverses.get(self.perm)
-        if inv is None:
-            perm = [0] * len(self.perm)
-            for i, j in enumerate(self.perm):
-                perm[j] = i
-            inv = t.inverses[self.perm] = FiniteWeylElement(tuple(perm), t)
-        return inv
+        return FiniteWeylElement(self.table.inverse(self.perm), self.table)
 
     def __hash__(self) -> int:
         return hash(self.perm)
@@ -93,17 +110,8 @@ class FiniteWeylElement:
         return t.roots[self.perm[t.index[r]]]
 
     def act_coroot(self, v):
-        """Image of a vector in simple-coroot coordinates.
-
-        Column j is the coroot of w(alpha_j), the image of the j-th simple
-        coroot.
-        """
-        t = self.table
-        rows = t.coactions.get(self.perm)
-        if rows is None:
-            rows = t.coactions[self.perm] = tuple(
-                zip(*[t.coroots[self.perm[s]] for s in t.simple]))
-        return tuple([sum(map(mul, row, v)) for row in rows])
+        """Image of a vector in simple-coroot coordinates."""
+        return self.table.coact(self.perm, v)
 
     @property
     def matrix(self) -> Mat:

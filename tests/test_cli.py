@@ -200,12 +200,19 @@ def test_verify_smoke(runner, suite, group):
     (None, ["--bogus", "roots", "A2"]),
     (None, ["roots", "A80"]),
     (None, ["verify", "main-theorem", "--group", "A13"]),
+    (None, ["roots", "affine:Z2"]),
+    (None, ["length", "A0", "1,0"]),
+    (None, ["orbit", "A13", "1,0", "0,1"]),
+    (None, ["check-qc", "E9", "1,0:0", "0,1:0", "1,1:1"]),
+    (None, ["connect", "affine:", "1,0:0;0,1:0", "1,1:0;1,0:0"]),
+    (None, ["factorize", "affine:A2", "1,0:0", "--length", "1.5"]),
 ], ids=["node-limit-not-int", "node-limit-negative", "factorize-negative-K",
         "factorize-negative-length", "check-qc-negative-K", "fiber-negative-K",
         "verify-unknown-group", "verify-zero-samples", "orbit-negative-depth",
         "connect-negative-depth", "unknown-group-option",
         "unknown-group-option-before-command", "rank-above-cap",
-        "verify-rank-above-cap"])
+        "verify-rank-above-cap", "unknown-family", "rank-zero", "orbit-rank-above-cap",
+        "no-E9", "affine-without-type", "factorize-non-integer-length"])
 def test_bad_input_is_a_usage_error(runner, monkeypatch, node_limit, args):
     if node_limit is not None:
         monkeypatch.setenv("AFFHUR_NODE_LIMIT", node_limit)
@@ -290,6 +297,26 @@ def test_verify_node_limit_reaches_connect(runner, monkeypatch):
     assert seen == [777] * 3
 
 
+def test_verify_stage2_counts_the_generating_sequences(runner):
+    # the A2 Coxeter element's projection has 8 generating root sequences
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2")
+    assert res.exit_code == 0, res.output
+    assert ("[main-theorem] PASS stage2-orbit-exhausted-A2" in res.output
+            and "finite orbit of size 8 exhausted; it is all 8 generating"
+            in res.output)
+
+
+def test_verify_stage2_fails_on_a_wrong_count(runner, monkeypatch):
+    real = verify._generating_sequence_count
+    monkeypatch.setattr(verify, "_generating_sequence_count",
+                        lambda *args: real(*args) + 1)
+    res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2")
+    assert res.exit_code == 1
+    assert "[main-theorem] FAIL stage2-orbit-exhausted-A2" in res.output
+    assert "finite orbit of size 8, but 9 generating" in res.output
+    assert "[main-theorem] PASS connect-all-pairs-A2" in res.output
+
+
 def test_verify_limit_hit_with_a_failure_exits_1(runner, monkeypatch):
     monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
 
@@ -366,24 +393,42 @@ _bad_node_limit = st.one_of(_env_text.filter(lambda s: not _is_int(s)),
                             _negative, st.integers(0, 2).map(str))
 
 
+BAD_GROUPS = ("affine:Z2", "A0", "A13", "E9", "affine:")
+# one well-formed invocation of each command that takes a group, with the
+# group left out
+_GROUP_COMMANDS = (
+    ["roots"], ["length", "1,0:0"], ["check-qc", *WORD, "-K", "1"],
+    ["factorize", "1,0:0", "1,1:1", "-K", "1"], ["orbit", "1,0", "0,1"],
+    ["connect", "1,0;0,1", "1,1;1,0"], ["fiber", "1,0:0", "1,1:1", "1,1:0", "-K", "1"],
+)
+
+
 @st.composite
 def bad_invocations(draw):
-    """(argv, AFFHUR_NODE_LIMIT or None), each with at least one defect."""
-    kind = draw(st.sampled_from(["literal", "tuple-length", "bound", "node-limit"]))
+    """(argv, AFFHUR_NODE_LIMIT or None, whether it must exit 2), each with
+    at least one defect."""
+    kind = draw(st.sampled_from(["literal", "tuple-length", "bound", "node-limit",
+                                 "group", "length"]))
+    if kind == "group":
+        command, *args = draw(st.sampled_from(_GROUP_COMMANDS))
+        return [command, draw(st.sampled_from(BAD_GROUPS)), *args], None, True
+    if kind == "length":
+        return (["factorize", "affine:A2", "1,0:0", "1,1:1", "-K", "1",
+                 "--length", draw(_bad_bound)], None, True)
     if kind == "literal":
         command = draw(st.sampled_from(["length", "check-qc", "factorize",
                                         "orbit", "fiber"]))
         refs = draw(st.lists(_good_literal, max_size=3))
         refs.insert(draw(st.integers(0, len(refs))), draw(_bad_literal))
         bound = [] if command in ("length", "orbit") else ["-K", "1"]
-        return [command, "affine:A2", *refs, *bound], None
+        return [command, "affine:A2", *refs, *bound], None, False
     if kind == "tuple-length":
         refs = draw(st.lists(_good_literal, min_size=1, max_size=5))
         if len(refs) != 3 and draw(st.booleans()):
-            return ["fiber", "affine:A2", *refs, "-K", "1"], None
+            return ["fiber", "affine:A2", *refs, "-K", "1"], None, False
         other = draw(st.lists(_good_literal, min_size=1, max_size=5)
                      .filter(lambda r: len(r) != len(refs)))
-        return ["connect", "affine:A2", ";".join(refs), ";".join(other)], None
+        return ["connect", "affine:A2", ";".join(refs), ";".join(other)], None, False
     if kind == "bound":
         value = draw(_bad_bound)
         argv = draw(st.sampled_from([
@@ -393,20 +438,20 @@ def bad_invocations(draw):
             ["orbit", "A2", "1,0", "0,1", "--depth"],
             ["connect", "A2", "1,0;0,1", "1,1;1,0", "--depth"],
         ]))
-        return [*argv, value], None
+        return [*argv, value], None, False
     argv = draw(st.sampled_from([["orbit", "A2", "1,0", "0,1"],
                                  ["connect", "A2", "1,0;0,1", "1,1;1,0"]]))
-    return argv, draw(_bad_node_limit)
+    return argv, draw(_bad_node_limit), False
 
 
 @settings(max_examples=150, deadline=None)
 @given(bad_invocations(), st.sampled_from(["text", "json"]))
 def test_bad_input_never_crashes(invocation, fmt):
     # levels stay within -K 1, so no enumeration runs long
-    argv, node_limit = invocation
+    argv, node_limit, usage = invocation
     env = {"AFFHUR_NODE_LIMIT": node_limit}
     res = CliRunner().invoke(main, [*argv, "--format", fmt], env=env)
-    assert res.exit_code in (2, 3), (argv, node_limit, res.output)
+    assert res.exit_code in ((2,) if usage else (2, 3)), (argv, node_limit, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
     lines = res.stderr.splitlines()

@@ -4,8 +4,9 @@ from operator import mul
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.linalg import (echelon_integer, hnf, hnf_contains, hnf_reduce,
-                           mat_mul, mat_vec, solve_integer, solve_rational)
+from affhur.linalg import (echelon_integer, hnf, hnf_contains, hnf_pivots,
+                           hnf_reduce, mat_mul, mat_vec, solve_integer,
+                           solve_rational)
 
 small_int = st.integers(min_value=-6, max_value=6)
 
@@ -69,17 +70,61 @@ def test_hnf_is_basis_of_same_lattice():
     vecs = [(2, 4), (3, 1), (5, 5)]
     basis = hnf(vecs, 2)
     for v in vecs:
-        assert hnf_contains(basis, v)
+        assert hnf_contains(basis, hnf_pivots(basis), v)
     # basis vectors generate nothing outside the original span: same HNF
     assert hnf(list(basis) + vecs, 2) == basis
 
 
 def test_hnf_reduce_residue():
     basis = hnf([(1, 1), (0, 2)], 2)
-    assert hnf_reduce(basis, (5, 3)) == (0, 0)
-    assert hnf_reduce(basis, (0, 1)) == (0, 1)
-    assert hnf_contains(basis, (5, 3))
-    assert not hnf_contains(basis, (0, 1))
+    pivots = hnf_pivots(basis)
+    assert pivots == (0, 1)
+    assert hnf_reduce(basis, pivots, (5, 3)) == (0, 0)
+    assert hnf_reduce(basis, pivots, (0, 1)) == (0, 1)
+    assert hnf_contains(basis, pivots, (5, 3))
+    assert not hnf_contains(basis, pivots, (0, 1))
+
+
+def hnf_contains_reference(basis, v) -> bool:
+    """Membership with each row's pivot found on every call."""
+    w = list(v)
+    for row in basis:
+        pcol = next(j for j, x in enumerate(row) if x != 0)
+        if w[pcol]:
+            if w[pcol] % row[pcol] != 0:
+                return False
+            q = w[pcol] // row[pcol]
+            w = [x - q * y for x, y in zip(w, row)]
+    return not any(w)
+
+
+def hnf_reduce_reference(basis, v) -> tuple:
+    """The residue with each row's pivot found on every call."""
+    w = list(v)
+    for row in basis:
+        pcol = next(j for j, x in enumerate(row) if x != 0)
+        q = w[pcol] // row[pcol]
+        w = [x - q * y for x, y in zip(w, row)]
+    return tuple(w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(small_int, min_size=n, max_size=n), max_size=5),
+    st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+             min_size=1, max_size=6))))
+def test_hnf_pivots_match_the_per_call_search(data):
+    vectors, probes = data
+    n = len(probes[0])
+    basis = hnf(vectors, n)
+    pivots = hnf_pivots(basis)
+    assert list(pivots) == sorted(set(pivots))  # echelon: strictly increasing
+    # every vector of the span reduces to 0 and is contained
+    for v in list(vectors) + probes:
+        assert hnf_reduce(basis, pivots, v) == hnf_reduce_reference(basis, v)
+        assert hnf_contains(basis, pivots, v) == hnf_contains_reference(basis, v)
+    for v in vectors:
+        assert not any(hnf_reduce(basis, pivots, v))
 
 
 @settings(max_examples=60, deadline=None)

@@ -481,6 +481,25 @@ def test_connect_reduced_equal_tuples_give_the_empty_word(name):
     assert connect_reduced(rs, product_of_reflections(rs, t), t, t) == BraidWord()
 
 
+@pytest.mark.parametrize("name,word", [("A2", (1, 2, -1, 2, 2)),
+                                       ("B3", (1, 2, -3, 3))])
+def test_connect_reduced_raises_when_word_does_not_replay(name, word, monkeypatch):
+    # the replay on affine pairs catches a word that the pipeline got wrong
+    rs = parse_type(name)
+    t1 = simple_system_affine(rs)
+    w = product_of_reflections(rs, t1)
+    e1 = ReflectionTuple(tuple(as_element(rs, r) for r in t1))
+    t2 = tuple(recognize_reflection(rs, e)
+               for e in apply_braid(e1, BraidWord(word)).entries)
+    assert t2[0] != t2[1]  # so that sigma_1 moves t2
+    connect_reduced(rs, w, t1, t2)  # the word as found replays
+    real = quasicox._connect_pipeline
+    monkeypatch.setattr(quasicox, "_connect_pipeline",
+                        lambda *args: real(*args) + BraidWord((1,)))
+    with pytest.raises(RuntimeError, match="internal inconsistency"):
+        connect_reduced(rs, w, t1, t2)
+
+
 def test_generates_affine_keeps_its_own_error_when_normalization_fails(
         a2, monkeypatch):
     # a generating projection always normalizes, so a failure is internal

@@ -2,15 +2,22 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affhur.rootsys import Root, RootSystemError, build_root_system, coroot
+from affhur.linalg import vec_add
+from affhur.rootsys import (Root, RootSystemError, build_root_system, coroot,
+                            parse_type)
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
                              affine_reflection, as_element, coweight_conjugate,
-                             is_coweight, product_of_reflections,
-                             recognize_reflection, simple_system_affine,
+                             element_of_pair, is_coweight, pair_inverse,
+                             pair_mul, pair_of, pair_product,
+                             product_of_reflections, recognize_reflection,
+                             reflection_pair, simple_system_affine,
                              translation_element)
 from affhur.weyl_fin import (fixed_affine_subspace, identity_element,
-                             reflection_element, root_sequences)
+                             reflection_element, root_sequences, root_table)
+from test_hurwitz import _load_model
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +71,73 @@ def test_multiplication_group_axioms(b2):
         assert (x * y) * z == x * (y * z)
         assert x * x.inverse() == aff_identity(b2)
         assert x.inverse().inverse() == x
+
+
+# ------------------------------------- the pair rule against the matrix model
+
+PAIR_GROUPS = ("A2", "B2", "G2", "A3", "B3", "C3")
+_models: dict = {}
+
+
+def _model(name):
+    if name not in _models:
+        _models[name] = _load_model().Group(name)
+    return _models[name]
+
+
+@st.composite
+def reflection_words(draw):
+    """(group name, affine reflections on any roots, levels in [-3, 3])."""
+    name = draw(st.sampled_from(PAIR_GROUPS))
+    roots = parse_type(name).roots
+    word = draw(st.lists(st.tuples(st.sampled_from(roots), st.integers(-3, 3)),
+                         min_size=1, max_size=7))
+    return name, [AffineReflection(r, k) for r, k in word]
+
+
+def pair_matrix(table, x):
+    """The affine matrix of TR(c) u on (coroot coordinates, 1)."""
+    c, u = x
+    cols = [table.coroots[u[s]] for s in table.simple]
+    n = len(cols)
+    return tuple(tuple(col[i] for col in cols) + (c[i],) for i in range(n)) \
+        + ((0,) * n + (1,),)
+
+
+def lambda_form_product(x, y):
+    """(u, l)(v, m) = (uv, m + v^-1(l)) on w = u TR(l): the rule of the
+    (finite part, translation) view, written out independently."""
+    return AffineWeylElement(x.finite * y.finite,
+                             vec_add(y.translation,
+                                     y.finite.inverse().act_coroot(x.translation)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reflection_words(), st.integers(0, 7))
+def test_pair_rule_matches_the_matrix_model(data, cut):
+    name, word = data
+    rs = parse_type(name)
+    table = root_table(rs)
+    pairs = [reflection_pair(rs, r) for r in word]
+    prod = pair_product(table, pairs)
+    # the benchmark's integer affine matrices share no code with affhur
+    assert pair_matrix(table, prod) == _model(name).product(
+        [(r.root.coords, r.level) for r in word])
+    # the rule on two arbitrary pairs, not only on a reflection factor
+    cut = min(cut, len(pairs))
+    assert pair_mul(table, pair_product(table, pairs[:cut]),
+                    pair_product(table, pairs[cut:])) == prod
+    assert pair_mul(table, prod, pair_inverse(table, prod)) == \
+        ((0,) * rs.rank, table.identity)
+    # the element view multiplies by the same rule
+    elem = aff_identity(rs)
+    ref = aff_identity(rs)
+    for r in word:
+        elem = elem * as_element(rs, r)
+        ref = lambda_form_product(ref, as_element(rs, r))
+    assert elem == ref == element_of_pair(table, prod)
+    assert elem.inverse() == element_of_pair(table, pair_inverse(table, prod))
+    assert pair_of(element_of_pair(table, prod)) == prod
 
 
 def test_projection_is_homomorphism(a2):
