@@ -230,11 +230,8 @@ def cmd_length(group, reflections, fmt):
         w = product_of_reflections(rs, refs)
         length = absolute_length_affine(rs, w)
     else:
-        prod = None
-        for r in refs:
-            e = reflection_element(rs, r.root)
-            prod = e if prod is None else prod * e
-        length = absolute_length(prod)
+        length = absolute_length(ReflectionTuple(
+            tuple(reflection_element(rs, r.root) for r in refs)).product())
     payload = {"command": "length", "group": format_group(rs, affine),
                "absolute_length": length}
     _emit(fmt, payload, [f"absolute length: {length}"])

@@ -348,9 +348,9 @@ def connect(t1: ReflectionTuple, t2: ReflectionTuple,
     """
     if len(t1) != len(t2):
         raise ValueError("tuples must have equal length")
+    codes = _codes_of(t1)
     if t1.product() != t2.product():
         return None
-    codes = _codes_of(t1)
     word = connect_codes(codes.move, codes.encode(t1), codes.encode(t2),
                          depth_limit, node_limit)
     if word is not None and apply_braid(t1, word) != t2:

@@ -21,8 +21,8 @@ from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, coroot
-from .weyl_aff import (AffineReflection, AffineWeylElement, pair_of,
-                       pair_product, reflection_pair)
+from .weyl_aff import (AffineReflection, AffineWeylElement, pair_product,
+                       reflection_pair)
 from .weyl_fin import (absolute_length, all_elements, generates_w0,
                        is_parabolic, reflection_element, root_index_sequences,
                        root_table)
@@ -238,10 +238,9 @@ def _factorization_codes(rs: RootSystem, target: AffineWeylElement, m: int,
     (positive-root index, level) pairs."""
     if m == 0:
         return [()] if target.is_identity() else []
-    rhs = pair_of(target)[0]
     out = []
     for seq, cols in root_index_sequences(rs, target.finite, m):
-        for ks in _levels_in_window(cols, rhs, bound):
+        for ks in _levels_in_window(cols, target.translation, bound):
             out.append(tuple(zip(seq, ks)))
     # positive roots are indexed in root order, so this is the order of
     # the decoded AffineReflection tuples
@@ -278,8 +277,7 @@ def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
     """
     if m == 0:
         return w.is_identity()
-    rhs = pair_of(w)[0]
-    return any(solve_integer(tuple(zip(*cols)), rhs)
+    return any(solve_integer(tuple(zip(*cols)), w.translation)
                for _, cols in root_index_sequences(rs, w.finite, m))
 
 
@@ -413,7 +411,8 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     n = rs.rank
     table = root_table(rs)
     # pairs are compared by permutation, so the root table must be the same
-    target = pair_of(w) if w.finite.table is table else None
+    target = ((w.translation, w.finite.perm) if w.finite.table is table
+              else None)
     pairs = []
     for t in (t1, t2):
         if len(t) != n + 1:

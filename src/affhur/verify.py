@@ -88,9 +88,10 @@ def _check_conjugation(rs, level: int) -> str:
 
 
 def _check_product_form(rs, level: int) -> str:
-    # the enumeration solves sum_i k_i cols[i] = target(t) for the levels of
-    # a root sequence of `root_sequences`; each triple of reflections has odd
-    # l_T <= 3, so it is yielded once, under the finite part of its product
+    # the enumeration solves sum_i k_i cols[i] = c for the levels of a root
+    # sequence of `root_sequences` with product TR(c) target; each triple of
+    # reflections has odd l_T <= 3, so it is yielded once, under the finite
+    # part of its product
     window = range(-level, level + 1)
     count = 0
     for target in all_elements(rs):
@@ -100,8 +101,7 @@ def _check_product_form(rs, level: int) -> str:
                 prod = product_of_reflections(rs, seq)
                 expected = tuple(sum(k * c[j] for k, c in zip(ks, cols))
                                  for j in range(rs.rank))
-                _require(prod.finite == target
-                         and target.act_coroot(prod.translation) == expected,
+                _require(prod.finite == target and prod.translation == expected,
                          f"closed form disagrees with the product for {seq}")
                 count += 1
     triples = (len(rs.positive_roots) * len(window)) ** 3

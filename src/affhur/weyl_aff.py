@@ -1,6 +1,6 @@
-"""Affine Weyl group elements: one plain value and one multiplication rule.
+"""Affine Weyl group elements: one value and one multiplication rule.
 
-The value is the pair (c, w) for TR(c) w, the translation applied last: c
+An element is the pair (c, w) for TR(c) w, the translation applied last: c
 is an integer tuple in simple-coroot coordinates and w is the root
 permutation of the finite part (see `affhur.weyl_fin`). The rule is
 
@@ -10,18 +10,12 @@ with u(d) read from the `RootTable.coactions` memo (`RootTable.coact`),
 and the inverse of (c, u) is (-u^-1(c), u^-1). The affine reflection
 s_{alpha,k} is the pair (k alpha-coroot, perm of s_alpha), so
 right-multiplying by it gives (c + k (u alpha)-coroot, u s_alpha).
-`pair_mul`, `pair_inverse` and `reflection_pair` are the rule;
-`product_of_reflections`, `quasicox.connect_reduced` and the replay
-`hurwitz.replay_pairs` compute on pairs, and `quasicox.closure_generates`
-runs the reflection step inline, reading (u alpha)-coroot off the root
-table.
-
-`AffineWeylElement` is the boundary view that the CLI, `verify` and the
-tests read: the unique (finite part, translation) with w = w0 TR(lambda),
-the translation acting first, so that s_{alpha,k} is
-(s_alpha, -k alpha-coroot). It is the pair (w0(lambda), w0) read the other
-way round; `pair_of` and `element_of_pair` convert, and its product and
-inverse are computed by the rule above.
+`pair_mul`, `pair_inverse` and `reflection_pair` are the rule on plain
+tuples; `AffineWeylElement` holds the same pair as (`translation`,
+`finite`) and multiplies by the same rule. `product_of_reflections`,
+`quasicox.connect_reduced` and the replay `hurwitz.replay_pairs` compute
+on tuples, and `quasicox.closure_generates` runs the reflection step
+inline, reading (u alpha)-coroot off the root table.
 """
 
 from __future__ import annotations
@@ -61,15 +55,17 @@ def pair_inverse(table: RootTable, x: Pair) -> Pair:
 @dataclass(frozen=True)
 class AffineWeylElement:
     finite: FiniteWeylElement
-    translation: Vec  # lambda in w = finite * TR(lambda); coroot coordinates
+    translation: Vec  # c in w = TR(c) * finite; coroot coordinates
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         table = self.finite.table
-        return element_of_pair(table, pair_mul(table, pair_of(self), pair_of(other)))
+        return _element(table, pair_mul(table, (self.translation, self.finite.perm),
+                                        (other.translation, other.finite.perm)))
 
     def inverse(self) -> "AffineWeylElement":
         table = self.finite.table
-        return element_of_pair(table, pair_inverse(table, pair_of(self)))
+        return _element(table, pair_inverse(table, (self.translation,
+                                                    self.finite.perm)))
 
     def __hash__(self) -> int:
         return hash((self.finite.perm, self.translation))
@@ -78,16 +74,10 @@ class AffineWeylElement:
         return self.finite.is_identity() and not any(self.translation)
 
 
-def pair_of(x: AffineWeylElement) -> Pair:
-    """w0 TR(lambda) = TR(w0(lambda)) w0."""
-    return x.finite.act_coroot(x.translation), x.finite.perm
-
-
-def element_of_pair(table: RootTable, x: Pair) -> AffineWeylElement:
-    """TR(c) u = u TR(u^-1(c))."""
+def _element(table: RootTable, x: Pair) -> AffineWeylElement:
+    """The pair (c, u) as the element TR(c) u."""
     c, u = x
-    return AffineWeylElement(FiniteWeylElement(u, table),
-                             table.coact(table.inverse(u), c))
+    return AffineWeylElement(FiniteWeylElement(u, table), c)
 
 
 @dataclass(frozen=True, order=True)
@@ -120,32 +110,35 @@ def reflection_pair(rs: RootSystem, r: AffineReflection) -> Pair:
 
 @lru_cache(maxsize=None)
 def as_element(rs: RootSystem, r: AffineReflection) -> AffineWeylElement:
-    """Normal form of s_{alpha,k}: (s_alpha, -k * alpha-coroot)."""
-    return element_of_pair(root_table(rs), reflection_pair(rs, r))
+    """s_{alpha,k} = TR(k alpha-coroot) s_alpha."""
+    return _element(root_table(rs), reflection_pair(rs, r))
 
 
 def translation_element(rs: RootSystem, lam: Vec) -> AffineWeylElement:
+    if len(lam) != rs.rank:
+        raise ValueError(f"expected {rs.rank} translation coordinates, "
+                         f"got {len(lam)}")
     return AffineWeylElement(identity_element(rs), tuple(lam))
 
 
 def recognize_reflection(rs: RootSystem, x: AffineWeylElement) -> AffineReflection | None:
-    """Inverse of the normal-form embedding; None if x is not a reflection."""
+    """Inverse of `as_element`; None if x is not a reflection."""
     alpha = root_of_reflection(rs, x.finite)
     if alpha is None:
         return None
     v = coroot(rs, alpha)
-    # translation must be -k * coroot(alpha)
+    # translation must be k * coroot(alpha)
     k = None
     for t, c in zip(x.translation, v):
         if c:
             if t % c != 0:
                 return None
-            k = -(t // c)
+            k = t // c
             break
     if k is None:
         raise RuntimeError("internal inconsistency: a coroot has no "
                            "non-zero coordinate")
-    if tuple(-k * c for c in v) != x.translation:
+    if tuple(k * c for c in v) != x.translation:
         return None
     return AffineReflection(alpha, k)
 
@@ -160,7 +153,7 @@ def pair_product(table: RootTable, pairs) -> Pair:
 
 def product_of_reflections(rs: RootSystem, refs) -> AffineWeylElement:
     table = root_table(rs)
-    return element_of_pair(table, pair_product(
+    return _element(table, pair_product(
         table, [reflection_pair(rs, r) for r in refs]))
 
 

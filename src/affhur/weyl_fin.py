@@ -210,8 +210,8 @@ def root_index_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
     m = l_T(target) the test reads l_T(r) = m - i: the sequences are the
     reduced factorizations. columns[i] is the coroot of
     s_{b_1} ... s_{b_{i-1}}(b_i): levels k_i make the affine reflections
-    s_{b_i,k_i} multiply to (target, t) exactly when
-    sum_i k_i columns[i] = target(t).
+    s_{b_i,k_i} multiply to TR(c) target exactly when
+    sum_i k_i columns[i] = c.
 
     The search runs on root permutations, not on elements: the remainder
     s_b r has the permutation itemgetter(*r)(perm of s_b), and l_T is read

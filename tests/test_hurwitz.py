@@ -114,6 +114,14 @@ def test_connect_product_mismatch(a2):
         connect(t1, fin_tuple(a2, (1, 0), (0, 1), (1, 1)))
 
 
+def test_searches_reject_the_empty_tuple():
+    empty = ReflectionTuple(())
+    for search in (lambda: connect(empty, empty), lambda: orbit(empty),
+                   lambda: lr_normalize(empty, 0)):
+        with pytest.raises(ValueError, match="at least one entry"):
+            search()
+
+
 def test_connect_affine(a2):
     t = aff_tuple(a2, ((1, 0), 0), ((0, 1), 0), ((1, 1), 1))
     target = apply_braid(t, BraidWord((2, -1, 2, 2, 1)))

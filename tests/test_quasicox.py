@@ -271,11 +271,14 @@ def _brute_force_factorizations(rs, target, m, bound):
     Returns the sorted factorizations with levels in [-bound, bound] and
     whether any root sequence has an integrally solvable level system.
     The translations of all level vectors are compared with the target's;
-    nothing is solved for.
+    nothing is solved for. The oracle writes a product as w TR(lambda), the
+    translation acting first, so it reads lambda = w^-1(c) off the target
+    TR(c) w once.
     """
     if m == 0:
         return ([()] if target.is_identity() else []), target.is_identity()
     n = rs.rank
+    lam = target.finite.inverse().act_coroot(target.translation)
     facs = []
     solvable = False
     for seq in itertools.product(rs.positive_roots, repeat=m):
@@ -286,7 +289,7 @@ def _brute_force_factorizations(rs, target, m, bound):
             continue
         vs = _oracle_coroots(rs, seq)
         rows = [tuple(-vs[i][j] for i in range(m)) for j in range(n)]
-        if solve_integer_reference(rows, target.translation) is None:
+        if solve_integer_reference(rows, lam) is None:
             continue
         solvable = True
         # every level vector in the window: the first m-1 levels run over
@@ -298,7 +301,7 @@ def _brute_force_factorizations(rs, target, m, bound):
             t = (0,) * n
             for _, step in head:
                 t = vec_add(t, step)
-            k = last.get(tuple(map(sub, target.translation, t)))
+            k = last.get(tuple(map(sub, lam, t)))
             if k is not None:
                 ks = [k for k, _ in head] + [k]
                 facs.append(tuple(AffineReflection(r, k)

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.linalg import vec_add
 from affhur.rootsys import (Root, RootSystemError, build_root_system, coroot,
                             parse_type)
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
                              affine_reflection, as_element, coweight_conjugate,
-                             element_of_pair, is_coweight, pair_inverse,
-                             pair_mul, pair_of, pair_product,
+                             is_coweight, pair_inverse, pair_mul, pair_product,
                              product_of_reflections, recognize_reflection,
                              reflection_pair, simple_system_affine,
                              translation_element)
@@ -47,7 +45,7 @@ def test_as_element_normal_form(a2):
     r = AffineReflection(Root((1, 1)), 1)
     e = as_element(a2, r)
     assert e.finite == reflection_element(a2, Root((1, 1)))
-    assert e.translation == (-1, -1)  # -k * coroot
+    assert e.translation == (1, 1)  # TR(k * coroot) s_alpha
     assert e * e == aff_identity(a2)
 
 
@@ -104,14 +102,6 @@ def pair_matrix(table, x):
         + ((0,) * n + (1,),)
 
 
-def lambda_form_product(x, y):
-    """(u, l)(v, m) = (uv, m + v^-1(l)) on w = u TR(l): the rule of the
-    (finite part, translation) view, written out independently."""
-    return AffineWeylElement(x.finite * y.finite,
-                             vec_add(y.translation,
-                                     y.finite.inverse().act_coroot(x.translation)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(reflection_words(), st.integers(0, 7))
 def test_pair_rule_matches_the_matrix_model(data, cut):
@@ -121,23 +111,20 @@ def test_pair_rule_matches_the_matrix_model(data, cut):
     pairs = [reflection_pair(rs, r) for r in word]
     prod = pair_product(table, pairs)
     # the benchmark's integer affine matrices share no code with affhur
-    assert pair_matrix(table, prod) == _model(name).product(
-        [(r.root.coords, r.level) for r in word])
+    expected = _model(name).product([(r.root.coords, r.level) for r in word])
+    assert pair_matrix(table, prod) == expected
     # the rule on two arbitrary pairs, not only on a reflection factor
     cut = min(cut, len(pairs))
     assert pair_mul(table, pair_product(table, pairs[:cut]),
                     pair_product(table, pairs[cut:])) == prod
     assert pair_mul(table, prod, pair_inverse(table, prod)) == \
         ((0,) * rs.rank, table.identity)
-    # the element view multiplies by the same rule
+    # the element multiplies by the same rule
     elem = aff_identity(rs)
-    ref = aff_identity(rs)
     for r in word:
         elem = elem * as_element(rs, r)
-        ref = lambda_form_product(ref, as_element(rs, r))
-    assert elem == ref == element_of_pair(table, prod)
-    assert elem.inverse() == element_of_pair(table, pair_inverse(table, prod))
-    assert pair_of(element_of_pair(table, prod)) == prod
+    assert pair_matrix(table, (elem.translation, elem.finite.perm)) == expected
+    assert elem * elem.inverse() == elem.inverse() * elem == aff_identity(rs)
 
 
 def test_projection_is_homomorphism(a2):
@@ -148,7 +135,7 @@ def test_projection_is_homomorphism(a2):
 
 def test_translation_part_closed_form(b2):
     # the level system the enumeration solves: s_{b_i,k_i} multiply to
-    # (w, t) exactly when sum_i k_i cols[i] = w(t), where cols[i] is the
+    # TR(c) w exactly when sum_i k_i cols[i] = c, where cols[i] is the
     # coroot of s_{b_1} ... s_{b_{i-1}}(b_i)
     refl = all_reflections(b2, 1)
     for seq in itertools.product(refl[:6], repeat=3):
@@ -162,7 +149,7 @@ def test_translation_part_closed_form(b2):
         assert prefix == prod.finite
         expected = tuple(sum(r.level * c[j] for r, c in zip(seq, cols))
                          for j in range(b2.rank))
-        assert prod.finite.act_coroot(prod.translation) == expected
+        assert prod.translation == expected
 
 
 def test_is_coweight(b2):
@@ -212,3 +199,7 @@ def test_translation_element_properties(a2):
     assert t1 * t2 == t2 * t1 == translation_element(a2, (1, 1))
     assert t1.inverse() == translation_element(a2, (-1, 0))
     assert t1.finite == identity_element(a2)
+    # products would silently truncate a short or long vector
+    for lam in ((1, 2, 3), (1,), ()):
+        with pytest.raises(ValueError):
+            translation_element(a2, lam)
