@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, sub
 
 from .hurwitz import (BraidWord, connect_codes, normalize_codes,
                       reflection_codes, replay_pairs)
@@ -205,47 +205,104 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
 def _levels_in_window(cols, rhs, bound: int) -> list[tuple[int, ...]]:
     """Integer vectors k in [-bound, bound]^m with sum_i k_i cols[i] = rhs.
 
-    Runs over the free coordinates of the exact solution space only and
-    solves for the pivot coordinates: (2K+1)^(kernel rank) points instead
-    of the (2K+1)^m of the whole window. Each pivot's equation is read
-    once into (column, right-hand side, coefficients on the free
-    coordinates, divisor).
+    Works on the exact solution space: `echelon_integer` writes each pivot
+    coordinate as (r - sum_f a_f k_f) / d in the free coordinates k_f. All
+    free coordinates but the last run over [-K, K]; the last is solved
+    for. With the others fixed, each pivot row asks -K <= (r - a k) / d
+    <= K of the last free coordinate k, an integer interval when a != 0
+    and a fixed quotient to test when a == 0. The points of the
+    intersection of those intervals with [-K, K] are tested for
+    integrality of every pivot, in ascending order. So the output is the
+    window scan's, in the same order, and no point outside the intervals
+    is visited.
     """
     system = echelon_integer(tuple(zip(*cols)), rhs)
     if system is None:
         return []
     pivots, free = system
-    solved = [(col, row[-1], [row[f] for f in free], row[col])
-              for col, row in pivots]
-    out = []
     ks = [0] * len(cols)
-    for cs in itertools.product(range(-bound, bound + 1), repeat=len(free)):
-        for f, c in zip(free, cs):
+    if not free:
+        for col, row in pivots:
+            k, rem = divmod(row[-1], row[col])
+            if rem or not -bound <= k <= bound:
+                return []
+            ks[col] = k
+        return [tuple(ks)]
+    *outer, last = free
+    out = []
+    for cs in itertools.product(range(-bound, bound + 1), repeat=len(outer)):
+        for f, c in zip(outer, cs):
             ks[f] = c
-        for col, r, coeffs, d in solved:
-            k, rem = divmod(r - sum(map(mul, coeffs, cs)), d)
+        lo, hi = -bound, bound
+        moving = []
+        for col, row in pivots:
+            r, a, d = row[-1], row[last], row[col]
+            for f, c in zip(outer, cs):
+                r -= row[f] * c
+            # -K <= (r - a k) / d <= K and the quotient are unchanged when
+            # r, a and d all change sign
+            if a < 0:
+                r, a, d = -r, -a, -d
+            if a:
+                # r - |d| K <= a k <= r + |d| K
+                e = (d if d > 0 else -d) * bound
+                t = -((e - r) // a)
+                if t > lo:
+                    lo = t
+                t = (r + e) // a
+                if t < hi:
+                    hi = t
+                if lo > hi:
+                    break
+                moving.append((col, r, a, d))
+                continue
+            k, rem = divmod(r, d)
             if rem or not -bound <= k <= bound:
                 break
             ks[col] = k
         else:
-            out.append(tuple(ks))
+            for x in range(lo, hi + 1):
+                ks[last] = x
+                for col, r, a, d in moving:
+                    k, rem = divmod(r - a * x, d)
+                    if rem:
+                        break
+                    ks[col] = k
+                else:
+                    out.append(tuple(ks))
     return out
+
+
+def _factorization_blocks(rs: RootSystem, target: AffineWeylElement, m: int,
+                          bound: int):
+    """`_factorization_codes` lazily, one sorted block per first root index.
+
+    `weyl_fin.root_index_sequences` yields its sequences in order of the
+    first root index, and a code tuple sorts by that index first, so the
+    blocks, each sorted on its own, concatenate to the sorted list. Blocks
+    come in ascending order of the first index; an index with no tuple in
+    the window gives no block.
+    """
+    if m == 0:
+        if target.is_identity():
+            yield [()]
+        return
+    for _, group in itertools.groupby(
+            root_index_sequences(rs, target.finite, m), lambda sc: sc[0][0]):
+        block = sorted(tuple(zip(seq, ks)) for seq, cols in group
+                       for ks in _levels_in_window(cols, target.translation, bound))
+        if block:
+            yield block
 
 
 def _factorization_codes(rs: RootSystem, target: AffineWeylElement, m: int,
                          bound: int) -> list[tuple]:
     """`enumerate_factorizations` on affine codes: sorted tuples of
-    (positive-root index, level) pairs."""
-    if m == 0:
-        return [()] if target.is_identity() else []
-    out = []
-    for seq, cols in root_index_sequences(rs, target.finite, m):
-        for ks in _levels_in_window(cols, target.translation, bound):
-            out.append(tuple(zip(seq, ks)))
-    # positive roots are indexed in root order, so this is the order of
-    # the decoded AffineReflection tuples
-    out.sort()
-    return out
+    (positive-root index, level) pairs, the concatenated
+    `_factorization_blocks`. Positive roots are indexed in root order, so
+    this is the order of the decoded `AffineReflection` tuples."""
+    return list(itertools.chain.from_iterable(
+        _factorization_blocks(rs, target, m, bound)))
 
 
 def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
@@ -256,12 +313,14 @@ def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
     `weyl_fin.root_index_sequences`, a prefix search that keeps a prefix
     only while the remainder p^-1 w0 has l_T at most the number of slots
     left, with the same parity. For each sequence the levels form an exact
-    linear system; its free coordinates run over [-K, K], its pivot
-    coordinates are solved for, and the points that are integral and
-    inside the window are kept. The search and the sort run on affine
-    codes, (positive-root index, level) pairs; the sorted result is
-    decoded once, each code to the one `AffineReflection` that
-    `ReflectionCodes.reflection` keeps for it.
+    linear system, solved in the window by `_levels_in_window`: all free
+    coordinates but the last run over [-K, K], the last is confined to
+    the interval every pivot row allows, and the pivot coordinates are
+    solved for. The search and the sort run on affine codes,
+    (positive-root index, level) pairs, one sorted block per first root
+    (`_factorization_blocks`); the sorted result is decoded once, each
+    code to the one `AffineReflection` that `ReflectionCodes.reflection`
+    keeps for it.
     """
     decode = reflection_codes(rs, True).reflection
     return [tuple(map(decode, code)) for code in _factorization_codes(
@@ -312,8 +371,12 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
                             level_cap: int = 2) -> QuasiCoxeterResult:
     """Search for a generating length-(n+1) decomposition of w.
 
-    A generating witness needs no separate reducedness check. A negative
-    verdict is conclusive when parity or exact insolvability rules out all
+    A generating witness needs no separate reducedness check. The
+    factorizations with levels in [-cap, cap] are read block by block from
+    `_factorization_blocks` and the test stops at the first generating
+    tuple: every earlier block was walked in full, so it is the first
+    generating tuple of the sorted enumeration. A negative verdict is
+    conclusive when parity or exact insolvability rules out all
     length-(n+1) factorizations; otherwise it only covers |k_i| <= cap.
     """
     n = rs.rank
@@ -327,13 +390,13 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     if _has_factorization(rs, w, n - 1):
         return QuasiCoxeterResult(False, None, True,
                                   f"absolute length at most {n - 1}, below {m}")
-    facs = _factorization_codes(rs, w, m, level_cap)
     # the generated subgroup is a Hurwitz invariant: once a tuple fails to
     # generate, so does every tuple reached from it by moves inside the
     # window, and the first generating tuple in sorted order is still found
     codes = reflection_codes(rs, True)
     settled: set = set()
-    for code in facs:
+    for code in itertools.chain.from_iterable(
+            _factorization_blocks(rs, w, m, level_cap)):
         if code in settled:
             continue
         fac = tuple(map(codes.reflection, code))
@@ -346,7 +409,8 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
                 if moved not in settled:
                     settled.add(moved)
                     stack.append(moved)
-    if not facs and not _has_factorization(rs, w, m):
+    # an empty window leaves nothing settled
+    if not settled and not _has_factorization(rs, w, m):
         # exact insolvability, not merely an empty K-window
         return QuasiCoxeterResult(False, None, True,
                                   f"no length-{m} factorization exists "
@@ -472,6 +536,8 @@ def is_parabolic_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     Full-length elements defer to the quasi-Coxeter test; shorter ones
     pass each enumerated factorization, levels included, to
     `weyl_fin.is_parabolic` (a best-effort scan, complete per level bound).
+    The factorizations are read as codes, one `_factorization_blocks`
+    block at a time, so the scan stops at the first parabolic one.
     """
     if w.is_identity():
         return True
@@ -482,5 +548,7 @@ def is_parabolic_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     if m == n + 1:
         return is_quasi_coxeter_affine(rs, w, level_cap).is_quasi_coxeter
     query = FactorizationQuery(w, m, level_cap)
-    return any(is_parabolic(rs, [r.root for r in fac], [r.level for r in fac])
-               for fac in enumerate_factorizations(rs, query))
+    roots = rs.positive_roots
+    return any(is_parabolic(rs, [roots[a] for a, _ in code], [k for _, k in code])
+               for code in itertools.chain.from_iterable(_factorization_blocks(
+                   rs, query.target, query.length, query.level_bound)))

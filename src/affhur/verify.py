@@ -43,7 +43,8 @@ class CheckFailed(Exception):
 
 
 def _require(condition, message: str) -> None:
-    # an explicit raise, unlike assert, also runs under python -O
+    # an explicit raise, unlike assert, also runs under python -O; a message
+    # that formats values is built only on failure, by an inline raise
     if not condition:
         raise CheckFailed(message)
 
@@ -80,9 +81,9 @@ def _check_conjugation(rs, level: int) -> str:
                 for kb in range(-level, level + 1):
                     b = AffineReflection(b_root, kb)
                     c, kc = codes.move((codes.code_of(a), codes.code_of(b)), 1)[0]
-                    _require(as_element(rs, AffineReflection(codes.roots[c], kc))
-                             == ea * as_element(rs, b) * ea,
-                             f"conjugation closed form fails for {a}, {b}")
+                    if (as_element(rs, AffineReflection(codes.roots[c], kc))
+                            != ea * as_element(rs, b) * ea):
+                        raise CheckFailed(f"conjugation closed form fails for {a}, {b}")
                     count += 1
     return f"{count} conjugation identities"
 
@@ -101,8 +102,9 @@ def _check_product_form(rs, level: int) -> str:
                 prod = product_of_reflections(rs, seq)
                 expected = tuple(sum(k * c[j] for k, c in zip(ks, cols))
                                  for j in range(rs.rank))
-                _require(prod.finite == target and prod.translation == expected,
-                         f"closed form disagrees with the product for {seq}")
+                if prod.finite != target or prod.translation != expected:
+                    raise CheckFailed(
+                        f"closed form disagrees with the product for {seq}")
                 count += 1
     triples = (len(rs.positive_roots) * len(window)) ** 3
     _require(count == triples, f"{count} of {triples} reflection triples seen")
@@ -119,8 +121,8 @@ def _check_coweight_conjugation(rs) -> str:
             for k in (-1, 0, 1):
                 ref = AffineReflection(r, k)
                 shifted = coweight_conjugate(rs, lam, ref)
-                _require(as_element(rs, shifted) == tl * as_element(rs, ref) * tli,
-                         f"coweight conjugation fails for {lam}, {ref}")
+                if as_element(rs, shifted) != tl * as_element(rs, ref) * tli:
+                    raise CheckFailed(f"coweight conjugation fails for {lam}, {ref}")
                 count += 1
     return f"{count} coweight conjugations"
 
@@ -144,9 +146,9 @@ def _check_hurwitz_moves(rs, seed: int, samples: int = 50) -> str:
             _require(apply_move(moved, i, inverse=True) == t,
                      "inverse move does not undo the move")
             for letter, expected in ((i, moved), (-i, apply_move(t, i, inverse=True))):
-                _require(codes.decode(codes.move(code, letter)) == expected,
-                         f"code move {letter} disagrees with multiplication "
-                         f"for {refs}")
+                if codes.decode(codes.move(code, letter)) != expected:
+                    raise CheckFailed(f"code move {letter} disagrees with "
+                                      f"multiplication for {refs}")
     return f"{samples} random 4-tuples"
 
 
@@ -347,7 +349,8 @@ def _check_connect_all_pairs(rs, seed: int, samples: int,
     for i, t1 in enumerate(chosen):
         for t2 in chosen[i + 1:]:
             word = connect_reduced(rs, w, t1, t2, node_limit=node_limit)
-            _require(word is not None, f"no braid word from {t1} to {t2}")
+            if word is None:
+                raise CheckFailed(f"no braid word from {t1} to {t2}")
             pairs += 1
     _require(pairs > 0,
              f"no pairs connected: {samples} sample(s) form no pair")

@@ -109,10 +109,6 @@ class FiniteWeylElement:
         t = self.table
         return t.roots[self.perm[t.index[r]]]
 
-    def act_coroot(self, v):
-        """Image of a vector in simple-coroot coordinates."""
-        return self.table.coact(self.perm, v)
-
     @property
     def matrix(self) -> Mat:
         """Action on root coordinates; column j is w(alpha_j)."""

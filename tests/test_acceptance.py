@@ -135,7 +135,7 @@ def test_criterion_6_lattice_lemmas():
         for a in rs.simple_roots:
             w = reflection_element(rs, a)
             for row in dual.basis:
-                assert contains(dual, w.act_coroot(row)), \
+                assert contains(dual, w.table.coact(w.perm, row)), \
                     f"dual mixed sublattice of {name} is not stable"
 
     indices = {("A", 1): 2, ("A", 2): 3, ("B", 2): 2, ("G", 2): 1}

@@ -11,11 +11,13 @@ from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid
                             reflection_codes)
 from affhur.intlattice import (full_lattice, index, lattice_equal, reduce_mod,
                                span)
-from affhur.linalg import solve_rational, vec_add
+from affhur.linalg import echelon_integer, solve_rational, vec_add
 from affhur import quasicox
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
-                             _has_factorization, _moves_in_window,
-                             _root_orbit, absolute_length_affine,
+                             _factorization_blocks, _factorization_codes,
+                             _has_factorization, _levels_in_window,
+                             _moves_in_window, _root_orbit,
+                             absolute_length_affine,
                              closure_generates, connect_reduced,
                              enumerate_factorizations, fiber, generates_affine,
                              is_parabolic_quasi_coxeter_affine,
@@ -142,8 +144,9 @@ def closure_generates_reference(rs, refs, node_limit=50000):
                     queue.append(AffineWeylElement(y.finite, t))
         if new_translation is None:
             return lattice_equal(lattice, full_lattice(n))
-        lattice = span(lattice.basis + tuple(w.act_coroot(new_translation)
-                                             for w in proj), n)
+        lattice = span(lattice.basis
+                       + tuple(w.table.coact(w.perm, new_translation)
+                               for w in proj), n)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
@@ -259,7 +262,7 @@ def _oracle_coroots(rs, seq):
     vs = []
     suffix = identity_element(rs)
     for r in reversed(seq):
-        vs.append(suffix.act_coroot(coroot(rs, r)))
+        vs.append(suffix.table.coact(suffix.perm, coroot(rs, r)))
         suffix = suffix * reflection_element(rs, r)
     vs.reverse()
     return vs
@@ -278,7 +281,8 @@ def _brute_force_factorizations(rs, target, m, bound):
     if m == 0:
         return ([()] if target.is_identity() else []), target.is_identity()
     n = rs.rank
-    lam = target.finite.inverse().act_coroot(target.translation)
+    inv = target.finite.inverse()
+    lam = inv.table.coact(inv.perm, target.translation)
     facs = []
     solvable = False
     for seq in itertools.product(rs.positive_roots, repeat=m):
@@ -328,6 +332,104 @@ def test_enumeration_matches_brute_force(data):
     assert enumerate_factorizations(
         rs, FactorizationQuery(target, m, bound)) == facs
     assert _has_factorization(rs, target, m) == solvable
+
+
+def _levels_by_scan(cols, rhs, bound):
+    """Every k in [-bound, bound]^m with sum_i k_i cols[i] = rhs, by a plain
+    scan of the window, in itertools.product order."""
+    window = range(-bound, bound + 1)
+    return [ks for ks in itertools.product(window, repeat=len(cols))
+            if all(sum(map(mul, ks, row)) == r
+                   for row, r in zip(zip(*cols), rhs))]
+
+
+def _window_cases(cols, rhs):
+    """The shapes of the echelon system that `_levels_in_window` handles
+    apart: how many free coordinates, a negative pivot entry, a zero
+    coefficient on the last free coordinate, no rational solution."""
+    system = echelon_integer(tuple(zip(*cols)), rhs)
+    if system is None:
+        return {"inconsistent"}
+    pivots, free = system
+    cases = {("free", min(len(free), 2))}
+    if any(row[col] < 0 for col, row in pivots):
+        cases.add("negative pivot")
+    if free and any(row[free[-1]] == 0 for _, row in pivots):
+        cases.add("zero on the last free")
+    return cases
+
+
+# one system per shape; `test_pinned_windows_match_the_scan` checks the shapes
+_PINNED_WINDOWS = [
+    (((1, 0), (1, 1)), (1, 2), 2),               # no free coordinate
+    (((-2,), (3,)), (1,), 3),                    # one free, negative pivot
+    (((1,), (1,), (1,)), (0,), 2),               # two free
+    (((1, 0), (1, 0), (0, 1)), (1, -1), 2),      # zero on the last free
+    (((1, 1), (2, 2)), (1, 0), 2),               # inconsistent
+    (((2,), (4,)), (1,), 3),                     # rational, not integral
+    (((-1, 2, 1), (3, -1, 2), (2, 1, 3), (1, 1, 1)), (3, 1, 4), 2),
+]
+
+
+@st.composite
+def integer_window_systems(draw):
+    rows = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 3))
+    cols = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * rows),
+                         min_size=m, max_size=m))
+    # half the right-hand sides are hit by a point of the window
+    point = draw(st.tuples(*[st.integers(-bound, bound)] * m))
+    hit = tuple(sum(k * c[j] for k, c in zip(point, cols)) for j in range(rows))
+    rhs = draw(st.one_of(st.just(hit),
+                         st.tuples(*[st.integers(-6, 6)] * rows)))
+    return tuple(cols), rhs, bound
+
+
+def _assert_window_matches_the_scan(cols, rhs, bound):
+    found = _levels_in_window(cols, rhs, bound)
+    assert len(set(found)) == len(found)
+    assert sorted(found) == _levels_by_scan(cols, rhs, bound)
+
+
+def test_pinned_windows_match_the_scan():
+    seen = set()
+    for cols, rhs, bound in _PINNED_WINDOWS:
+        _assert_window_matches_the_scan(cols, rhs, bound)
+        seen |= _window_cases(cols, rhs)
+    assert seen >= {("free", 0), ("free", 1), ("free", 2), "negative pivot",
+                    "zero on the last free", "inconsistent"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_window_systems())
+def test_levels_in_window_matches_the_scan(system):
+    _assert_window_matches_the_scan(*system)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
+def test_factorization_blocks_concatenate_to_the_codes(name):
+    rs = parse_type(name)
+    n = rs.rank
+    rng = random.Random(20)
+    elements = [product_of_reflections(rs, simple_system_affine(rs))]
+    elements += [product_of_reflections(
+        rs, [AffineReflection(rng.choice(rs.positive_roots), rng.randint(-1, 1))
+             for _ in range(size)]) for size in (0, 1, 2, n, n + 1)]
+    for w in elements:
+        for m in range(n + 2):
+            blocks = list(_factorization_blocks(rs, w, m, 2))
+            codes = _factorization_codes(rs, w, m, 2)
+            assert [c for block in blocks for c in block] == codes
+            assert codes == sorted(codes)
+            if m == 0:
+                continue
+            firsts = []
+            for block in blocks:
+                assert block and block == sorted(block)
+                assert len({code[0][0] for code in block}) == 1
+                firsts.append(block[0][0][0])
+            assert firsts == sorted(set(firsts))
 
 
 def test_brute_force_sees_an_insolvable_level_system():

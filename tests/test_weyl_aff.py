@@ -144,7 +144,7 @@ def test_translation_part_closed_form(b2):
         cols = dict(root_sequences(b2, prod.finite, 3))[roots]
         prefix = identity_element(b2)
         for r, col in zip(roots, cols):
-            assert col == prefix.act_coroot(coroot(b2, r))
+            assert col == prefix.table.coact(prefix.perm, coroot(b2, r))
             prefix = prefix * reflection_element(b2, r)
         assert prefix == prod.finite
         expected = tuple(sum(r.level * c[j] for r, c in zip(seq, cols))
