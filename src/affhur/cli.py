@@ -86,6 +86,13 @@ def _parse_refs_or_exit(rs, refs, affine):
         _usage_error(str(exc))
 
 
+def _elements(rs, refs, affine) -> ReflectionTuple:
+    """Parsed reflections as affine elements, or as s_alpha if finite."""
+    return ReflectionTuple(tuple(as_element(rs, r) if affine
+                                 else reflection_element(rs, r.root)
+                                 for r in refs))
+
+
 class _Main(click.Group):
     """The command group; a usage error click finds while parsing the
     arguments (an unknown option, a missing argument, a non-integer option
@@ -226,12 +233,8 @@ def cmd_length(group, reflections, fmt):
     """Absolute (reflection) length of the product of REFLECTIONS."""
     rs, affine = _parse_group_or_exit(group)
     refs = _parse_refs_or_exit(rs, reflections, affine)
-    if affine:
-        w = product_of_reflections(rs, refs)
-        length = absolute_length_affine(rs, w)
-    else:
-        length = absolute_length(ReflectionTuple(
-            tuple(reflection_element(rs, r.root) for r in refs)).product())
+    w = _elements(rs, refs, affine).product()
+    length = absolute_length_affine(rs, w) if affine else absolute_length(w)
     payload = {"command": "length", "group": format_group(rs, affine),
                "absolute_length": length}
     _emit(fmt, payload, [f"absolute length: {length}"])
@@ -247,16 +250,14 @@ def cmd_orbit(group, reflections, depth, fmt):
     _check_at_least("--depth", depth)
     rs, affine = _parse_group_or_exit(group)
     refs = _parse_refs_or_exit(rs, reflections, affine)
-    if affine:
-        t = ReflectionTuple(tuple(as_element(rs, r) for r in refs))
-    else:
-        t = ReflectionTuple(tuple(reflection_element(rs, r.root) for r in refs))
-    res = orbit(t, node_limit=_node_limit(), depth_limit=depth)
+    node_limit = _node_limit()
+    res = orbit(_elements(rs, refs, affine), node_limit=node_limit,
+                depth_limit=depth)
     payload = {"command": "orbit", "group": format_group(rs, affine),
-               "size": len(res.parents), "exhausted": res.exhausted,
-               "limits": {"node_limit": _node_limit(), "depth": depth}}
+               "size": len(res.members), "exhausted": res.exhausted,
+               "limits": {"node_limit": node_limit, "depth": depth}}
     _emit(fmt, payload,
-          [f"orbit size: {len(res.parents)} "
+          [f"orbit size: {len(res.members)} "
            f"({'exhausted' if res.exhausted else 'truncated at limits'})"])
     sys.exit(EXIT_OK if res.exhausted else EXIT_LIMITS)
 
@@ -278,26 +279,23 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
         _usage_error(str(exc))
     if len(t1) != len(t2):
         _usage_error("tuples have different lengths")
-    if affine:
-        e1 = ReflectionTuple(tuple(as_element(rs, r) for r in t1))
-        e2 = ReflectionTuple(tuple(as_element(rs, r) for r in t2))
-    else:
-        e1 = ReflectionTuple(tuple(reflection_element(rs, r.root) for r in t1))
-        e2 = ReflectionTuple(tuple(reflection_element(rs, r.root) for r in t2))
+    e1 = _elements(rs, t1, affine)
+    e2 = _elements(rs, t2, affine)
     if e1.product() != e2.product():
         _usage_error("tuple products differ; no braid word can exist")
+    node_limit = _node_limit()
     word = None
     if affine and len(t1) == rs.rank + 1:
         try:
             word = connect_reduced(rs, e1.product(), t1, t2,
-                                   depth_limit=depth, node_limit=_node_limit())
+                                   depth_limit=depth, node_limit=node_limit)
         except (PipelineExhausted, ValueError):
             word = None
     if word is None:
-        word = connect(e1, e2, depth_limit=depth, node_limit=_node_limit())
+        word = connect(e1, e2, depth_limit=depth, node_limit=node_limit)
     payload = {"command": "connect", "group": format_group(rs, affine),
                "braid_word": braid_word_to_json(word),
-               "limits": {"depth": depth, "node_limit": _node_limit()}}
+               "limits": {"depth": depth, "node_limit": node_limit}}
     if word is None:
         _emit(fmt, payload, ["no braid word found within limits"])
         sys.exit(EXIT_LIMITS)

@@ -7,7 +7,8 @@ index of alpha in `RootSystem.positive_roots`, an affine reflection
 s_{alpha,k} by the pair (that index, k); a tuple of codes is a plain tuple
 that hashes cheaply, and a Hurwitz move on it is one lookup in a table
 built once per root system. `orbit`, `connect` and `lr_normalize` accept
-ReflectionTuples, encode them once and decode only what they return.
+ReflectionTuples and encode them once; `orbit` returns the set of codes it
+reached, the others braid words.
 
 The words the searches find are replayed on group elements, not on codes,
 and checked before they are trusted. `apply_move` and `apply_braid` act
@@ -249,51 +250,40 @@ def _word_to(parents: dict, node) -> BraidWord:
     return BraidWord(tuple(reversed(letters)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrbitResult:
-    start: ReflectionTuple
-    parents: dict  # code -> (parent code, letter); the start's code maps to None
+    members: set  # the code tuples reached, the start's included
     exhausted: bool
-    codes: ReflectionCodes
-
-    @property
-    def tuples(self) -> list[ReflectionTuple]:
-        return [self.codes.decode(c) for c in self.parents]
-
-    def word_to(self, target: ReflectionTuple) -> BraidWord:
-        """Reconstruct the braid word from the orbit's start to target."""
-        return _word_to(self.parents, self.codes.encode(target))
 
 
 def orbit(t: ReflectionTuple, node_limit: int = 10 ** 6,
           depth_limit: int | None = None) -> OrbitResult:
-    """BFS closure of t under all Hurwitz moves, run on the codes of t.
+    """BFS closure of t under all Hurwitz moves, one level at a time, run
+    on the codes of t.
 
     `exhausted` is True iff the orbit closed before hitting either limit;
-    otherwise the result is a truncation, not the full orbit.
+    otherwise the members are a truncation, not the full orbit.
     """
     codes = _codes_of(t)
     move = codes.move
     start = codes.encode(t)
     letters = _letters(len(start))
-    parents: dict = {start: None}
-    frontier = deque([(start, 0)])
-    exhausted = True
-    while frontier:
-        node, depth = frontier.popleft()
-        if depth_limit is not None and depth >= depth_limit:
-            exhausted = False
-            continue
-        for letter in letters:
-            nxt = move(node, letter)
-            if nxt not in parents:
-                if len(parents) >= node_limit:
-                    exhausted = False
-                    frontier.clear()
-                    break
-                parents[nxt] = (node, letter)
-                frontier.append((nxt, depth + 1))
-    return OrbitResult(t, parents, exhausted, codes)
+    members = {start}
+    frontier = [start]
+    depth = 0
+    while frontier and (depth_limit is None or depth < depth_limit):
+        level = []
+        for node in frontier:
+            for letter in letters:
+                nxt = move(node, letter)
+                if nxt not in members:
+                    if len(members) >= node_limit:
+                        return OrbitResult(members, False)
+                    members.add(nxt)
+                    level.append(nxt)
+        frontier = level
+        depth += 1
+    return OrbitResult(members, not frontier)
 
 
 def connect_codes(move, start: tuple, goal: tuple, depth_limit: int | None = 12,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import mul
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -26,10 +26,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def mat_vec(a: Mat, v) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def vec_add(u, v):
-    return tuple(map(add, u, v))
 
 
 def echelon_integer(rows, rhs):

@@ -66,20 +66,15 @@ class FactorizationQuery:
 
 @lru_cache(maxsize=None)
 def _roots_by_length(rs: RootSystem) -> dict:
-    """The roots of each squared length, in root order; built on first use."""
+    """The roots of each squared length, in root order; built on first use.
+
+    These are the orbits of the finite group: the Weyl group of an
+    irreducible root system acts transitively on the roots of each length.
+    """
     out: dict = {}
     for r in rs.roots:
         out.setdefault(rs.norm_sq(r), []).append(r)
     return {norm: tuple(roots) for norm, roots in out.items()}
-
-
-def _root_orbit(rs: RootSystem, root: Root) -> list[Root]:
-    """Orbit of a root under the finite group, in root order.
-
-    The Weyl group of an irreducible root system acts transitively on the
-    roots of each length, so the orbit is every root of the same length.
-    """
-    return list(_roots_by_length(rs)[rs.norm_sq(root)])
 
 
 def generates_affine(rs: RootSystem, refs) -> GenerationResult:
@@ -121,7 +116,7 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     lam = sol[0]
 
     gap = levels[n - 1] - levels[n]
-    orbit = _root_orbit(rs, gammas[n - 1])
+    orbit = _roots_by_length(rs)[rs.norm_sq(gammas[n - 1])]
     lattice = span([tuple(gap * c for c in coroot(rs, b)) for b in orbit], n)
     verdict = lattice_equal(lattice, full_lattice(n))
     if verdict and (abs(gap) != 1 or not rs.is_long(gammas[n - 1])):
@@ -381,6 +376,7 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     """
     n = rs.rank
     m = n + 1
+    FactorizationQuery(w, m, level_cap)  # rejects a negative cap
     if absolute_length(w.finite) % 2 != m % 2:
         return QuasiCoxeterResult(False, None, True,
                                   f"parity excludes factorizations of length {m}")
@@ -537,18 +533,17 @@ def is_parabolic_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     pass each enumerated factorization, levels included, to
     `weyl_fin.is_parabolic` (a best-effort scan, complete per level bound).
     The factorizations are read as codes, one `_factorization_blocks`
-    block at a time, so the scan stops at the first parabolic one.
+    block at a time, so the scan stops at the first parabolic one; for the
+    identity that is the empty one.
     """
-    if w.is_identity():
-        return True
     n = rs.rank
     m = absolute_length_affine(rs, w)
+    FactorizationQuery(w, m, level_cap)  # rejects a negative cap
     if m > n + 1:
         return False  # proper parabolics are finite; the full group needs n+1
     if m == n + 1:
         return is_quasi_coxeter_affine(rs, w, level_cap).is_quasi_coxeter
-    query = FactorizationQuery(w, m, level_cap)
     roots = rs.positive_roots
     return any(is_parabolic(rs, [roots[a] for a, _ in code], [k for _, k in code])
-               for code in itertools.chain.from_iterable(_factorization_blocks(
-                   rs, query.target, query.length, query.level_bound)))
+               for code in itertools.chain.from_iterable(
+                   _factorization_blocks(rs, w, m, level_cap)))

@@ -375,7 +375,7 @@ def _check_stage2_orbit_exhausted(rs, node_limit: int) -> str:
     fin = ReflectionTuple(tuple(reflection_element(rs, r.root)
                                 for r in simple_system_affine(rs)))
     res = orbit(fin, node_limit=node_limit)
-    size = len(res.parents)
+    size = len(res.members)
     if not res.exhausted:
         raise PipelineExhausted("orbit", f"finite projection orbit passed "
                                 f"{size} nodes")

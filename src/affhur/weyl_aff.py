@@ -97,10 +97,6 @@ def affine_reflection(rs: RootSystem, root: Root, level: int) -> AffineReflectio
     return AffineReflection(-root, -level)
 
 
-def aff_identity(rs: RootSystem) -> AffineWeylElement:
-    return AffineWeylElement(identity_element(rs), (0,) * rs.rank)
-
-
 @lru_cache(maxsize=None)
 def reflection_pair(rs: RootSystem, r: AffineReflection) -> Pair:
     """s_{alpha,k} as the pair (k alpha-coroot, perm of s_alpha)."""

@@ -12,8 +12,9 @@ matrix of the action on root coordinates is derived on demand.
 `root_index_sequences` is the one search over reflection sequences. It
 runs on raw root permutations and yields positive-root indices, which the
 affine enumeration of `affhur.quasicox` uses as they are;
-`root_sequences` decodes them to roots for the reduced factorizations,
-the Fac sets and the finite quasi-Coxeter tests. The root closure of a set of
+`root_sequences` decodes them to roots for the finite quasi-Coxeter tests
+and the stage-2 count of `affhur.verify`. The reduced factorizations of w
+are its sequences of length l_T(w). The root closure of a set of
 reflections is an orbit of the same permutations on root indices:
 `smallest_subsystem` returns it, `generates_w0` asks whether it is all
 of the roots, and `is_parabolic` compares it with the roots that fix the
@@ -261,15 +262,6 @@ def root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
         yield tuple([pos[j] for j in seq]), cols
 
 
-def reduced_factorizations(rs: RootSystem, w: FiniteWeylElement):
-    """All reduced reflection factorizations of w, in itertools.product order.
-
-    The identity has the one empty factorization.
-    """
-    return [tuple(reflection_element(rs, r) for r in roots)
-            for roots, _ in root_sequences(rs, w, absolute_length(w))]
-
-
 def generates_w0(rs: RootSystem, roots) -> bool:
     """Whether the reflections of the given roots generate the full group.
 
@@ -385,17 +377,6 @@ def is_parabolic_quasi_coxeter_fin(rs: RootSystem, w: FiniteWeylElement) -> bool
     """Some reduced factorization of w generates a parabolic subgroup."""
     return any(is_parabolic(rs, roots)
                for roots, _ in root_sequences(rs, w, absolute_length(w)))
-
-
-def fac_set(rs: RootSystem, target: FiniteWeylElement, length: int):
-    """All length-m reflection tuples with product `target` generating W.
-
-    The Fac set of the transitivity pipeline, in itertools.product order:
-    the root sequences of `root_sequences` whose roots pass `generates_w0`.
-    """
-    return [tuple(reflection_element(rs, r) for r in roots)
-            for roots, _ in root_sequences(rs, target, length)
-            if generates_w0(rs, roots)]
 
 
 @lru_cache(maxsize=None)

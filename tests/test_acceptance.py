@@ -8,20 +8,17 @@ with, asserted against wall-clock time.
 import itertools
 import time
 
-from affhur.hurwitz import ReflectionTuple, orbit
+from affhur.hurwitz import orbit
 from affhur.intlattice import (connection_index, contains, full_lattice,
                                lattice_equal, span)
 from affhur.rootsys import build_root_system, coroot
 from affhur.verify import (suite_example_a2, suite_generation, suite_lemmas,
                            suite_main_theorem)
-from affhur.weyl_fin import (absolute_length, all_elements, fac_set,
-                             generates_w0, is_parabolic_quasi_coxeter_fin,
-                             reduced_factorizations, reflection_element,
-                             root_of_reflection, smallest_subsystem)
-
-
-def roots_of_tuple(rs, elements):
-    return tuple(root_of_reflection(rs, t) for t in elements)
+from affhur.weyl_fin import (absolute_length, all_elements, generates_w0,
+                             is_parabolic_quasi_coxeter_fin,
+                             reflection_element, root_index_sequences,
+                             smallest_subsystem)
+from test_weyl_fin import codes_tuple
 
 
 def _finish(num: int, desc: str, t0: float, budget: float, detail: str = ""):
@@ -65,18 +62,23 @@ def test_criterion_4_finite_transitivity():
     for family, rank in (("A", 2), ("B", 2), ("A", 3)):
         rs = build_root_system(family, rank)
         n = rs.rank
+        pos = rs.positive_roots
+
+        def generating(seq):
+            return generates_w0(rs, [pos[j] for j in seq])
+
         qc = 0
         for w in all_elements(rs):
-            facs = reduced_factorizations(rs, w)
-            if not facs or not facs[0]:
-                continue  # identity
-            if not any(generates_w0(rs, roots_of_tuple(rs, f)) for f in facs):
+            if w.is_identity():
+                continue
+            facs = [seq for seq, _ in
+                    root_index_sequences(rs, w, absolute_length(w))]
+            if not any(map(generating, facs)):
                 continue
             qc += 1
-            tuples = {ReflectionTuple(f) for f in facs}
-            res = orbit(ReflectionTuple(facs[0]))
+            res = orbit(codes_tuple(rs, facs[0]))
             assert res.exhausted, f"Red_T orbit not exhausted in {family}{rank}"
-            assert set(res.tuples) == tuples, \
+            assert res.members == set(facs), \
                 f"Red_T is not a single Hurwitz orbit in {family}{rank}"
         assert qc > 0, f"no quasi-Coxeter elements found in {family}{rank}"
 
@@ -86,12 +88,13 @@ def test_criterion_4_finite_transitivity():
                 continue
             if not is_parabolic_quasi_coxeter_fin(rs, w):
                 continue
-            fs = fac_set(rs, w, n + 1)
+            fs = [seq for seq, _ in root_index_sequences(rs, w, n + 1)
+                  if generating(seq)]
             assert fs, f"empty Fac set for a length-{n - 1} element"
             pqc += 1
-            res = orbit(ReflectionTuple(fs[0]))
+            res = orbit(codes_tuple(rs, fs[0]))
             assert res.exhausted
-            assert set(res.tuples) == {ReflectionTuple(f) for f in fs}, \
+            assert res.members == set(fs), \
                 f"Fac is not a single Hurwitz orbit in {family}{rank}"
         assert pqc > 0
         summary.append(f"{family}{rank}: {qc} quasi-Coxeter, {pqc} Fac sets")

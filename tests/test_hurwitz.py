@@ -13,7 +13,7 @@ from affhur.hurwitz import (BraidWord, ReflectionTuple, apply_braid,
                             reflection_codes)
 from affhur.rootsys import Root, build_root_system, parse_type
 from affhur.weyl_aff import AffineReflection, as_element
-from affhur.weyl_fin import reflection_element
+from affhur.weyl_fin import reflection_element, root_index_sequences
 
 MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "model.py")
@@ -83,16 +83,16 @@ def test_orbit_exhausted(a2):
     t = fin_tuple(a2, (1, 0), (0, 1))
     res = orbit(t)
     assert res.exhausted
-    assert len(res.parents) == 3  # Red_T of a Coxeter element of A2
-    for node in res.tuples:
-        assert apply_braid(t, res.word_to(node)) == node
+    assert len(res.members) == 3  # Red_T of a Coxeter element of A2
+    assert res.members == {seq for seq, _ in
+                           root_index_sequences(a2, t.product(), 2)}
 
 
 def test_orbit_limits(a2):
     t = aff_tuple(a2, ((1, 0), 0), ((1, 0), 1))  # infinite dihedral orbit
     res = orbit(t, node_limit=50)
     assert not res.exhausted
-    assert len(res.parents) <= 50
+    assert len(res.members) == 50
     res2 = orbit(t, depth_limit=3)
     assert not res2.exhausted
 
@@ -230,6 +230,27 @@ def reference_lr_normalize(t, target_reduced_length, node_limit=10 ** 6):
     return None
 
 
+def reference_orbit(t, node_limit=10 ** 6, depth_limit=None):
+    """Breadth-first closure on the elements, one node at a time, with a
+    parent map: (parents, exhausted)."""
+    parents = {t: None}
+    frontier = deque([(t, 0)])
+    exhausted = True
+    while frontier:
+        node, depth = frontier.popleft()
+        if depth_limit is not None and depth >= depth_limit:
+            exhausted = False
+            continue
+        for letter in _reference_letters(len(t)):
+            nxt = _apply_letter(node, letter)
+            if nxt not in parents:
+                if len(parents) >= node_limit:
+                    return parents, False
+                parents[nxt] = (node, letter)
+                frontier.append((nxt, depth + 1))
+    return parents, exhausted
+
+
 def reference_connect(t1, t2, depth_limit=12, node_limit=10 ** 6):
     """Bidirectional breadth-first search on the elements."""
     if t1.product() != t2.product():
@@ -313,6 +334,34 @@ def test_searches_return_the_reference_words(data):
     other = apply_braid(t, _draw_word(data, m, 6))
     assert connect(t, other, depth_limit=6, node_limit=3000) == \
         reference_connect(t, other, depth_limit=6, node_limit=3000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_matches_the_reference(data):
+    # the limits are tried at, just below and just above the node count and
+    # the depth at which they cut the search: where the orbit closes, or, for
+    # an orbit larger than the cap here, at a drawn point
+    rs = parse_type(data.draw(st.sampled_from(CODE_GROUPS[:4])))
+    affine = data.draw(st.booleans())
+    m = data.draw(st.integers(2, 4))
+    t = _draw_tuple(data, rs, affine, m)
+    encode = reflection_codes(rs, affine).encode
+    parents, exhausted = reference_orbit(t, node_limit=1500)
+    if exhausted:
+        size = len(parents)
+        depth = max(len(_reference_word(parents, node)) for node in parents)
+    else:
+        size = data.draw(st.integers(1, 1500))
+        depth = data.draw(st.integers(1, 3))
+    cases = ([{"node_limit": n} for n in (size - 1, size, size + 1)]
+             + [{"depth_limit": d} for d in (depth - 1, depth, depth + 1)
+                if d >= 0])
+    for limits in cases:
+        res = orbit(t, **limits)
+        parents, exhausted = reference_orbit(t, **limits)
+        assert res.members == set(map(encode, parents))
+        assert res.exhausted == exhausted
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3"])

@@ -1,15 +1,19 @@
-"""Every name a library module imports is read somewhere in that module.
+"""Every name a library module imports is read somewhere in that module,
+and every public top-level function or class has a reader outside the tests.
 
-`__init__.py` is exempt: its imports are re-exports. So are `from
-__future__` imports, which change the compiler and bind nothing read.
+`__init__.py` is exempt from the import scan: its imports are re-exports.
+So are `from __future__` imports, which change the compiler and bind
+nothing read.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import affhur
+from affhur.cli import main
 
 MODULES = sorted(p for p in Path(affhur.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -42,3 +46,55 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The paper's definitions, kept although only the tests read them so far:
+# ROADMAP items 2 and 4 wire them into `affhur verify`.
+UNREAD_ALLOWED = {"is_quasi_coxeter_fin", "is_parabolic_quasi_coxeter_fin",
+                  "is_parabolic_quasi_coxeter_affine", "smallest_subsystem"}
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def public_definitions(source: str) -> list[str]:
+    """The public functions and classes a module defines at top level."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read(source: str) -> set[str]:
+    """Names the source loads, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def unread_definitions(modules: dict[str, str], used: set[str]) -> list[str]:
+    """The public definitions of `modules` (name -> source) that no module
+    reads and that are not in `used`."""
+    read = set().union(*map(names_read, modules.values()))
+    return sorted(f"{name}.{d}" for name, source in modules.items()
+                  for d in public_definitions(source)
+                  if d not in read and d not in used)
+
+
+def test_scan_flags_an_unread_definition():
+    modules = {"a": "def f():\n    return g()\n\ndef g():\n    return 1\n"
+                    "class C:\n    pass\n\ndef _h():\n    pass\n",
+               "b": "from .a import f\n\ndef k():\n    return f\n"}
+    assert unread_definitions(modules, {"k"}) == ["a.C"]
+
+
+def test_every_public_definition_has_a_reader():
+    # read by a library module, exported by the package, a command of the
+    # CLI, or named by the benchmark (its tracer's targets)
+    modules = {p.stem: p.read_text() for p in MODULES}
+    commands = {c.callback.__name__ for c in main.commands.values()}
+    perfbench = set(re.findall(r"\w+", "\n".join(
+        p.read_text() for p in sorted(PERFBENCH.glob("*.py")))))
+    used = set(affhur.__all__) | commands | perfbench | UNREAD_ALLOWED
+    assert unread_definitions(modules, used) == []

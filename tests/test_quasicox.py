@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import deque
-from operator import mul, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +11,12 @@ from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid
                             reflection_codes)
 from affhur.intlattice import (full_lattice, index, lattice_equal, reduce_mod,
                                span)
-from affhur.linalg import echelon_integer, solve_rational, vec_add
+from affhur.linalg import echelon_integer, solve_rational
 from affhur import quasicox
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
                              _factorization_blocks, _factorization_codes,
                              _has_factorization, _levels_in_window,
-                             _moves_in_window, _root_orbit,
+                             _moves_in_window, _roots_by_length,
                              absolute_length_affine,
                              closure_generates, connect_reduced,
                              enumerate_factorizations, fiber, generates_affine,
@@ -25,8 +25,7 @@ from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
 from affhur.rootsys import (Root, bilinear_row, build_root_system, coroot,
                             parse_type)
 from affhur.verify import suite_main_theorem
-from affhur.weyl_aff import (AffineReflection, AffineWeylElement,
-                             aff_identity, as_element,
+from affhur.weyl_aff import (AffineReflection, AffineWeylElement, as_element,
                              product_of_reflections, recognize_reflection,
                              simple_system_affine, translation_element)
 from affhur.weyl_fin import (absolute_length, all_elements, identity_element,
@@ -128,7 +127,7 @@ def closure_generates_reference(rs, refs, node_limit=50000):
     while True:
         new_translation = None
         seen = {(identity_element(rs), (0,) * n)}
-        queue = deque([aff_identity(rs)])
+        queue = deque([product_of_reflections(rs, ())])
         while queue and new_translation is None:
             x = queue.popleft()
             for g in gens:
@@ -213,14 +212,14 @@ def test_root_orbit_is_the_weyl_group_orbit(name):
     elements = all_elements(rs)
     for gamma in rs.roots:
         orbit = {w.act_root(gamma) for w in elements}
-        assert _root_orbit(rs, gamma) == sorted(orbit)
+        assert list(_roots_by_length(rs)[rs.norm_sq(gamma)]) == sorted(orbit)
 
 
 # ------------------------------------------------------------ enumeration
 
 def test_enumerate_identity(a2):
     assert enumerate_factorizations(
-        a2, FactorizationQuery(aff_identity(a2), 0, 2)) == [()]
+        a2, FactorizationQuery(product_of_reflections(a2, ()), 0, 2)) == [()]
     assert enumerate_factorizations(
         a2, FactorizationQuery(as_element(a2, ref((1, 0))), 0, 2)) == []
 
@@ -304,7 +303,7 @@ def _brute_force_factorizations(rs, target, m, bound):
         for head in itertools.product(*moves[:-1]):
             t = (0,) * n
             for _, step in head:
-                t = vec_add(t, step)
+                t = tuple(map(add, t, step))
             k = last.get(tuple(map(sub, lam, t)))
             if k is not None:
                 ks = [k for k, _ in head] + [k]
@@ -450,13 +449,36 @@ def test_main_theorem_rank_four():
 
 def test_query_validation(a2):
     with pytest.raises(ValueError):
-        FactorizationQuery(aff_identity(a2), -1, 2)
+        FactorizationQuery(product_of_reflections(a2, ()), -1, 2)
+
+
+def test_is_quasi_coxeter_affine_rejects_a_negative_level_cap(a2):
+    # before each early return: parity (the identity), a length below n+1
+    # (a reflection), and the witness search (the Coxeter element)
+    for w in (product_of_reflections(a2, ()), as_element(a2, ref((1, 0))),
+              product_of_reflections(a2, simple_system_affine(a2))):
+        with pytest.raises(ValueError, match="non-negative"):
+            is_quasi_coxeter_affine(a2, w, level_cap=-1)
+
+
+def test_is_parabolic_quasi_coxeter_affine_rejects_a_negative_level_cap(a2):
+    # before each early return: the identity's empty factorization, a
+    # length above n+1 (the translation by 2 alpha_1 + alpha_2 has length 4)
+    # and full length (the Coxeter element, deferred to the quasi-Coxeter
+    # test); and before the scan (a reflection)
+    translation = translation_element(a2, (2, 1))
+    assert absolute_length_affine(a2, translation) == 4
+    for w in (product_of_reflections(a2, ()), translation,
+              product_of_reflections(a2, simple_system_affine(a2)),
+              as_element(a2, ref((1, 0)))):
+        with pytest.raises(ValueError, match="non-negative"):
+            is_parabolic_quasi_coxeter_affine(a2, w, level_cap=-1)
 
 
 # -------------------------------------------------------- absolute length
 
 def test_absolute_length_affine_basics(a2):
-    assert absolute_length_affine(a2, aff_identity(a2)) == 0
+    assert absolute_length_affine(a2, product_of_reflections(a2, ())) == 0
     assert absolute_length_affine(a2, as_element(a2, ref((1, 0), 2))) == 1
     two = product_of_reflections(a2, (ref((1, 0)), ref((0, 1))))
     assert absolute_length_affine(a2, two) == 2
@@ -644,7 +666,7 @@ def test_is_quasi_coxeter_affine_short_element_conclusive(a2):
     assert not res.is_quasi_coxeter and res.conclusive
     assert res.detail == "absolute length at most 1, below 3"
     a3 = build_root_system("A", 3)
-    for w in (aff_identity(a3),
+    for w in (product_of_reflections(a3, ()),
               product_of_reflections(a3, (ref((1, 0, 0), 1), ref((0, 0, 1))))):
         res = is_quasi_coxeter_affine(a3, w)
         assert not res.is_quasi_coxeter and res.conclusive
@@ -761,7 +783,8 @@ def test_quasi_coxeter_codes_match_the_element_path(name):
 
 
 def test_parabolic_quasi_coxeter_affine(a2):
-    assert is_parabolic_quasi_coxeter_affine(a2, aff_identity(a2))
+    identity = product_of_reflections(a2, ())
+    assert is_parabolic_quasi_coxeter_affine(a2, identity)
     assert is_parabolic_quasi_coxeter_affine(a2, as_element(a2, ref((1, 1), 1)))
     w = product_of_reflections(a2, (ref((1, 0)), ref((0, 1))))
     assert is_parabolic_quasi_coxeter_affine(a2, w)
@@ -798,7 +821,7 @@ def test_parabolic_quasi_coxeter_affine_negative(b2):
 def _closure(rs, refs):
     """The subgroup generated by the affine reflections, as a set of elements."""
     gens = [as_element(rs, r) for r in refs]
-    seen = {aff_identity(rs)}
+    seen = {product_of_reflections(rs, ())}
     stack = list(seen)
     while stack:
         x = stack.pop()

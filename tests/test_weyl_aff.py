@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from affhur.rootsys import (Root, RootSystemError, build_root_system, coroot,
                             parse_type)
-from affhur.weyl_aff import (AffineReflection, AffineWeylElement, aff_identity,
+from affhur.weyl_aff import (AffineReflection, AffineWeylElement,
                              affine_reflection, as_element, coweight_conjugate,
                              is_coweight, pair_inverse, pair_mul, pair_product,
                              product_of_reflections, recognize_reflection,
@@ -46,13 +46,13 @@ def test_as_element_normal_form(a2):
     e = as_element(a2, r)
     assert e.finite == reflection_element(a2, Root((1, 1)))
     assert e.translation == (1, 1)  # TR(k * coroot) s_alpha
-    assert e * e == aff_identity(a2)
+    assert e * e == product_of_reflections(a2, ())
 
 
 def test_recognize_reflection_round_trip(b2):
     for r in all_reflections(b2, 3):
         assert recognize_reflection(b2, as_element(b2, r)) == r
-    assert recognize_reflection(b2, aff_identity(b2)) is None
+    assert recognize_reflection(b2, product_of_reflections(b2, ())) is None
     # a pure translation by a coroot is not a reflection
     tr = translation_element(b2, (1, 0))
     assert recognize_reflection(b2, tr) is None
@@ -67,7 +67,7 @@ def test_multiplication_group_axioms(b2):
     for x_r, y_r, z_r in itertools.product(sample[:4], repeat=3):
         x, y, z = (as_element(b2, r) for r in (x_r, y_r, z_r))
         assert (x * y) * z == x * (y * z)
-        assert x * x.inverse() == aff_identity(b2)
+        assert x * x.inverse() == product_of_reflections(b2, ())
         assert x.inverse().inverse() == x
 
 
@@ -120,11 +120,11 @@ def test_pair_rule_matches_the_matrix_model(data, cut):
     assert pair_mul(table, prod, pair_inverse(table, prod)) == \
         ((0,) * rs.rank, table.identity)
     # the element multiplies by the same rule
-    elem = aff_identity(rs)
+    identity = elem = product_of_reflections(rs, ())
     for r in word:
         elem = elem * as_element(rs, r)
     assert pair_matrix(table, (elem.translation, elem.finite.perm)) == expected
-    assert elem * elem.inverse() == elem.inverse() * elem == aff_identity(rs)
+    assert elem * elem.inverse() == elem.inverse() * elem == identity
 
 
 def test_projection_is_homomorphism(a2):

@@ -12,10 +12,10 @@ from affhur.linalg import mat_mul, mat_vec
 from affhur.rootsys import (Root, RootSystemError, bilinear_row,
                             build_root_system, coroot, reflect)
 from affhur.weyl_fin import (FiniteWeylElement, RootTable, absolute_length,
-                             all_elements, fac_set, fixed_affine_subspace,
+                             all_elements, fixed_affine_subspace,
                              generates_w0, identity_element, is_parabolic,
                              is_parabolic_quasi_coxeter_fin,
-                             is_quasi_coxeter_fin, reduced_factorizations,
+                             is_quasi_coxeter_fin,
                              reflection_element, reflections,
                              root_index_sequences, root_of_reflection,
                              root_sequences, root_table, smallest_subsystem)
@@ -105,19 +105,29 @@ def test_reduced_factorizations_coxeter(family, rank, count):
     c = identity_element(rs)
     for a in rs.simple_roots:
         c = c * reflection_element(rs, a)
-    facs = reduced_factorizations(rs, c)
+    assert absolute_length(c) == rank
+    facs = [seq for seq, _ in root_index_sequences(rs, c, rank)]
     assert len(facs) == count == len(set(facs))
     for fac in facs:
-        prod = identity_element(rs)
-        for t in fac:
-            prod = prod * t
-        assert prod == c
-        assert len(fac) == rank
+        assert codes_tuple(rs, fac).product() == c
 
 
 def test_reduced_factorizations_identity():
     rs = build_root_system("B", 2)
-    assert reduced_factorizations(rs, identity_element(rs)) == [()]
+    e = identity_element(rs)
+    assert absolute_length(e) == 0
+    assert list(root_index_sequences(rs, e, 0)) == [((), ())]
+
+
+def codes_tuple(rs, seq):
+    """The reflections of the positive roots with indices `seq`."""
+    return ReflectionTuple(tuple(reflection_element(rs, rs.positive_roots[j])
+                                 for j in seq))
+
+
+def red_t_codes(rs, w):
+    """Red_T(w) as index sequences, in itertools.product order."""
+    return [seq for seq, _ in root_index_sequences(rs, w, absolute_length(w))]
 
 
 def _brute_force_root_sequences(rs, m):
@@ -173,10 +183,10 @@ def test_red_t_single_orbit_d4():
     for w in elements:
         if absolute_length(w) != 4 or not is_quasi_coxeter_fin(rs, w):
             continue
-        facs = reduced_factorizations(rs, w)
-        res = orbit(ReflectionTuple(facs[0]))
+        facs = red_t_codes(rs, w)
+        res = orbit(codes_tuple(rs, facs[0]))
         assert res.exhausted
-        assert set(res.tuples) == {ReflectionTuple(f) for f in facs}
+        assert res.members == set(facs)
         sizes[w] = len(facs)
     assert len(sizes) == 44
     assert {w for w, k in sizes.items() if k == 162} == coxeter_class
@@ -199,13 +209,13 @@ def test_red_t_single_orbit_parabolic_quasi_coxeter(family, rank, count):
         if not is_parabolic_quasi_coxeter_fin(rs, w):
             continue
         found += 1
-        facs = reduced_factorizations(rs, w)
+        facs = red_t_codes(rs, w)
         if w.is_identity():
             assert facs == [()]
             continue
-        res = orbit(ReflectionTuple(facs[0]))
+        res = orbit(codes_tuple(rs, facs[0]))
         assert res.exhausted
-        assert set(res.tuples) == {ReflectionTuple(f) for f in facs}
+        assert res.members == set(facs)
     assert found == count
 
 
@@ -369,21 +379,19 @@ def test_quasi_coxeter_fin():
     assert is_parabolic_quasi_coxeter_fin(rs, s_long)
 
 
-def roots_of_tuple(rs, elements):
-    return tuple(root_of_reflection(rs, t) for t in elements)
-
-
 def test_fac_set():
+    # the Fac set of a reflection, read from the prefix search, against
+    # every triple of positive roots
     rs = build_root_system("A", 2)
+    pos = rs.positive_roots
     s1 = reflection_element(rs, Root((1, 0)))
-    facs = fac_set(rs, s1, 3)
+    facs = [roots for roots, _ in root_sequences(rs, s1, 3)
+            if generates_w0(rs, roots)]
     assert facs, "a reflection has generating length-3 factorizations"
-    for fac in facs:
-        prod = identity_element(rs)
-        for t in fac:
-            prod = prod * t
-        assert prod == s1
-        assert generates_w0(rs, roots_of_tuple(rs, fac))
+    assert facs == [
+        roots for roots in itertools.product(pos, repeat=3)
+        if ReflectionTuple(tuple(reflection_element(rs, r) for r in roots)
+                           ).product() == s1 and generates_w0(rs, roots)]
 
 
 def test_roots_of_tuple_rejects_non_reflection():
