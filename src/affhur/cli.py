@@ -14,7 +14,8 @@ import sys
 import click
 
 from . import __version__
-from .hurwitz import ReflectionTuple, connect, orbit
+from .hurwitz import (ReflectionTuple, apply_braid, connect, orbit,
+                      reflection_codes)
 from .intlattice import connection_index
 from .literals import (braid_word_to_json, certificate_to_json, format_group,
                        format_root, format_tuple, parse_group,
@@ -51,11 +52,6 @@ def _node_limit() -> int:
     if limit < 0:
         _usage_error(f"AFFHUR_NODE_LIMIT must be non-negative, got {limit}")
     return limit
-
-
-def _check_at_least(option: str, value, least: int = 0):
-    if value is not None and value < least:
-        _usage_error(f"{option} must be at least {least}, got {value}")
 
 
 def _emit(fmt: str, payload: dict, text_lines):
@@ -151,12 +147,11 @@ def cmd_roots(group, fmt):
 @main.command("check-qc")
 @click.argument("group")
 @click.argument("reflections", nargs=-1, required=True)
-@click.option("-K", "--level-bound", default=2, show_default=True,
-              help="Level bound for the witness search.")
+@click.option("-K", "--level-bound", type=click.IntRange(min=0), default=2,
+              show_default=True, help="Level bound for the witness search.")
 @fmt_option
 def cmd_check_qc(group, reflections, level_bound, fmt):
     """Decide quasi-Coxeter status of the product of the given reflections."""
-    _check_at_least("--level-bound", level_bound)
     rs, affine = _parse_group_or_exit(group)
     if not affine:
         _usage_error("check-qc needs an affine group spec like 'affine:A2'")
@@ -195,14 +190,13 @@ def cmd_check_qc(group, reflections, level_bound, fmt):
 @main.command("factorize")
 @click.argument("group")
 @click.argument("reflections", nargs=-1, required=True)
-@click.option("--length", "length", type=int, default=None,
+@click.option("--length", "length", type=click.IntRange(min=0), default=None,
               help="Factorization length; defaults to the absolute length.")
-@click.option("-K", "--level-bound", default=2, show_default=True)
+@click.option("-K", "--level-bound", type=click.IntRange(min=0), default=2,
+              show_default=True)
 @fmt_option
 def cmd_factorize(group, reflections, length, level_bound, fmt):
     """Enumerate reflection factorizations of the product of REFLECTIONS."""
-    _check_at_least("--length", length)
-    _check_at_least("--level-bound", level_bound)
     rs, affine = _parse_group_or_exit(group)
     if not affine:
         _usage_error("factorize needs an affine group spec like 'affine:A2'")
@@ -243,16 +237,16 @@ def cmd_length(group, reflections, fmt):
 @main.command("orbit")
 @click.argument("group")
 @click.argument("reflections", nargs=-1, required=True)
-@click.option("--depth", type=int, default=None, help="Depth cap (default none).")
+@click.option("--depth", type=click.IntRange(min=0), default=None,
+              help="Depth cap (default none).")
 @fmt_option
 def cmd_orbit(group, reflections, depth, fmt):
     """Hurwitz orbit of the given reflection tuple."""
-    _check_at_least("--depth", depth)
     rs, affine = _parse_group_or_exit(group)
     refs = _parse_refs_or_exit(rs, reflections, affine)
     node_limit = _node_limit()
-    res = orbit(_elements(rs, refs, affine), node_limit=node_limit,
-                depth_limit=depth)
+    codes = reflection_codes(rs, affine)
+    res = orbit(codes.move, tuple(map(codes.code_of, refs)), node_limit, depth)
     payload = {"command": "orbit", "group": format_group(rs, affine),
                "size": len(res.members), "exhausted": res.exhausted,
                "limits": {"node_limit": node_limit, "depth": depth}}
@@ -266,11 +260,11 @@ def cmd_orbit(group, reflections, depth, fmt):
 @click.argument("group")
 @click.argument("tuple1")
 @click.argument("tuple2")
-@click.option("--depth", type=int, default=16, show_default=True)
+@click.option("--depth", type=click.IntRange(min=0), default=16,
+              show_default=True)
 @fmt_option
 def cmd_connect(group, tuple1, tuple2, depth, fmt):
     """Braid word sending TUPLE1 to TUPLE2 (semicolon-separated literals)."""
-    _check_at_least("--depth", depth)
     rs, affine = _parse_group_or_exit(group)
     try:
         t1 = parse_tuple_literal(rs, tuple1)
@@ -292,7 +286,12 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
         except (PipelineExhausted, ValueError):
             word = None
     if word is None:
-        word = connect(e1, e2, depth_limit=depth, node_limit=node_limit)
+        codes = reflection_codes(rs, affine)
+        word = connect(codes.move, tuple(map(codes.code_of, t1)),
+                       tuple(map(codes.code_of, t2)), depth, node_limit)
+        if word is not None and apply_braid(e1, word) != e2:
+            raise RuntimeError("internal inconsistency: the braid word found "
+                               "does not replay")
     payload = {"command": "connect", "group": format_group(rs, affine),
                "braid_word": braid_word_to_json(word),
                "limits": {"depth": depth, "node_limit": node_limit}}
@@ -305,11 +304,11 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
 @main.command("fiber")
 @click.argument("group")
 @click.argument("reflections", nargs=-1, required=True)
-@click.option("-K", "--shift-bound", default=2, show_default=True)
+@click.option("-K", "--shift-bound", type=click.IntRange(min=0), default=2,
+              show_default=True)
 @fmt_option
 def cmd_fiber(group, reflections, shift_bound, fmt):
     """Members of the sigma_n-fiber through a repeated-root-tail tuple."""
-    _check_at_least("--shift-bound", shift_bound)
     rs, affine = _parse_group_or_exit(group)
     if not affine:
         _usage_error("fiber needs an affine group spec like 'affine:A2'")
@@ -331,12 +330,11 @@ def cmd_fiber(group, reflections, shift_bound, fmt):
               help="Groups to run the suite over (suite defaults if omitted).")
 @click.option("--seed", type=int, default=verify_mod.DEFAULT_SEED,
               show_default=True)
-@click.option("--samples", type=int, default=None,
+@click.option("--samples", type=click.IntRange(min=1), default=None,
               help="Sample count for randomized suites.")
 @fmt_option
 def cmd_verify(suites, groups, seed, samples, fmt):
     """Run verification suites (default: all)."""
-    _check_at_least("--samples", samples, 1)
     names = list(suites) if suites else list(verify_mod.SUITES)
     for name in names:
         if name not in verify_mod.SUITES:

@@ -1,21 +1,21 @@
 """Braid moves, Hurwitz orbits and braid-word search on reflection tuples.
 
-Tuple entries are reflections of one root system: finite ones
-(`FiniteWeylElement`) or affine ones (`AffineWeylElement`). The searches
-run on codes, not on elements. A finite reflection s_alpha is coded by the
-index of alpha in `RootSystem.positive_roots`, an affine reflection
-s_{alpha,k} by the pair (that index, k); a tuple of codes is a plain tuple
+The searches run on codes, not on group elements. A finite reflection
+s_alpha is coded by the index of alpha in `RootSystem.positive_roots`, an
+affine reflection s_{alpha,k} by the pair (that index, k); callers build
+codes with `ReflectionCodes.code_of`. A tuple of codes is a plain tuple
 that hashes cheaply, and a Hurwitz move on it is one lookup in a table
-built once per root system. `orbit`, `connect` and `lr_normalize` accept
-ReflectionTuples and encode them once; `orbit` returns the set of codes it
-reached, the others braid words.
+built once per root system. `orbit`, `connect` and `lr_normalize` each
+take a move function, `ReflectionCodes.move`, and code tuples; `orbit`
+returns the set of codes it reached, the others braid words.
 
-The words the searches find are replayed on group elements, not on codes,
-and checked before they are trusted. `apply_move` and `apply_braid` act
-on the elements of a ReflectionTuple; `connect` and `affhur.verify`
-replay with them. `replay_pairs` acts on affine pairs (c, w) for TR(c) w,
-the value of `affhur.weyl_aff`, with its one multiplication rule;
-`quasicox.connect_reduced` replays with it.
+The words the searches find are replayed by a multiplication rule the
+searches do not use, and checked before they are trusted. `apply_move`
+and `apply_braid` act on the elements of a ReflectionTuple, finite
+(`FiniteWeylElement`) or affine (`AffineWeylElement`); the CLI and
+`affhur.verify` replay with them. `replay_pairs` acts on affine pairs
+(c, w) for TR(c) w, the value of `affhur.weyl_aff`, with its one
+multiplication rule; `quasicox.connect_reduced` replays with it.
 
 Words are applied leftmost letter first; positive letter i is sigma_i,
 negative is its inverse.
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .rootsys import RootSystem
-from .weyl_aff import (AffineReflection, AffineWeylElement, as_element,
-                       pair_inverse, pair_mul, recognize_reflection)
-from .weyl_fin import RootTable, reflection_element, root_of_reflection
+from .weyl_aff import AffineReflection, as_element, pair_inverse, pair_mul
+from .weyl_fin import RootTable, reflection_element
 
 
 @dataclass(frozen=True)
@@ -192,21 +191,13 @@ class ReflectionCodes:
                      else partial(_finite_move,
                                   tuple(tuple(c for c, _, _ in row) for row in moves)))
 
-    def code_of(self, r: AffineReflection) -> tuple[int, int]:
-        """The affine code of s_{root, level}; s_{-alpha,-k} = s_{alpha,k}."""
+    def code_of(self, r: AffineReflection):
+        """The code of s_{root, level}, read as s_root on the finite
+        instance; s_{-alpha,-k} = s_{alpha,k}."""
         i = self.index.get(r.root)
+        if not self.affine:
+            return self.index[-r.root] if i is None else i
         return (i, r.level) if i is not None else (self.index[-r.root], -r.level)
-
-    def encode(self, t: ReflectionTuple) -> tuple:
-        if self.affine:
-            refs = [recognize_reflection(self.rs, e) for e in t.entries]
-            if None in refs:
-                raise ValueError("tuple entry is not a reflection")
-            return tuple(self.code_of(r) for r in refs)
-        roots = [root_of_reflection(self.rs, e) for e in t.entries]
-        if None in roots:
-            raise ValueError("tuple entry is not a reflection")
-        return tuple(self.index[r] for r in roots)
 
     def decode(self, code: tuple) -> ReflectionTuple:
         rs, roots = self.rs, self.roots
@@ -225,14 +216,6 @@ class ReflectionCodes:
 @lru_cache(maxsize=None)
 def reflection_codes(rs: RootSystem, affine: bool) -> ReflectionCodes:
     return ReflectionCodes(rs, affine)
-
-
-def _codes_of(t: ReflectionTuple) -> ReflectionCodes:
-    if not t.entries:
-        raise ValueError("a reflection tuple needs at least one entry")
-    e = t.entries[0]
-    affine = isinstance(e, AffineWeylElement)
-    return reflection_codes((e.finite if affine else e).table.rs, affine)
 
 
 # --------------------------------------------------------------- searches
@@ -256,17 +239,14 @@ class OrbitResult:
     exhausted: bool
 
 
-def orbit(t: ReflectionTuple, node_limit: int = 10 ** 6,
+def orbit(move, start: tuple, node_limit: int = 10 ** 6,
           depth_limit: int | None = None) -> OrbitResult:
-    """BFS closure of t under all Hurwitz moves, one level at a time, run
-    on the codes of t.
+    """BFS closure of the code tuple start under all Hurwitz moves, one
+    level at a time.
 
     `exhausted` is True iff the orbit closed before hitting either limit;
     otherwise the members are a truncation, not the full orbit.
     """
-    codes = _codes_of(t)
-    move = codes.move
-    start = codes.encode(t)
     letters = _letters(len(start))
     members = {start}
     frontier = [start]
@@ -286,14 +266,17 @@ def orbit(t: ReflectionTuple, node_limit: int = 10 ** 6,
     return OrbitResult(members, not frontier)
 
 
-def connect_codes(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
-                  node_limit: int = 10 ** 6) -> BraidWord | None:
+def connect(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
+            node_limit: int = 10 ** 6) -> BraidWord | None:
     """Bidirectional BFS for a braid word sending code tuple start to goal.
 
-    None means "not found within limits". A `depth_limit` of None bounds
-    the search by `node_limit` alone. The products are not compared: that
-    is the caller's job.
+    None means "not found within limits", never a disproof. A
+    `depth_limit` of None bounds the search by `node_limit` alone. The
+    products are not compared and the word is not replayed: that is the
+    caller's job.
     """
+    if len(start) != len(goal):
+        raise ValueError("tuples must have equal length")
     if start == goal:
         return BraidWord()
     letters = _letters(len(start))
@@ -328,30 +311,14 @@ def connect_codes(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
     return None
 
 
-def connect(t1: ReflectionTuple, t2: ReflectionTuple,
-            depth_limit: int = 12, node_limit: int = 10 ** 6) -> BraidWord | None:
-    """Bidirectional BFS for a braid word sending t1 to t2.
+def lr_normalize(move, start: tuple, target_reduced_length: int,
+                 node_limit: int = 10 ** 6) -> BraidWord | None:
+    """Braid word bringing code tuple start to repeated-pair-tail shape.
 
-    None means "not found within limits", never a disproof. A tuple-product
-    mismatch is rejected up front since the product is a Hurwitz invariant.
-    The word found is replayed on the elements before it is returned.
+    The target shape keeps a length-`target_reduced_length` prefix and ends
+    in (m - target)/2 equal pairs, the normal form of Lewis and Reiner.
+    Found by orbit BFS; when the orbit is exhausted a None is conclusive.
     """
-    if len(t1) != len(t2):
-        raise ValueError("tuples must have equal length")
-    codes = _codes_of(t1)
-    if t1.product() != t2.product():
-        return None
-    word = connect_codes(codes.move, codes.encode(t1), codes.encode(t2),
-                         depth_limit, node_limit)
-    if word is not None and apply_braid(t1, word) != t2:
-        raise RuntimeError("internal inconsistency: the braid word found "
-                           "does not replay")
-    return word
-
-
-def normalize_codes(move, start: tuple, target_reduced_length: int,
-                    node_limit: int = 10 ** 6) -> BraidWord | None:
-    """Braid word to repeated-pair-tail shape for a code tuple, see `lr_normalize`."""
     m = len(start)
     if (m - target_reduced_length) % 2 != 0 or not 0 <= target_reduced_length <= m:
         raise ValueError("target length must lie in [0, tuple length] and have "
@@ -377,16 +344,3 @@ def normalize_codes(move, start: tuple, target_reduced_length: int,
                 return _word_to(parents, nxt)
             frontier.append(nxt)
     return None
-
-
-def lr_normalize(t: ReflectionTuple, target_reduced_length: int,
-                 node_limit: int = 10 ** 6) -> BraidWord | None:
-    """Braid word bringing t to repeated-pair-tail shape.
-
-    The target shape keeps a length-`target_reduced_length` prefix and ends
-    in (m - target)/2 equal pairs. Found by orbit BFS on the codes of t;
-    when the orbit is exhausted a None is conclusive.
-    """
-    codes = _codes_of(t)
-    return normalize_codes(codes.move, codes.encode(t), target_reduced_length,
-                           node_limit)

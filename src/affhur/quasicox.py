@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter, sub
 
-from .hurwitz import (BraidWord, connect_codes, normalize_codes,
-                      reflection_codes, replay_pairs)
+from .hurwitz import (BraidWord, connect, lr_normalize, reflection_codes,
+                      replay_pairs)
 from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
@@ -134,8 +134,8 @@ def _normalize_tail(rs: RootSystem, code: tuple, node_limit: int = 10 ** 6):
     `node_limit`. The word is searched on the root indices alone, then
     applied to the (root index, level) pairs.
     """
-    word = normalize_codes(reflection_codes(rs, False).move,
-                           tuple(a for a, _ in code), rs.rank - 1, node_limit)
+    word = lr_normalize(reflection_codes(rs, False).move,
+                        tuple(a for a, _ in code), rs.rank - 1, node_limit)
     if word is None:
         return None
     return word, reflection_codes(rs, True).braid(code, word)
@@ -162,8 +162,9 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     search returns True as soon as p(H) = W0 and the span is full, and
     False when it ends without both.
 
-    `node_limit` bounds the number of representatives, |p(H)|; past it the
-    answer is False. The verdict is exact whenever |W0| <= `node_limit`.
+    `node_limit` bounds the number of representatives, |p(H)|; a search
+    that would pass it decides nothing and raises `PipelineExhausted`. It
+    never does when |W0| <= `node_limit`.
     """
     table = root_table(rs)
     n = rs.rank
@@ -182,7 +183,8 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
             b = reps.get(x)
             if b is None:
                 if len(reps) >= node_limit:
-                    return False
+                    raise PipelineExhausted("closure", f"more than {node_limit} "
+                                            "coset representatives")
                 reps[x] = y
                 queue.append(x)
             elif y == b:
@@ -507,9 +509,9 @@ def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord
     word1, u1 = normalize(code1)
     word2, u2 = normalize(code2)
 
-    word_fin = connect_codes(reflection_codes(rs, False).move,
-                             tuple(a for a, _ in u1),
-                             tuple(a for a, _ in u2), depth_limit, node_limit)
+    word_fin = connect(reflection_codes(rs, False).move,
+                       tuple(a for a, _ in u1),
+                       tuple(a for a, _ in u2), depth_limit, node_limit)
     if word_fin is None:
         raise PipelineExhausted("finite-alignment")
     u1p = codes.braid(u1, word_fin)

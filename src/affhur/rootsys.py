@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .linalg import Mat, Vec, mat_vec
 
@@ -38,10 +39,6 @@ class Root:
             if c:
                 return c > 0
         return False
-
-    def positive(self) -> "Root":
-        """Canonical positive representative of {root, -root}."""
-        return self if self.is_positive else -self
 
 
 def _dynkin_data(family: str, rank: int):
@@ -110,24 +107,12 @@ class RootSystem:
         n = self.rank
         return tuple(Root(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
 
-    def bilinear(self, a: Root, b: Root) -> int:
-        """(a | b), exact."""
-        total = 0
-        for i, ci in enumerate(a.coords):
-            if ci:
-                row = self.cartan[i]
-                di = self.symmetrizer[i]
-                total += ci * di * sum(row[j] * b.coords[j] for j in range(self.rank))
-        return total
-
     def norm_sq(self, a: Root) -> int:
-        return self.bilinear(a, a)
+        """(a | a), exact."""
+        return sum(map(mul, bilinear_row(self, a), a.coords))
 
     def is_long(self, a: Root) -> bool:
         return self.norm_sq(a) == 2 * self.ratio_delta
-
-    def is_short(self, a: Root) -> bool:
-        return self.norm_sq(a) == 2
 
     def is_root(self, a: Root) -> bool:
         return a in self.root_set

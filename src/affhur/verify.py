@@ -225,9 +225,15 @@ def _example_chains() -> str:
              "second displayed chain fails")
     _require(apply_braid(tup(s3, s3, s1, s1), word) == tup(s1, s1, s3, s3),
              "third displayed chain fails")
-    for target in (tup(s2, s2, s3, s3), tup(s3, s3, s1, s1)):
-        _require(connect(tup(s1, s1, s2, s2), target) is not None,
-                 "unlabeled chain step is not Hurwitz-reachable")
+    codes = reflection_codes(rs, False)
+    c1, c2, c3 = (codes.code_of(AffineReflection(r, 0)) for r in (a1, a2, high))
+    for goal, target in (((c2, c2, c3, c3), tup(s2, s2, s3, s3)),
+                         ((c3, c3, c1, c1), tup(s3, s3, s1, s1))):
+        found = connect(codes.move, (c1, c1, c2, c2), goal)
+        _require(found is not None
+                 and apply_braid(tup(s1, s1, s2, s2), found) == target,
+                 "unlabeled chain step is not Hurwitz-reachable by a word "
+                 "that replays")
     return "three displayed chains verified"
 
 
@@ -372,14 +378,15 @@ def _check_stage2_orbit_exhausted(rs, node_limit: int) -> str:
     it is all of it exactly when the two sizes agree. The set is counted by
     the prefix search of `weyl_fin`, not by moves.
     """
-    fin = ReflectionTuple(tuple(reflection_element(rs, r.root)
-                                for r in simple_system_affine(rs)))
-    res = orbit(fin, node_limit=node_limit)
+    refs = simple_system_affine(rs)
+    codes = reflection_codes(rs, False)
+    res = orbit(codes.move, tuple(map(codes.code_of, refs)), node_limit)
     size = len(res.members)
     if not res.exhausted:
         raise PipelineExhausted("orbit", f"finite projection orbit passed "
                                 f"{size} nodes")
-    expected = _generating_sequence_count(rs, fin.product(), len(fin))
+    expected = _generating_sequence_count(
+        rs, product_of_reflections(rs, refs).finite, len(refs))
     _require(size == expected,
              f"finite orbit of size {size}, but {expected} generating "
              f"root sequences have its product")

@@ -8,7 +8,7 @@ with, asserted against wall-clock time.
 import itertools
 import time
 
-from affhur.hurwitz import orbit
+from affhur.hurwitz import orbit, reflection_codes
 from affhur.intlattice import (connection_index, contains, full_lattice,
                                lattice_equal, span)
 from affhur.rootsys import build_root_system, coroot
@@ -18,7 +18,6 @@ from affhur.weyl_fin import (absolute_length, all_elements, generates_w0,
                              is_parabolic_quasi_coxeter_fin,
                              reflection_element, root_index_sequences,
                              smallest_subsystem)
-from test_weyl_fin import codes_tuple
 
 
 def _finish(num: int, desc: str, t0: float, budget: float, detail: str = ""):
@@ -63,6 +62,7 @@ def test_criterion_4_finite_transitivity():
         rs = build_root_system(family, rank)
         n = rs.rank
         pos = rs.positive_roots
+        move = reflection_codes(rs, False).move
 
         def generating(seq):
             return generates_w0(rs, [pos[j] for j in seq])
@@ -76,7 +76,7 @@ def test_criterion_4_finite_transitivity():
             if not any(map(generating, facs)):
                 continue
             qc += 1
-            res = orbit(codes_tuple(rs, facs[0]))
+            res = orbit(move, facs[0])
             assert res.exhausted, f"Red_T orbit not exhausted in {family}{rank}"
             assert res.members == set(facs), \
                 f"Red_T is not a single Hurwitz orbit in {family}{rank}"
@@ -92,7 +92,7 @@ def test_criterion_4_finite_transitivity():
                   if generating(seq)]
             assert fs, f"empty Fac set for a length-{n - 1} element"
             pqc += 1
-            res = orbit(codes_tuple(rs, fs[0]))
+            res = orbit(move, fs[0])
             assert res.exhausted
             assert res.members == set(fs), \
                 f"Fac is not a single Hurwitz orbit in {family}{rank}"
@@ -119,7 +119,7 @@ def test_criterion_6_lattice_lemmas():
     for name in ("B2", "B3", "C3", "F4", "G2"):
         rs = build_root_system(name[0], int(name[1]))
         delta = rs.ratio_delta
-        shorts = [r for r in rs.roots if rs.is_short(r)]
+        shorts = [r for r in rs.roots if rs.norm_sq(r) == 2]
         longs = [r for r in rs.roots if rs.is_long(r)]
         full = full_lattice(rs.rank)
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affhur
-from affhur import quasicox, verify
+from affhur import cli, quasicox, verify
 from affhur.cli import main
+from affhur.hurwitz import BraidWord
 
 WORD = ["1,0:0", "0,1:0", "1,1:1"]
 THOMAS = WORD + WORD  # the length-4 pure translation of the worked example
@@ -140,6 +141,16 @@ def test_connect_affine_equal_tuples(runner):
     assert json.loads(res.output)["braid_word"] == []
 
 
+def test_connect_raises_when_word_does_not_replay(runner, monkeypatch):
+    # the fallback search replays its word on the elements before it answers
+    real = cli.apply_braid
+    monkeypatch.setattr(cli, "apply_braid",
+                        lambda tup, word: real(tup, word + BraidWord((1,))))
+    with pytest.raises(RuntimeError, match="internal inconsistency"):
+        runner.invoke(main, ["connect", "A2", "1,0;0,1", "1,1;1,0"],
+                      catch_exceptions=False)
+
+
 def test_connect_product_mismatch(runner):
     res = run(runner, "connect", "A2", "1,0;0,1", "0,1;0,1")
     assert res.exit_code == 2
@@ -248,7 +259,7 @@ def test_verify_single_sample_connects_nothing_and_fails(runner):
 
 def test_verify_limit_hit_exits_3(runner, monkeypatch):
     # a pipeline stage out of its limits decides nothing: LIMIT, not FAIL
-    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+    monkeypatch.setattr(quasicox, "lr_normalize", lambda *args: None)
     res = run(runner, "verify", "main-theorem", "--group", "A2", "--samples", "2")
     assert res.exit_code == 3
     assert "[main-theorem] LIMIT connect-all-pairs-A2" in res.output
@@ -318,7 +329,7 @@ def test_verify_stage2_fails_on_a_wrong_count(runner, monkeypatch):
 
 
 def test_verify_limit_hit_with_a_failure_exits_1(runner, monkeypatch):
-    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+    monkeypatch.setattr(quasicox, "lr_normalize", lambda *args: None)
 
     def failing(rs, node_limit):
         raise verify.CheckFailed("made to fail")

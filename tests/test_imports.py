@@ -1,5 +1,6 @@
 """Every name a library module imports is read somewhere in that module,
-and every public top-level function or class has a reader outside the tests.
+and every public top-level function or class, and every public method of a
+public class, has a reader outside the tests.
 
 `__init__.py` is exempt from the import scan: its imports are re-exports.
 So are `from __future__` imports, which change the compiler and bind
@@ -98,3 +99,62 @@ def test_every_public_definition_has_a_reader():
         p.read_text() for p in sorted(PERFBENCH.glob("*.py")))))
     used = set(affhur.__all__) | commands | perfbench | UNREAD_ALLOWED
     assert unread_definitions(modules, used) == []
+
+
+def public_methods(source: str) -> list[str]:
+    """Class.method for the public methods and properties of the public
+    classes a module defines at top level; dunder methods are not public."""
+    return [f"{cls.name}.{node.name}" for cls in ast.parse(source).body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def attributes_read(source: str) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_methods(modules: dict[str, str], used: set[str]) -> list[str]:
+    """The public methods of `modules` (name -> source) whose name no module
+    reads as an attribute and that are not in `used`."""
+    read = set().union(*map(attributes_read, modules.values())) | used
+    return sorted(f"{name}.{m}" for name, source in modules.items()
+                  for m in public_methods(source) if m.split(".")[1] not in read)
+
+
+def test_scan_flags_an_unread_method():
+    modules = {"a": "class C:\n    def f(self):\n        return self.g()\n"
+                    "    def g(self):\n        return 1\n"
+                    "    @property\n    def p(self):\n        return 2\n"
+                    "    def h(self):\n        pass\n"
+                    "    def m(self):\n        pass\n"
+                    "    def __len__(self):\n        return 0\n"
+                    "    def _q(self):\n        pass\n"
+                    "class _D:\n    def k(self):\n        pass\n",
+               "b": "def use(c):\n    c.m = None\n    return c.f, c.p\n"}
+    # h is named elsewhere; a store to c.m is not a read
+    assert unread_methods(modules, {"h"}) == ["a.C.m"]
+    mentioned = names_mentioned('TARGETS = ("C.h", "affhur.a")\nx = "the m"\n'
+                                '# m\nprint(y.f)\n')
+    assert {"C", "h", "affhur", "a", "f"} <= mentioned and "m" not in mentioned
+
+
+def names_mentioned(source: str) -> set[str]:
+    """Names the source reads, and the parts of its string constants that
+    are dotted names, such as the tracer's "Class.method" targets; not the
+    words of comments or prose."""
+    out = names_read(source)
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.fullmatch(r"\w+(\.\w+)*", node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_public_method_has_a_reader():
+    # read as an attribute by a library module, or named by the benchmark
+    modules = {p.stem: p.read_text() for p in MODULES}
+    perfbench = set().union(*(names_mentioned(p.read_text())
+                              for p in PERFBENCH.glob("*.py")))
+    assert unread_methods(modules, perfbench) == []

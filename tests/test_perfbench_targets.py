@@ -29,3 +29,24 @@ def test_every_traced_target_resolves():
         if not found:
             missing.append(f"{layer}: {modname}.{attr}")
     assert not missing, "tracer targets missing from affhur: " + ", ".join(missing)
+
+
+def test_tracer_sees_the_searches_of_connect_reduced():
+    # connect_reduced normalizes both tuples, then aligns their finite parts
+    # once; the tracer's rows for the two searches count those calls
+    from affhur.quasicox import (FactorizationQuery, connect_reduced,
+                                 enumerate_factorizations)
+    from affhur.rootsys import parse_type
+    from affhur.weyl_aff import product_of_reflections, simple_system_affine
+
+    rs = parse_type("A2")
+    w = product_of_reflections(rs, simple_system_affine(rs))
+    t1, t2 = enumerate_factorizations(rs, FactorizationQuery(w, 3, 1))[:2]
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        connect_reduced(rs, w, t1, t2)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["hurwitz.lr_normalize"] == 2
+    assert tracer.calls["hurwitz.connect"] == 1

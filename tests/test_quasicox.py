@@ -12,7 +12,7 @@ from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid
 from affhur.intlattice import (full_lattice, index, lattice_equal, reduce_mod,
                                span)
 from affhur.linalg import echelon_integer, solve_rational
-from affhur import quasicox
+from affhur import quasicox, verify
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
                              _factorization_blocks, _factorization_codes,
                              _has_factorization, _levels_in_window,
@@ -78,7 +78,7 @@ def test_bad_projection_does_not_generate(b2):
 
 def test_short_repeated_root_does_not_generate(b2):
     # repeated short root: the translation lattice misses the short coroots
-    shorts = [r for r in b2.positive_roots if b2.is_short(r)]
+    shorts = [r for r in b2.positive_roots if b2.norm_sq(r) == 2]
     longs = [r for r in b2.positive_roots if b2.is_long(r)]
     refs = (AffineReflection(longs[0], 0), AffineReflection(shorts[0], 1),
             AffineReflection(shorts[0], 0))
@@ -199,11 +199,21 @@ def test_closure_oracle_node_limit_bounds_the_projection():
     a3 = parse_type("A3")
     simple = simple_system_affine(a3)
     level_2 = simple[:3] + (AffineReflection(a3.highest_root, 2),)
-    assert not closure_generates(a3, simple, node_limit=23)
+    with pytest.raises(PipelineExhausted):
+        closure_generates(a3, simple, node_limit=23)
     assert closure_generates(a3, simple, node_limit=24)
     assert not closure_generates(a3, level_2, node_limit=24)
     assert closure_generates_reference(a3, simple)
     assert not closure_generates_reference(a3, level_2)
+
+
+def test_oracle_agreement_cut_by_the_node_limit_is_a_limit():
+    # |W(B3)| = 48: a generating sample passes 20 coset representatives
+    out = []
+    verify._check(out, "oracle", lambda: verify._check_oracle_agreement(
+        parse_type("B3"), 1, 20, node_limit=20))
+    assert out[0].limit and not out[0].ok
+    assert out[0].detail.startswith("PipelineExhausted: pipeline stage 'closure'")
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
@@ -589,7 +599,7 @@ def test_connect_reduced_rejects_non_generating_projection(a2):
 
 def test_connect_reduced_raises_when_a_stage_is_exhausted(a2, monkeypatch):
     # no fallback search: a stage out of its limits ends the pipeline
-    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+    monkeypatch.setattr(quasicox, "lr_normalize", lambda *args: None)
     t1 = simple_system_affine(a2)
     w = product_of_reflections(a2, t1)
     e1 = ReflectionTuple(tuple(as_element(a2, r) for r in t1))
@@ -630,7 +640,7 @@ def test_connect_reduced_raises_when_word_does_not_replay(name, word, monkeypatc
 def test_generates_affine_keeps_its_own_error_when_normalization_fails(
         a2, monkeypatch):
     # a generating projection always normalizes, so a failure is internal
-    monkeypatch.setattr(quasicox, "normalize_codes", lambda *args: None)
+    monkeypatch.setattr(quasicox, "lr_normalize", lambda *args: None)
     with pytest.raises(RuntimeError, match="internal inconsistency") as exc:
         generates_affine(a2, simple_system_affine(a2))
     assert not isinstance(exc.value, PipelineExhausted)

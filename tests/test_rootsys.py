@@ -46,16 +46,28 @@ def test_norms_and_lengths_g2():
     assert rs.ratio_delta == 3
     assert rs.norm_sq(Root((1, 0))) == 2       # short simple
     assert rs.norm_sq(Root((0, 1))) == 6       # long simple
-    assert rs.is_short(Root((1, 0))) and not rs.is_long(Root((1, 0)))
+    assert not rs.is_long(Root((1, 0)))
     assert rs.is_long(rs.highest_root)
-    shorts = [r for r in rs.roots if rs.is_short(r)]
+    shorts = [r for r in rs.roots if rs.norm_sq(r) == 2]
     longs = [r for r in rs.roots if rs.is_long(r)]
     assert len(shorts) == len(longs) == 6
 
 
+@pytest.mark.parametrize("family,rank", sorted(ROOT_COUNTS))
+def test_norm_sq_is_the_symmetrized_cartan_form(family, rank):
+    # (a | a) = sum_ij a_i a_j d_i cartan[i][j]; short roots have 2
+    rs = build_root_system(family, rank)
+    n = rs.rank
+    for r in rs.roots:
+        a = r.coords
+        expected = sum(a[i] * a[j] * rs.symmetrizer[i] * rs.cartan[i][j]
+                       for i in range(n) for j in range(n))
+        assert rs.norm_sq(r) == expected in (2, 2 * rs.ratio_delta)
+
+
 def test_simply_laced_all_long_and_short():
     rs = build_root_system("A", 3)
-    assert all(rs.is_long(r) and rs.is_short(r) for r in rs.roots)
+    assert all(rs.is_long(r) and rs.norm_sq(r) == 2 for r in rs.roots)
 
 
 def test_coroot_integral_everywhere():
@@ -106,7 +118,7 @@ def test_parse_and_format_round_trip():
 def test_positive_root_canonicalization():
     r = Root((-1, -1))
     assert not r.is_positive
-    assert r.positive() == Root((1, 1))
+    assert (-r).is_positive and -r == Root((1, 1))
 
 
 def test_hash_consistent_with_equality():

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from affhur.hurwitz import ReflectionTuple, orbit
+from affhur.hurwitz import ReflectionTuple, orbit, reflection_codes
 from affhur.intlattice import full_lattice, lattice_equal, span
 from affhur.linalg import mat_mul, mat_vec
 from affhur.rootsys import (Root, RootSystemError, bilinear_row,
@@ -108,8 +108,10 @@ def test_reduced_factorizations_coxeter(family, rank, count):
     assert absolute_length(c) == rank
     facs = [seq for seq, _ in root_index_sequences(rs, c, rank)]
     assert len(facs) == count == len(set(facs))
+    pos = rs.positive_roots
     for fac in facs:
-        assert codes_tuple(rs, fac).product() == c
+        assert ReflectionTuple(tuple(reflection_element(rs, pos[j])
+                                     for j in fac)).product() == c
 
 
 def test_reduced_factorizations_identity():
@@ -117,12 +119,6 @@ def test_reduced_factorizations_identity():
     e = identity_element(rs)
     assert absolute_length(e) == 0
     assert list(root_index_sequences(rs, e, 0)) == [((), ())]
-
-
-def codes_tuple(rs, seq):
-    """The reflections of the positive roots with indices `seq`."""
-    return ReflectionTuple(tuple(reflection_element(rs, rs.positive_roots[j])
-                                 for j in seq))
 
 
 def red_t_codes(rs, w):
@@ -184,7 +180,7 @@ def test_red_t_single_orbit_d4():
         if absolute_length(w) != 4 or not is_quasi_coxeter_fin(rs, w):
             continue
         facs = red_t_codes(rs, w)
-        res = orbit(codes_tuple(rs, facs[0]))
+        res = orbit(reflection_codes(rs, False).move, facs[0])
         assert res.exhausted
         assert res.members == set(facs)
         sizes[w] = len(facs)
@@ -213,7 +209,7 @@ def test_red_t_single_orbit_parabolic_quasi_coxeter(family, rank, count):
         if w.is_identity():
             assert facs == [()]
             continue
-        res = orbit(codes_tuple(rs, facs[0]))
+        res = orbit(reflection_codes(rs, False).move, facs[0])
         assert res.exhausted
         assert res.members == set(facs)
     assert found == count
@@ -222,7 +218,7 @@ def test_red_t_single_orbit_parabolic_quasi_coxeter(family, rank, count):
 def test_generates_w0():
     rs = build_root_system("B", 2)
     longs = [r for r in rs.positive_roots if rs.is_long(r)]
-    shorts = [r for r in rs.positive_roots if rs.is_short(r)]
+    shorts = [r for r in rs.positive_roots if rs.norm_sq(r) == 2]
     assert generates_w0(rs, [longs[0], shorts[0]])
     assert not generates_w0(rs, longs)   # A1 x A1 subgroup
     assert not generates_w0(rs, shorts)  # index-2 coroot span
