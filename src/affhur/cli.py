@@ -28,7 +28,6 @@ from .quasicox import (FactorizationQuery, PipelineExhausted,
 from .rootsys import RootSystemError, coroot, parse_type
 from .weyl_aff import as_element, product_of_reflections
 from .weyl_fin import absolute_length, reflection_element
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -267,8 +266,8 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
     """Braid word sending TUPLE1 to TUPLE2 (semicolon-separated literals)."""
     rs, affine = _parse_group_or_exit(group)
     try:
-        t1 = parse_tuple_literal(rs, tuple1)
-        t2 = parse_tuple_literal(rs, tuple2)
+        t1 = parse_tuple_literal(rs, tuple1, affine)
+        t2 = parse_tuple_literal(rs, tuple2, affine)
     except (RootSystemError, ValueError) as exc:
         _usage_error(str(exc))
     if len(t1) != len(t2):
@@ -328,13 +327,16 @@ def cmd_fiber(group, reflections, shift_bound, fmt):
 @click.argument("suites", nargs=-1)
 @click.option("--group", "groups", multiple=True,
               help="Groups to run the suite over (suite defaults if omitted).")
-@click.option("--seed", type=int, default=verify_mod.DEFAULT_SEED,
-              show_default=True)
+@click.option("--seed", type=int, default=None,
+              help="Seed of the sampled checks [default: affhur.verify.DEFAULT_SEED].")
 @click.option("--samples", type=click.IntRange(min=1), default=None,
               help="Sample count for randomized suites.")
 @fmt_option
 def cmd_verify(suites, groups, seed, samples, fmt):
     """Run verification suites (default: all)."""
+    from . import verify as verify_mod  # only this command pays its import
+    if seed is None:
+        seed = verify_mod.DEFAULT_SEED
     names = list(suites) if suites else list(verify_mod.SUITES)
     for name in names:
         if name not in verify_mod.SUITES:

@@ -9,6 +9,14 @@ built once per root system. `orbit`, `connect` and `lr_normalize` each
 take a move function, `ReflectionCodes.move`, and code tuples; `orbit`
 returns the set of codes it reached, the others braid words.
 
+`connect` and `lr_normalize` remember their answers: each is wrapped in an
+`lru_cache` of `SEARCH_MEMO_SIZE` entries, keyed by all of its arguments:
+the move function (one per root system and kind, from `reflection_codes`),
+the code tuples, and the limits. A search cut short by a small limit is
+never answered by what a larger limit found, and the answer to a repeated
+call is the word the search would find again. `orbit` is not cached: it
+returns a mutable set, which can hold millions of tuples.
+
 The words the searches find are replayed by a multiplication rule the
 searches do not use, and checked before they are trusted. `apply_move`
 and `apply_braid` act on the elements of a ReflectionTuple, finite
@@ -220,6 +228,11 @@ def reflection_codes(rs: RootSystem, affine: bool) -> ReflectionCodes:
 
 # --------------------------------------------------------------- searches
 
+# Entries per search memo. An entry of a rank 3 or 4 search (key, word and
+# cache link) takes about 400 bytes, so a full memo holds about 25 MB.
+SEARCH_MEMO_SIZE = 1 << 16
+
+
 def _letters(m: int) -> tuple[int, ...]:
     # sigma_i before sigma_i^-1, ascending i: the documented tie-break
     return tuple(x for i in range(1, m) for x in (i, -i))
@@ -266,6 +279,7 @@ def orbit(move, start: tuple, node_limit: int = 10 ** 6,
     return OrbitResult(members, not frontier)
 
 
+@lru_cache(maxsize=SEARCH_MEMO_SIZE)
 def connect(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
             node_limit: int = 10 ** 6) -> BraidWord | None:
     """Bidirectional BFS for a braid word sending code tuple start to goal.
@@ -273,7 +287,8 @@ def connect(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
     None means "not found within limits", never a disproof. A
     `depth_limit` of None bounds the search by `node_limit` alone. The
     products are not compared and the word is not replayed: that is the
-    caller's job.
+    caller's job. Answers, None included, are memoized per (move, start,
+    goal, depth_limit, node_limit); see the module docstring.
     """
     if len(start) != len(goal):
         raise ValueError("tuples must have equal length")
@@ -311,6 +326,7 @@ def connect(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
     return None
 
 
+@lru_cache(maxsize=SEARCH_MEMO_SIZE)
 def lr_normalize(move, start: tuple, target_reduced_length: int,
                  node_limit: int = 10 ** 6) -> BraidWord | None:
     """Braid word bringing code tuple start to repeated-pair-tail shape.
@@ -318,6 +334,8 @@ def lr_normalize(move, start: tuple, target_reduced_length: int,
     The target shape keeps a length-`target_reduced_length` prefix and ends
     in (m - target)/2 equal pairs, the normal form of Lewis and Reiner.
     Found by orbit BFS; when the orbit is exhausted a None is conclusive.
+    Answers are memoized per (move, start, target_reduced_length,
+    node_limit); see the module docstring.
     """
     m = len(start)
     if (m - target_reduced_length) % 2 != 0 or not 0 <= target_reduced_length <= m:

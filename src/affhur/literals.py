@@ -57,12 +57,13 @@ def parse_reflection_args(rs: RootSystem, args, affine: bool):
     return tuple(refs)
 
 
-def parse_tuple_literal(rs: RootSystem, s: str):
-    """Parse a semicolon-separated tuple of affine reflections."""
-    parts = [p for p in s.split(";") if p.strip()]
+def parse_tuple_literal(rs: RootSystem, s: str, affine: bool):
+    """Parse a semicolon-separated tuple of reflections, with the finite
+    check of `parse_reflection_args`."""
+    parts = [p.strip() for p in s.split(";") if p.strip()]
     if not parts:
         raise RootSystemError("empty reflection tuple literal")
-    return tuple(parse_affine_reflection(rs, p.strip()) for p in parts)
+    return parse_reflection_args(rs, parts, affine)
 
 
 def format_tuple(refs) -> str:

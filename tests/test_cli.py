@@ -217,13 +217,15 @@ def test_verify_smoke(runner, suite, group):
     (None, ["check-qc", "E9", "1,0:0", "0,1:0", "1,1:1"]),
     (None, ["connect", "affine:", "1,0:0;0,1:0", "1,1:0;1,0:0"]),
     (None, ["factorize", "affine:A2", "1,0:0", "--length", "1.5"]),
+    (None, ["connect", "A2", "1,0:3;0,1", "1,1;1,0"]),
 ], ids=["node-limit-not-int", "node-limit-negative", "factorize-negative-K",
         "factorize-negative-length", "check-qc-negative-K", "fiber-negative-K",
         "verify-unknown-group", "verify-zero-samples", "orbit-negative-depth",
         "connect-negative-depth", "unknown-group-option",
         "unknown-group-option-before-command", "rank-above-cap",
         "verify-rank-above-cap", "unknown-family", "rank-zero", "orbit-rank-above-cap",
-        "no-E9", "affine-without-type", "factorize-non-integer-length"])
+        "no-E9", "affine-without-type", "factorize-non-integer-length",
+        "connect-finite-with-levels"])
 def test_bad_input_is_a_usage_error(runner, monkeypatch, node_limit, args):
     if node_limit is not None:
         monkeypatch.setenv("AFFHUR_NODE_LIMIT", node_limit)

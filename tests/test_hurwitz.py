@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.hurwitz import (BraidWord, ReflectionTuple, apply_braid,
-                            apply_move, connect, lr_normalize, orbit,
-                            reflection_codes)
+from affhur.hurwitz import (SEARCH_MEMO_SIZE, BraidWord, ReflectionTuple,
+                            apply_braid, apply_move, connect, lr_normalize,
+                            orbit, reflection_codes)
 from affhur.rootsys import Root, build_root_system, parse_type
 from affhur.weyl_aff import AffineReflection, as_element
 from affhur.weyl_fin import reflection_element, root_index_sequences
@@ -429,3 +429,98 @@ def test_move_table_matches_matrix_model(name, roots, level):
             moved = codes.move(code, letter)
             expected = tuple(canonical(*x) for x in model.move(pair, letter))
             assert tuple((codes.roots[c].coords, k) for c, k in moved) == expected
+
+
+# ------------------------------------------------------- the search memos
+#
+# connect and lr_normalize are memoized; a hit must give the word the
+# search gives, and the limits are part of the key.
+
+def _pipeline_inputs(name, count=4):
+    """Seeded finite (n+1)-tuples, not yet normalized, each with a goal
+    braided from it: [(elements, codes, goal elements, goal codes)]."""
+    rs = parse_type(name)
+    n = rs.rank
+    codes = reflection_codes(rs, False)
+    rng = random.Random(5)
+    out = []
+    while len(out) < count:
+        refs = [AffineReflection(rng.choice(rs.positive_roots), 0)
+                for _ in range(n + 1)]
+        t, code = _tuples(rs, False, refs)
+        if code[n - 1] == code[n]:
+            continue  # already in normal form: no search would run
+        word = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n)
+                               for _ in range(5)))
+        out.append((t, code, apply_braid(t, word), codes.braid(code, word)))
+    return rs, codes, out
+
+
+def _counted(search, *args):
+    """search(*args) and the (misses, hits) it added to its memo."""
+    before = search.cache_info()
+    word = search(*args)
+    after = search.cache_info()
+    return word, (after.misses - before.misses, after.hits - before.hits)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_memo_hits_return_the_reference_words(name):
+    rs, codes, inputs = _pipeline_inputs(name)
+    n = rs.rank
+    lr_normalize.cache_clear()
+    connect.cache_clear()
+    for t, code, other, goal in inputs:
+        expected = reference_lr_normalize(t, n - 1)
+        assert expected is not None
+        assert _counted(lr_normalize, codes.move, code, n - 1) == (expected, (1, 0))
+        assert _counted(lr_normalize, codes.move, code, n - 1) == (expected, (0, 1))
+        expected = reference_connect(t, other)
+        assert expected is not None
+        assert _counted(connect, codes.move, code, goal) == (expected, (1, 0))
+        assert _counted(connect, codes.move, code, goal) == (expected, (0, 1))
+
+
+def _least_limit(reference):
+    """The smallest node limit at which reference(limit) finds its word."""
+    limit = 1
+    while reference(limit) is None:
+        limit += 1
+    return limit
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_memo_keeps_the_limits_apart(name):
+    # a word found under a large limit does not answer a call whose limit
+    # cuts the search short: that call still returns None, as the reference
+    rs, codes, inputs = _pipeline_inputs(name)
+    n = rs.rank
+    t, code, other, goal = max(
+        inputs, key=lambda x: len(reference_lr_normalize(x[0], n - 1)))
+    need = _least_limit(lambda limit: reference_lr_normalize(t, n - 1, limit))
+    assert need > 2
+    assert lr_normalize(codes.move, code, n - 1, 10 ** 6) is not None
+    assert lr_normalize(codes.move, code, n - 1, need - 1) is None
+    assert lr_normalize(codes.move, code, n - 1, need) == \
+        reference_lr_normalize(t, n - 1, need)
+    need = _least_limit(lambda limit: reference_connect(t, other, 12, limit))
+    assert need > 2
+    assert connect(codes.move, code, goal, 12, 10 ** 6) is not None
+    assert connect(codes.move, code, goal, 12, need - 1) is None
+    assert connect(codes.move, code, goal, 12, need) == \
+        reference_connect(t, other, 12, need)
+
+
+def test_search_memos_are_bounded():
+    for search in (lr_normalize, connect):
+        assert search.cache_info().maxsize == SEARCH_MEMO_SIZE
+    assert isinstance(SEARCH_MEMO_SIZE, int) and SEARCH_MEMO_SIZE > 0
+
+
+def test_orbit_is_not_memoized(a2):
+    # orbit hands out a mutable set: each call builds its own
+    move = reflection_codes(a2, False).move
+    t = fin_code(a2, (1, 0), (0, 1), (1, 1))
+    first, second = orbit(move, t), orbit(move, t)
+    assert first.members == second.members
+    assert first.members is not second.members

@@ -47,12 +47,17 @@ def test_finite_groups_reject_levels():
 
 
 def test_tuple_literals():
-    rs, _ = parse_group("affine:A2")
-    t = parse_tuple_literal(rs, "1,0:0;0,1:1;1,1:-1")
+    rs, affine = parse_group("affine:A2")
+    t = parse_tuple_literal(rs, "1,0:0;0,1:1;1,1:-1", affine)
     assert len(t) == 3
     assert format_tuple(t) == "1,0:0;0,1:1;1,1:-1"
     with pytest.raises(RootSystemError):
-        parse_tuple_literal(rs, " ; ")
+        parse_tuple_literal(rs, " ; ", affine)
+    # a finite group takes level-0 entries only, as in parse_reflection_args
+    assert parse_tuple_literal(rs, "1,0;0,1:0", False) == \
+        parse_reflection_args(rs, ["1,0", "0,1"], False)
+    with pytest.raises(RootSystemError, match="does not allow levels"):
+        parse_tuple_literal(rs, "1,0:3;0,1", False)
 
 
 def test_json_shapes():

@@ -34,6 +34,7 @@ def test_every_traced_target_resolves():
 def test_tracer_sees_the_searches_of_connect_reduced():
     # connect_reduced normalizes both tuples, then aligns their finite parts
     # once; the tracer's rows for the two searches count those calls
+    from affhur.hurwitz import connect, lr_normalize
     from affhur.quasicox import (FactorizationQuery, connect_reduced,
                                  enumerate_factorizations)
     from affhur.rootsys import parse_type
@@ -42,11 +43,18 @@ def test_tracer_sees_the_searches_of_connect_reduced():
     rs = parse_type("A2")
     w = product_of_reflections(rs, simple_system_affine(rs))
     t1, t2 = enumerate_factorizations(rs, FactorizationQuery(w, 3, 1))[:2]
-    tracer = _load_tracing().Tracer()
-    tracer.install()
-    try:
-        connect_reduced(rs, w, t1, t2)
-    finally:
-        tracer.uninstall()
-    assert tracer.calls["hurwitz.lr_normalize"] == 2
-    assert tracer.calls["hurwitz.connect"] == 1
+    # the second call is answered from the searches' memos; a hit is still
+    # a call, so the per-layer counts do not depend on what ran before
+    for repeat in (False, True):
+        hits = lr_normalize.cache_info().hits, connect.cache_info().hits
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            connect_reduced(rs, w, t1, t2)
+        finally:
+            tracer.uninstall()
+        assert tracer.calls["hurwitz.lr_normalize"] == 2
+        assert tracer.calls["hurwitz.connect"] == 1
+        if repeat:
+            assert (lr_normalize.cache_info().hits - hits[0],
+                    connect.cache_info().hits - hits[1]) == (2, 1)
