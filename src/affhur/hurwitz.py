@@ -10,7 +10,8 @@ take a move function, `ReflectionCodes.move`, and code tuples; `orbit`
 returns the set of codes it reached, the others braid words.
 
 `connect` and `lr_normalize` remember their answers: each is wrapped in an
-`lru_cache` of `SEARCH_MEMO_SIZE` entries, keyed by all of its arguments:
+`lru_cache` of `SEARCH_MEMO_SIZE` entries (the bound `affhur.weyl_fin`
+sets for every memo keyed by its input), keyed by all of its arguments:
 the move function (one per root system and kind, from `reflection_codes`),
 the code tuples, and the limits. A search cut short by a small limit is
 never answered by what a larger limit found, and the answer to a repeated
@@ -22,8 +23,10 @@ searches do not use, and checked before they are trusted. `apply_move`
 and `apply_braid` act on the elements of a ReflectionTuple, finite
 (`FiniteWeylElement`) or affine (`AffineWeylElement`); the CLI and
 `affhur.verify` replay with them. `replay_pairs` acts on affine pairs
-(c, w) for TR(c) w, the value of `affhur.weyl_aff`, with its one
-multiplication rule; `quasicox.connect_reduced` replays with it.
+(c, w) for TR(c) w, the value of `affhur.weyl_aff`: each letter is one
+conjugation by its one multiplication rule, `weyl_aff.pair_conj`, and
+reads no move table. `quasicox.connect_reduced` replays with it, on the
+pairs `ReflectionCodes.pair` keeps per code.
 
 Words are applied leftmost letter first; positive letter i is sigma_i,
 negative is its inverse.
@@ -36,9 +39,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .rootsys import RootSystem
-from .weyl_aff import AffineReflection, as_element, pair_inverse, pair_mul
-from .weyl_fin import RootTable, reflection_element
+from .rootsys import RootSystem, RootSystemError
+from .weyl_aff import (AffineReflection, as_element, pair_conj, pair_inverse,
+                       reflection_pair)
+from .weyl_fin import SEARCH_MEMO_SIZE, RootTable, reflection_element
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,9 @@ def replay_pairs(table: RootTable, entries: tuple, word: BraidWord) -> tuple:
     """`apply_braid` on affine pairs (see `affhur.weyl_aff`) of one root table.
 
     sigma_i sends (a, b) at slots i, i+1 to (a b a^-1, a), its inverse to
-    (b, b^-1 a b); both are computed with `pair_mul` and `pair_inverse`,
-    not with the move tables the searches use.
+    (b, b^-1 a b); each is one conjugation, `pair_conj(a, b)` and
+    `pair_conj(b^-1, a)`, computed by the pair rule, not with the move
+    tables the searches use.
     """
     entries = list(entries)
     for letter in word.letters:
@@ -103,12 +108,11 @@ def replay_pairs(table: RootTable, entries: tuple, word: BraidWord) -> tuple:
                              f"{len(entries)}-tuple")
         a, b = entries[i - 1], entries[i]
         if letter > 0:
-            entries[i - 1] = pair_mul(table, pair_mul(table, a, b),
-                                      pair_inverse(table, a))
+            entries[i - 1] = pair_conj(table, a, b)
             entries[i] = a
         else:
             entries[i - 1] = b
-            entries[i] = pair_mul(table, pair_mul(table, pair_inverse(table, b), a), b)
+            entries[i] = pair_conj(table, pair_inverse(table, b), a)
     return tuple(entries)
 
 
@@ -168,15 +172,15 @@ def _affine_move(moves, code: tuple, letter: int) -> tuple:
 
 
 class _Interned(dict):
-    """Affine code (index, k) -> s_{roots[index], k}, made on first lookup."""
+    """code -> make(code), made on first lookup and kept."""
 
-    def __init__(self, roots):
+    def __init__(self, make):
         super().__init__()
-        self.roots = roots
+        self.make = make
 
     def __missing__(self, code):
-        r = self[code] = AffineReflection(self.roots[code[0]], code[1])
-        return r
+        value = self[code] = self.make(code)
+        return value
 
 
 class ReflectionCodes:
@@ -185,15 +189,19 @@ class ReflectionCodes:
     Finite codes are positive-root indices, affine codes (index, level)
     pairs. `move(code, letter)` applies one letter to a tuple of codes.
     `reflection(code)` decodes an affine code to its `AffineReflection`,
-    one shared instance per code.
+    and `pair(code)` to its affine pair (see `affhur.weyl_aff`), one
+    shared instance per code.
     """
 
     def __init__(self, rs: RootSystem, affine: bool):
         self.rs = rs
         self.affine = affine
-        self.roots = rs.positive_roots
-        self.index = {r: i for i, r in enumerate(self.roots)}
-        self.reflection = _Interned(self.roots).__getitem__
+        roots = self.roots = rs.positive_roots
+        self.index = {r: i for i, r in enumerate(roots)}
+        reflection = self.reflection = _Interned(
+            lambda code: AffineReflection(roots[code[0]], code[1])).__getitem__
+        self.pair = _Interned(
+            lambda code: reflection_pair(rs, reflection(code))).__getitem__
         moves = _move_table(rs)
         self.move = (partial(_affine_move, moves) if affine
                      else partial(_finite_move,
@@ -203,9 +211,14 @@ class ReflectionCodes:
         """The code of s_{root, level}, read as s_root on the finite
         instance; s_{-alpha,-k} = s_{alpha,k}."""
         i = self.index.get(r.root)
-        if not self.affine:
-            return self.index[-r.root] if i is None else i
-        return (i, r.level) if i is not None else (self.index[-r.root], -r.level)
+        if i is not None:
+            return (i, r.level) if self.affine else i
+        i = self.index.get(-r.root)
+        if i is None:
+            rs = self.rs
+            raise RootSystemError(f"{r.root.coords} is not a root of "
+                                  f"{rs.family}{rs.rank}")
+        return (i, -r.level) if self.affine else i
 
     def decode(self, code: tuple) -> ReflectionTuple:
         rs, roots = self.rs, self.roots
@@ -227,11 +240,6 @@ def reflection_codes(rs: RootSystem, affine: bool) -> ReflectionCodes:
 
 
 # --------------------------------------------------------------- searches
-
-# Entries per search memo. An entry of a rank 3 or 4 search (key, word and
-# cache link) takes about 400 bytes, so a full memo holds about 25 MB.
-SEARCH_MEMO_SIZE = 1 << 16
-
 
 def _letters(m: int) -> tuple[int, ...]:
     # sigma_i before sigma_i^-1, ascending i: the documented tie-break

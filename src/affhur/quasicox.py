@@ -21,11 +21,10 @@ from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, coroot
-from .weyl_aff import (AffineReflection, AffineWeylElement, pair_product,
-                       reflection_pair)
-from .weyl_fin import (absolute_length, all_elements, generates_w0,
-                       is_parabolic, reflection_element, root_index_sequences,
-                       root_table)
+from .weyl_aff import AffineReflection, AffineWeylElement, pair_product
+from .weyl_fin import (SEARCH_MEMO_SIZE, absolute_length, all_elements,
+                       generates_w0, generates_w0_codes, is_parabolic,
+                       reflection_element, root_index_sequences, root_table)
 
 
 class PipelineExhausted(RuntimeError):
@@ -459,40 +458,59 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
 
     Stages: repeated-root normalization of both tuples, projection
     alignment inside the finite Fac set, then a sigma_n power along the
-    fiber. The stages run on reflection codes (see `affhur.hurwitz`). The
-    checks run on affine pairs (see `affhur.weyl_aff`): each input tuple's
-    product is compared with the pair of w, and the word is replayed once
-    on the pairs of t1 with `hurwitz.replay_pairs`, independent of the move
-    tables the stages search with, and compared with the pairs of t2. A
-    stage that runs out of its limits raises `PipelineExhausted`. The
-    alignment search is bounded by `node_limit` alone unless a
-    `depth_limit` is given.
+    fiber. The stages run on reflection codes (see `affhur.hurwitz`), and
+    so do the checks, on the affine pairs (see `affhur.weyl_aff`) that
+    `ReflectionCodes.pair` keeps per code. Each input tuple is coded once.
+    Once per distinct code tuple, in a memo of `SEARCH_MEMO_SIZE` entries
+    (`_tuple_facts`), its product pair and whether its projection
+    generates W0 are computed; on every call the product is compared with
+    the pair of w, and a tuple that does not generate is refused. The word
+    is replayed on every call, on the pairs of t1 with
+    `hurwitz.replay_pairs`, independent of the move tables the stages
+    search with, and compared with the pairs of t2. A stage that runs out
+    of its limits raises `PipelineExhausted`. The alignment search is
+    bounded by `node_limit` alone unless a `depth_limit` is given.
     """
     t1 = tuple(t1)
     t2 = tuple(t2)
     n = rs.rank
     table = root_table(rs)
     # pairs are compared by permutation, so the root table must be the same
-    target = ((w.translation, w.finite.perm) if w.finite.table is table
-              else None)
-    pairs = []
+    if w.finite.table is not table:
+        other = w.finite.table.rs
+        raise ValueError(f"target element is in the group of "
+                         f"{other.family}{other.rank}, not of "
+                         f"{rs.family}{rs.rank}")
+    target = (w.translation, w.finite.perm)
+    codes = reflection_codes(rs, True)
+    coded = []
     for t in (t1, t2):
         if len(t) != n + 1:
             raise ValueError(f"expected {n + 1}-tuples")
-        pairs.append(tuple(reflection_pair(rs, r) for r in t))
-        if pair_product(table, pairs[-1]) != target:
+        code = tuple(map(codes.code_of, t))
+        product, generates = _tuple_facts(rs, code)
+        if product != target:
             raise ValueError("tuple is not a factorization of the target element")
-        if not generates_w0(rs, [r.root for r in t]):
+        if not generates:
             raise ValueError("projection does not generate the finite group; "
                              "the element is not quasi-Coxeter")
-    codes = reflection_codes(rs, True)
-    code1 = tuple(codes.code_of(r) for r in t1)
-    code2 = tuple(codes.code_of(r) for r in t2)
+        coded.append(code)
+    code1, code2 = coded
     word = _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit)
-    if replay_pairs(table, pairs[0], word) != pairs[1]:
+    pair = codes.pair
+    if replay_pairs(table, tuple(map(pair, code1)), word) != tuple(map(pair, code2)):
         raise RuntimeError("internal inconsistency: the braid word found "
                            "does not replay")
     return word
+
+
+@lru_cache(maxsize=SEARCH_MEMO_SIZE)
+def _tuple_facts(rs: RootSystem, code: tuple) -> tuple:
+    """(product pair, whether the projection generates W0) of an affine
+    code tuple; memoized per (rs, code)."""
+    pair = reflection_codes(rs, True).pair
+    return (pair_product(root_table(rs), map(pair, code)),
+            generates_w0_codes(rs, frozenset([a for a, _ in code])))
 
 
 def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord:

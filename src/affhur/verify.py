@@ -23,7 +23,8 @@ from .rootsys import Root, build_root_system, parse_type
 from .weyl_aff import (AffineReflection, as_element, coweight_conjugate,
                        product_of_reflections, simple_system_affine,
                        translation_element)
-from .weyl_fin import (all_elements, generates_w0, reflection_element,
+from .weyl_fin import (all_elements, generates_w0, generates_w0_codes,
+                       reflection_element, root_index_sequences,
                        root_sequences)
 
 SUITES = ("lemmas", "example-a2", "generation", "main-theorem")
@@ -365,9 +366,10 @@ def _check_connect_all_pairs(rs, seed: int, samples: int,
 
 
 def _generating_sequence_count(rs, target, m: int) -> int:
-    """Length-m root sequences of `target` whose roots generate W0."""
-    return sum(1 for roots, _ in root_sequences(rs, target, m)
-               if generates_w0(rs, roots))
+    """Length-m root sequences of `target` whose roots generate W0, counted
+    on the positive-root indices of `root_index_sequences`."""
+    return sum(1 for seq, _ in root_index_sequences(rs, target, m)
+               if generates_w0_codes(rs, frozenset(seq)))
 
 
 def _check_stage2_orbit_exhausted(rs, node_limit: int) -> str:

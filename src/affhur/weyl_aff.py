@@ -10,12 +10,18 @@ with u(d) read from the `RootTable.coactions` memo (`RootTable.coact`),
 and the inverse of (c, u) is (-u^-1(c), u^-1). The affine reflection
 s_{alpha,k} is the pair (k alpha-coroot, perm of s_alpha), so
 right-multiplying by it gives (c + k (u alpha)-coroot, u s_alpha).
-`pair_mul`, `pair_inverse` and `reflection_pair` are the rule on plain
-tuples; `AffineWeylElement` holds the same pair as (`translation`,
-`finite`) and multiplies by the same rule. `product_of_reflections`,
-`quasicox.connect_reduced` and the replay `hurwitz.replay_pairs` compute
-on tuples, and `quasicox.closure_generates` runs the reflection step
-inline, reading (u alpha)-coroot off the root table.
+Conjugation follows from the rule and the inverse:
+
+    (c, u)(d, v)(c, u)^-1 = (c + u(d) - (u v u^-1)(c), u v u^-1),
+
+two actions on coroot coordinates where two products and an inverse make
+three. `pair_mul`, `pair_inverse`, `pair_conj` and `reflection_pair` are
+the rule on plain tuples; `AffineWeylElement` holds the same pair as
+(`translation`, `finite`) and multiplies by the same rule.
+`product_of_reflections`, `quasicox.connect_reduced` and the replay
+`hurwitz.replay_pairs` (one `pair_conj` per letter) compute on tuples, and
+`quasicox.closure_generates` runs the reflection step inline, reading
+(u alpha)-coroot off the root table.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, neg
+from operator import add, itemgetter, neg, sub
 
 from .linalg import Vec
 from .rootsys import Root, RootSystem, RootSystemError, coroot, pairing_coords
@@ -50,6 +56,17 @@ def pair_inverse(table: RootTable, x: Pair) -> Pair:
     if not any(c):
         return c, uinv
     return tuple(map(neg, table.coact(uinv, c))), uinv
+
+
+def pair_conj(table: RootTable, x: Pair, y: Pair) -> Pair:
+    """x y x^-1 = (c + u(d) - (u v u^-1)(c), u v u^-1) for x = (c, u),
+    y = (d, v)."""
+    (c, u), (d, v) = x, y
+    w = itemgetter(*table.inverse(u))(itemgetter(*v)(u))  # u v u^-1
+    e = tuple(map(add, c, table.coact(u, d))) if any(d) else c
+    if any(c):
+        e = tuple(map(sub, e, table.coact(w, c)))
+    return e, w
 
 
 @dataclass(frozen=True)

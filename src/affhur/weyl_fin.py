@@ -11,14 +11,18 @@ matrix of the action on root coordinates is derived on demand.
 
 `root_index_sequences` is the one search over reflection sequences. It
 runs on raw root permutations and yields positive-root indices, which the
-affine enumeration of `affhur.quasicox` uses as they are;
-`root_sequences` decodes them to roots for the finite quasi-Coxeter tests
-and the stage-2 count of `affhur.verify`. The reduced factorizations of w
-are its sequences of length l_T(w). The root closure of a set of
-reflections is an orbit of the same permutations on root indices:
-`smallest_subsystem` returns it, `generates_w0` asks whether it is all
-of the roots, and `is_parabolic` compares it with the roots that fix the
-reflections' common fixed space.
+affine enumeration of `affhur.quasicox` and the stage-2 count of
+`affhur.verify` use as they are; `root_sequences` decodes them to roots
+for the finite quasi-Coxeter tests and the product-form check of
+`affhur.verify`. The reduced factorizations of w are its sequences of
+length l_T(w). The root closure of a set of reflections is an orbit of
+the same permutations on root indices, started from positive-root
+indices: `smallest_subsystem` returns it, `is_parabolic` compares it with
+the roots that fix the reflections' common fixed space, and
+`generates_w0_codes` asks whether it is all of the roots.
+`generates_w0_codes` is memoized per (root system, frozenset of indices)
+in an `lru_cache` of `SEARCH_MEMO_SIZE` entries; `generates_w0` asks it of
+the indices of the roots it is given.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ from operator import itemgetter, mul
 from .linalg import Mat, echelon_integer, solve_rational
 from .rootsys import (Root, RootSystem, RootSystemError, bilinear_row, coroot,
                       reflect)
+
+# Entries per memo of an answer keyed by its input: the Hurwitz searches of
+# `affhur.hurwitz`, the checks of `quasicox.connect_reduced` and
+# `generates_w0_codes`. An entry of a rank 3 or 4 search (key, word and
+# cache link) takes about 400 bytes, so a full search memo holds about 25 MB.
+SEARCH_MEMO_SIZE = 1 << 16
 
 
 class RootTable:
@@ -177,7 +187,8 @@ def _perm_length(t: RootTable, perm: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _reflection_perms(rs: RootSystem):
-    """The reflections as root permutations, for `root_index_sequences`.
+    """The reflections as root permutations, for `root_index_sequences` and
+    the root closure.
 
     Returns a list of (root index of b, permutation of s_b, itemgetter on
     that permutation) over the positive roots b in root order, and a dict
@@ -263,18 +274,28 @@ def root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
 
 
 def generates_w0(rs: RootSystem, roots) -> bool:
-    """Whether the reflections of the given roots generate the full group.
+    """Whether the reflections of the given roots generate the full group:
+    `generates_w0_codes` of their positive-root indices."""
+    roots = list(roots)
+    if not roots:
+        raise RootSystemError("generates_w0 needs a non-empty root set")
+    return generates_w0_codes(rs, _root_codes(rs, roots))
+
+
+@lru_cache(maxsize=SEARCH_MEMO_SIZE)
+def generates_w0_codes(rs: RootSystem, codes: frozenset) -> bool:
+    """Whether the reflections of the positive roots with indices `codes`
+    (in `RootSystem.positive_roots`) generate the full group.
 
     They do exactly when their root closure is every root: the reflection
     subgroup they generate has the closure as its root system, and W is
     generated by the reflections of all roots. The tests compare this with
     the lattice criterion of Baumeister, Dyer, Stump and Wegener: the
     roots span the root lattice and their coroots the coroot lattice.
+    Answers are memoized per (rs, codes); no set generates for an empty
+    `codes`.
     """
-    roots = list(roots)
-    if not roots:
-        raise RootSystemError("generates_w0 needs a non-empty root set")
-    return len(_closure_indices(rs, roots)) == len(rs.roots)
+    return len(_closure_indices(rs, codes)) == len(rs.roots)
 
 
 def fixed_affine_subspace(rs: RootSystem, roots, levels):
@@ -289,14 +310,22 @@ def fixed_affine_subspace(rs: RootSystem, roots, levels):
     return solve_rational(rows, list(levels) or [0])
 
 
-def _closure_indices(rs: RootSystem, roots: list) -> set[int]:
-    """Root indices of the orbit of `roots` under their reflections.
+def _root_codes(rs: RootSystem, roots) -> frozenset:
+    """The positive-root indices of the reflections of `roots`, either sign."""
+    index_of = _reflection_perms(rs)[1]
+    return frozenset([index_of[reflection_element(rs, b).perm] for b in roots])
 
-    One permutation lookup per root and generator; `roots` is non-empty.
+
+def _closure_indices(rs: RootSystem, codes) -> set[int]:
+    """Root indices of the orbit of the positive roots with indices `codes`
+    under their reflections.
+
+    One permutation lookup per root and generator, on the permutations of
+    `_reflection_perms`.
     """
-    table = root_table(rs)
-    perms = [reflection_element(rs, b).perm for b in roots]
-    seen = {table.index[b] for b in roots}
+    refl = _reflection_perms(rs)[0]
+    perms = [refl[j][1] for j in codes]
+    seen = {refl[j][0] for j in codes}
     todo = list(seen)
     while todo:
         i = todo.pop()
@@ -320,7 +349,8 @@ def smallest_subsystem(rs: RootSystem, roots) -> frozenset[Root]:
     if not roots:
         raise RootSystemError("smallest_subsystem needs a non-empty root set")
     table = root_table(rs)
-    return frozenset(table.roots[i] for i in _closure_indices(rs, roots))
+    return frozenset(table.roots[i]
+                     for i in _closure_indices(rs, _root_codes(rs, roots)))
 
 
 def _integral(v) -> tuple[int, list[int]]:
@@ -364,7 +394,7 @@ def is_parabolic(rs: RootSystem, roots, levels=None) -> bool:
         if (all(sum(map(mul, row, u)) == 0 for u in dirs)
                 and sum(map(mul, row, p)) % d == 0):
             fixer.add(i)
-    return fixer == _closure_indices(rs, roots)
+    return fixer == _closure_indices(rs, _root_codes(rs, roots))
 
 
 def is_quasi_coxeter_fin(rs: RootSystem, w: FiniteWeylElement) -> bool:

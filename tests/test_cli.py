@@ -12,6 +12,9 @@ import affhur
 from affhur import cli, quasicox, verify
 from affhur.cli import main
 from affhur.hurwitz import BraidWord
+from affhur.rootsys import parse_type
+from affhur.weyl_aff import product_of_reflections, simple_system_affine
+from affhur.weyl_fin import generates_w0, root_sequences
 
 WORD = ["1,0:0", "0,1:0", "1,1:1"]
 THOMAS = WORD + WORD  # the length-4 pure translation of the worked example
@@ -317,6 +320,23 @@ def test_verify_stage2_counts_the_generating_sequences(runner):
     assert ("[main-theorem] PASS stage2-orbit-exhausted-A2" in res.output
             and "finite orbit of size 8 exhausted; it is all 8 generating"
             in res.output)
+
+
+def decoded_generating_count(rs, target, m):
+    """Reference for the stage-2 count: every root sequence decoded to its
+    roots, each asked of `generates_w0`."""
+    return sum(1 for roots, _ in root_sequences(rs, target, m)
+               if generates_w0(rs, roots))
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4"])
+def test_stage2_count_on_codes_matches_the_decoded_count(name):
+    rs = parse_type(name)
+    target = product_of_reflections(rs, simple_system_affine(rs)).finite
+    m = rs.rank + 1
+    expected = decoded_generating_count(rs, target, m)
+    assert expected > 0
+    assert verify._generating_sequence_count(rs, target, m) == expected
 
 
 def test_verify_stage2_fails_on_a_wrong_count(runner, monkeypatch):

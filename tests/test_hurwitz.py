@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import os
@@ -10,10 +11,10 @@ from hypothesis import strategies as st
 
 from affhur.hurwitz import (SEARCH_MEMO_SIZE, BraidWord, ReflectionTuple,
                             apply_braid, apply_move, connect, lr_normalize,
-                            orbit, reflection_codes)
+                            orbit, reflection_codes, replay_pairs)
 from affhur.rootsys import Root, build_root_system, parse_type
-from affhur.weyl_aff import AffineReflection, as_element
-from affhur.weyl_fin import reflection_element, root_index_sequences
+from affhur.weyl_aff import AffineReflection, as_element, reflection_pair
+from affhur.weyl_fin import reflection_element, root_index_sequences, root_table
 
 MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "perfbench", "model.py")
@@ -429,6 +430,37 @@ def test_move_table_matches_matrix_model(name, roots, level):
             moved = codes.move(code, letter)
             expected = tuple(canonical(*x) for x in model.move(pair, letter))
             assert tuple((codes.roots[c].coords, k) for c, k in moved) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _model_group(name):
+    return _load_model().Group(name)
+
+
+@st.composite
+def replay_inputs(draw):
+    """(group name, 2 to 4 affine reflections on any roots, a braid word)."""
+    name = draw(st.sampled_from(("A2", "B2", "G2", "A3")))
+    roots = parse_type(name).roots
+    refs = draw(st.lists(st.tuples(st.sampled_from(roots), st.integers(-3, 3)),
+                         min_size=2, max_size=4))
+    i = st.integers(1, len(refs) - 1)
+    word = draw(st.lists(st.one_of(i, i.map(lambda x: -x)), max_size=8))
+    return name, [AffineReflection(r, k) for r, k in refs], tuple(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(replay_inputs())
+def test_replay_pairs_matches_the_matrix_model(data):
+    # the replay on affine pairs against the model's replay by matrices
+    name, refs, word = data
+    rs = parse_type(name)
+    model = _model_group(name)
+    replayed = model.replay(tuple((r.root.coords, r.level) for r in refs), word)
+    expected = tuple(reflection_pair(rs, AffineReflection(Root(r), k))
+                     for r, k in replayed)
+    assert replay_pairs(root_table(rs), tuple(reflection_pair(rs, r) for r in refs),
+                        BraidWord(word)) == expected
 
 
 # ------------------------------------------------------- the search memos

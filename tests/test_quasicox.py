@@ -22,14 +22,15 @@ from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
                              enumerate_factorizations, fiber, generates_affine,
                              is_parabolic_quasi_coxeter_affine,
                              is_quasi_coxeter_affine)
-from affhur.rootsys import (Root, bilinear_row, build_root_system, coroot,
-                            parse_type)
+from affhur.rootsys import (Root, RootSystemError, bilinear_row,
+                            build_root_system, coroot, parse_type)
 from affhur.verify import suite_main_theorem
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement, as_element,
                              product_of_reflections, recognize_reflection,
                              simple_system_affine, translation_element)
-from affhur.weyl_fin import (absolute_length, all_elements, identity_element,
-                             is_parabolic, reflection_element)
+from affhur.weyl_fin import (SEARCH_MEMO_SIZE, absolute_length, all_elements,
+                             identity_element, is_parabolic,
+                             reflection_element)
 from test_linalg import solve_integer_reference
 
 
@@ -588,6 +589,48 @@ def test_connect_reduced_rejects_mismatch(a2):
     w = product_of_reflections(a2, t1)
     with pytest.raises(ValueError):
         connect_reduced(a2, w, t1, (ref((1, 0)), ref((0, 1)), ref((1, 1))))
+
+
+def test_connect_reduced_names_a_target_of_another_root_system():
+    # B3 and C3 have equally many roots, so the C3 element's permutation
+    # would read as a B3 one; the mismatch is refused by name, not as a
+    # tuple that fails to multiply to the target
+    b3, c3 = parse_type("B3"), parse_type("C3")
+    t = simple_system_affine(b3)
+    w = product_of_reflections(c3, simple_system_affine(c3))
+    with pytest.raises(ValueError, match="target element is in the group of "
+                                         "C3, not of B3"):
+        connect_reduced(b3, w, t, t)
+    assert connect_reduced(b3, product_of_reflections(b3, t), t, t) == BraidWord()
+
+
+def test_connect_reduced_rejects_a_non_root(a2):
+    t = simple_system_affine(a2)
+    w = product_of_reflections(a2, t)
+    with pytest.raises(RootSystemError, match=r"\(5, 5\) is not a root of A2"):
+        connect_reduced(a2, w, (ref((5, 5)),) + t[1:], t)
+
+
+def test_connect_reduced_checks_each_tuple_once_and_compares_every_call(a2):
+    # the product and projection of a code tuple are computed once; the
+    # comparison with the target runs on every call
+    assert quasicox._tuple_facts.cache_info().maxsize == SEARCH_MEMO_SIZE
+    t1 = simple_system_affine(a2)
+    w = product_of_reflections(a2, t1)
+    e1 = ReflectionTuple(tuple(as_element(a2, r) for r in t1))
+    t2 = tuple(recognize_reflection(a2, e)
+               for e in apply_braid(e1, BraidWord((1, 2))).entries)
+    quasicox._tuple_facts.cache_clear()
+    word = connect_reduced(a2, w, t1, t2)
+    info = quasicox._tuple_facts.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+    assert connect_reduced(a2, w, t1, t2) == word
+    info = quasicox._tuple_facts.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+    other = product_of_reflections(a2, (ref((1, 0), 1),) + t1[1:])
+    with pytest.raises(ValueError, match="not a factorization of the target"):
+        connect_reduced(a2, other, t1, t2)
+    assert quasicox._tuple_facts.cache_info().hits == 3
 
 
 def test_connect_reduced_rejects_non_generating_projection(a2):

@@ -9,13 +9,13 @@ from affhur.rootsys import (Root, RootSystemError, build_root_system, coroot,
                             parse_type)
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement,
                              affine_reflection, as_element, coweight_conjugate,
-                             is_coweight, pair_inverse, pair_mul, pair_product,
-                             product_of_reflections, recognize_reflection,
-                             reflection_pair, simple_system_affine,
-                             translation_element)
+                             is_coweight, pair_conj, pair_inverse, pair_mul,
+                             pair_product, product_of_reflections,
+                             recognize_reflection, reflection_pair,
+                             simple_system_affine, translation_element)
 from affhur.weyl_fin import (fixed_affine_subspace, identity_element,
                              reflection_element, root_sequences, root_table)
-from test_hurwitz import _load_model
+from test_hurwitz import _model_group
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +74,6 @@ def test_multiplication_group_axioms(b2):
 # ------------------------------------- the pair rule against the matrix model
 
 PAIR_GROUPS = ("A2", "B2", "G2", "A3", "B3", "C3")
-_models: dict = {}
-
-
-def _model(name):
-    if name not in _models:
-        _models[name] = _load_model().Group(name)
-    return _models[name]
 
 
 @st.composite
@@ -111,7 +104,7 @@ def test_pair_rule_matches_the_matrix_model(data, cut):
     pairs = [reflection_pair(rs, r) for r in word]
     prod = pair_product(table, pairs)
     # the benchmark's integer affine matrices share no code with affhur
-    expected = _model(name).product([(r.root.coords, r.level) for r in word])
+    expected = _model_group(name).product([(r.root.coords, r.level) for r in word])
     assert pair_matrix(table, prod) == expected
     # the rule on two arbitrary pairs, not only on a reflection factor
     cut = min(cut, len(pairs))
@@ -125,6 +118,34 @@ def test_pair_rule_matches_the_matrix_model(data, cut):
         elem = elem * as_element(rs, r)
     assert pair_matrix(table, (elem.translation, elem.finite.perm)) == expected
     assert elem * elem.inverse() == elem.inverse() * elem == identity
+
+
+@st.composite
+def conjugation_inputs(draw):
+    """(group name, two words of affine reflections on any roots): the
+    factors of x and of y, each a reflection or a product of up to four."""
+    name = draw(st.sampled_from(("A2", "B2", "G2", "A3")))
+    roots = parse_type(name).roots
+    word = st.lists(st.tuples(st.sampled_from(roots), st.integers(-3, 3)),
+                    min_size=1, max_size=4)
+    return name, [[AffineReflection(r, k) for r, k in draw(word)]
+                  for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugation_inputs())
+def test_pair_conj_is_the_rule_with_the_inverse(data):
+    name, (xs, ys) = data
+    rs = parse_type(name)
+    table = root_table(rs)
+    x = pair_product(table, [reflection_pair(rs, r) for r in xs])
+    y = pair_product(table, [reflection_pair(rs, r) for r in ys])
+    conj = pair_conj(table, x, y)
+    assert conj == pair_mul(table, pair_mul(table, x, y), pair_inverse(table, x))
+    # x^-1 is the word of x reversed; the matrices share no code with affhur
+    expected = _model_group(name).product([(r.root.coords, r.level)
+                                            for r in xs + ys + xs[::-1]])
+    assert pair_matrix(table, conj) == expected
 
 
 def test_projection_is_homomorphism(a2):

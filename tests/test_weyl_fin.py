@@ -10,11 +10,12 @@ from affhur.hurwitz import ReflectionTuple, orbit, reflection_codes
 from affhur.intlattice import full_lattice, lattice_equal, span
 from affhur.linalg import mat_mul, mat_vec
 from affhur.rootsys import (Root, RootSystemError, bilinear_row,
-                            build_root_system, coroot, reflect)
-from affhur.weyl_fin import (FiniteWeylElement, RootTable, absolute_length,
-                             all_elements, fixed_affine_subspace,
-                             generates_w0, identity_element, is_parabolic,
-                             is_parabolic_quasi_coxeter_fin,
+                            build_root_system, coroot, parse_type, reflect)
+from affhur.weyl_fin import (SEARCH_MEMO_SIZE, FiniteWeylElement, RootTable,
+                             _closure_indices, absolute_length, all_elements,
+                             fixed_affine_subspace, generates_w0,
+                             generates_w0_codes, identity_element,
+                             is_parabolic, is_parabolic_quasi_coxeter_fin,
                              is_quasi_coxeter_fin,
                              reflection_element, reflections,
                              root_index_sequences, root_of_reflection,
@@ -315,6 +316,54 @@ def test_generates_w0_iff_closure_is_everything(family, rank):
         assert generates_w0(rs, roots) == generates
         seen.add(generates)
     assert seen == {True, False}
+
+
+def closure_verdict(rs, codes):
+    """The index test without its memo: the closure is every root."""
+    return len(_closure_indices(rs, codes)) == len(rs.roots)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+def test_generates_w0_codes_on_every_subset(name):
+    # every set of positive-root indices, the empty one included, against
+    # the unmemoized closure and the lattice criterion
+    rs = parse_type(name)
+    pos = rs.positive_roots
+    seen = set()
+    for size in range(len(pos) + 1):
+        for subset in itertools.combinations(range(len(pos)), size):
+            codes = frozenset(subset)
+            generates = spans_both_lattices(rs, [pos[j] for j in subset])
+            assert generates_w0_codes(rs, codes) == generates
+            assert closure_verdict(rs, codes) == generates
+            seen.add(generates)
+    assert seen == {True, False}
+
+
+def test_generates_w0_codes_keeps_root_systems_apart():
+    # B3 and C3 number their positive roots alike; one index set has a
+    # memo entry per root system, each answered by that system's closure
+    b3, c3 = parse_type("B3"), parse_type("C3")
+    assert b3 != c3
+    subsets = [frozenset(s) for s in itertools.combinations(range(9), 3)]
+    generates_w0_codes.cache_clear()
+    differ = 0
+    for codes in subsets:
+        b, c = generates_w0_codes(b3, codes), generates_w0_codes(c3, codes)
+        assert b == closure_verdict(b3, codes)
+        assert c == closure_verdict(c3, codes)
+        differ += b != c
+    assert differ, "some index set must generate in one system only"
+    info = generates_w0_codes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == \
+        (2 * len(subsets), 0, 2 * len(subsets))
+    for codes in subsets:
+        assert generates_w0_codes(b3, codes) == closure_verdict(b3, codes)
+    assert generates_w0_codes.cache_info().hits == len(subsets)
+
+
+def test_generates_w0_codes_memo_is_bounded():
+    assert generates_w0_codes.cache_info().maxsize == SEARCH_MEMO_SIZE == 1 << 16
 
 
 def test_is_parabolic():
