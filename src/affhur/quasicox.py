@@ -76,6 +76,27 @@ def _roots_by_length(rs: RootSystem) -> dict:
     return {norm: tuple(roots) for norm, roots in out.items()}
 
 
+@lru_cache(maxsize=None)
+def _coroot_lattice(rs: RootSystem, norm) -> IntegerLattice:
+    """The span of the coroots of the roots of squared length `norm`;
+    built on first use, at most two per root system."""
+    return span([coroot(rs, b) for b in _roots_by_length(rs)[norm]], rs.rank)
+
+
+def _translation_lattice(rs: RootSystem, gamma: Root, gap: int) -> IntegerLattice:
+    """The span of gap times the coroots of the roots of gamma's length:
+    the basis of `_coroot_lattice` with every entry times |gap|, or the
+    zero lattice when gap = 0. Scaling a canonical HNF by a positive
+    integer keeps it canonical: the echelon shape, the positive pivots and
+    each entry's place in [0, pivot) are kept."""
+    if not gap:
+        return span([], rs.rank)
+    scale = abs(gap)
+    return IntegerLattice(rs.rank, tuple(
+        tuple(scale * c for c in row)
+        for row in _coroot_lattice(rs, rs.norm_sq(gamma)).basis))
+
+
 def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     """Decide whether n+1 affine reflections generate the affine group.
 
@@ -83,7 +104,9 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     zero by a coweight, and compares the translation lattice generated by
     the leftover translation's orbit with the full coroot lattice. The
     normalization runs on reflection codes (see `_normalize_tail`), so no
-    group element is built.
+    group element is built. The orbit is the roots of the tail root's
+    length, so the lattice is |gap| L for the span L of their coroots,
+    which is kept once per root length (`_translation_lattice`).
     """
     refs = tuple(refs)
     n = rs.rank
@@ -115,8 +138,7 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     lam = sol[0]
 
     gap = levels[n - 1] - levels[n]
-    orbit = _roots_by_length(rs)[rs.norm_sq(gammas[n - 1])]
-    lattice = span([tuple(gap * c for c in coroot(rs, b)) for b in orbit], n)
+    lattice = _translation_lattice(rs, gammas[n - 1], gap)
     verdict = lattice_equal(lattice, full_lattice(n))
     if verdict and (abs(gap) != 1 or not rs.is_long(gammas[n - 1])):
         raise RuntimeError("internal inconsistency: generation verdict violates "
@@ -140,6 +162,25 @@ def _normalize_tail(rs: RootSystem, code: tuple, node_limit: int = 10 ** 6):
     return word, reflection_codes(rs, True).braid(code, word)
 
 
+@lru_cache(maxsize=None)
+def _element_ids(rs: RootSystem) -> tuple:
+    """The finite group numbered for `closure_generates`: the root
+    permutations of `all_elements`, the identity moved to id 0, and the
+    dict from permutation to id."""
+    identity = root_table(rs).identity
+    perms = [identity] + [w.perm for w in all_elements(rs) if w.perm != identity]
+    return perms, {perm: u for u, perm in enumerate(perms)}
+
+
+@lru_cache(maxsize=None)
+def _right_multiplication(rs: RootSystem, j: int) -> list:
+    """table[u] = id of (element u) s_b for the positive root b of index
+    j; built on first use, one per (rs, j)."""
+    perms, ids = _element_ids(rs)
+    times_s = itemgetter(*reflection_element(rs, rs.positive_roots[j]).perm)
+    return [ids[times_s(perm)] for perm in perms]
+
+
 def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     """Multiplication-closure oracle for affine generation.
 
@@ -148,18 +189,24 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     reflections generate, is W_aff exactly when its projection p(H) is W0
     and its translations H ∩ T are the whole coroot lattice. One
     breadth-first search over p(H) decides both. It keeps one coset
-    representative TR(c) w per finite element w reached, keyed by the root
-    permutation of w, with c a plain integer tuple in coroot coordinates:
-    the pair (c, w) of `affhur.weyl_aff`. Since s_{alpha,k} =
+    representative TR(c) w per finite element w reached, with c a plain
+    integer tuple in coroot coordinates: the pair (c, w) of
+    `affhur.weyl_aff`. Finite elements are ids, numbers of W0 fixed per
+    root system with the identity at 0 (`_element_ids`), and right
+    multiplication by a reflection is one lookup in a table built once per
+    reflection (`_right_multiplication`). Since s_{alpha,k} =
     TR(k alpha-coroot) s_alpha, right-multiplying TR(c) w by it gives
     TR(c + k w(alpha)-coroot) w s_alpha, the pair rule's reflection step,
-    run inline. When w s_alpha
-    already has a representative TR(b) w s_alpha, the edge gives the
-    translation TR(c') (TR(b) w s_alpha)^-1 = TR(c' - b), a Schreier
-    generator. By Schreier's lemma these generate H ∩ T; their span is
-    kept as an HNF basis and enlarged only by a non-zero residue. The
-    search returns True as soon as p(H) = W0 and the span is full, and
-    False when it ends without both.
+    run inline. A reflection is read with its positive root, as
+    s_{-alpha,-k} = s_{alpha,k}. When w s_alpha already has a
+    representative TR(b) w s_alpha, the edge gives the translation
+    TR(c') (TR(b) w s_alpha)^-1 = TR(c' - b), a Schreier generator. By
+    Schreier's lemma these generate H ∩ T; their span is kept as an HNF
+    basis and enlarged only by a non-zero residue. A difference c' - b
+    seen before is skipped: the span only grows, and it took the
+    difference in when it was first reduced. The search returns True as
+    soon as p(H) = W0 and the span is full, and False when it ends
+    without both.
 
     `node_limit` bounds the number of representatives, |p(H)|; a search
     that would pass it decides nothing and raises `PipelineExhausted`. It
@@ -167,21 +214,30 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     """
     table = root_table(rs)
     n = rs.rank
-    order = len(all_elements(rs))
+    codes = reflection_codes(rs, True)
+    gens = []
+    for r in refs:
+        reflection_element(rs, r.root)  # a non-root raises RootSystemError
+        j, k = codes.code_of(r)
+        gens.append((_right_multiplication(rs, j),
+                     table.index[codes.roots[j]], k))
+    perms = _element_ids(rs)[0]
+    order = len(perms)
     full = full_lattice(n)
-    gens = [(itemgetter(*reflection_element(rs, r.root).perm),
-             table.index[r.root], r.level) for r in refs]
-    reps = {table.identity: (0,) * n}
-    queue = [table.identity]
+    reps: list = [None] * order
+    reps[0] = (0,) * n
+    queue = [0]
     lattice = span([], n)
-    for w in queue:
-        c = reps[w]
+    reduced: set = set()
+    for u in queue:
+        c = reps[u]
+        perm = perms[u]
         for times_s, i, k in gens:
-            x = times_s(w)
-            y = tuple(map(add, c, [k * v for v in table.coroots[w[i]]])) if k else c
-            b = reps.get(x)
+            x = times_s[u]
+            y = tuple(map(add, c, [k * v for v in table.coroots[perm[i]]])) if k else c
+            b = reps[x]
             if b is None:
-                if len(reps) >= node_limit:
+                if len(queue) >= node_limit:
                     raise PipelineExhausted("closure", f"more than {node_limit} "
                                             "coset representatives")
                 reps[x] = y
@@ -189,11 +245,15 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
             elif y == b:
                 continue
             else:
-                r = reduce_mod(lattice, tuple(map(sub, y, b)))
+                d = tuple(map(sub, y, b))
+                if d in reduced:
+                    continue
+                reduced.add(d)
+                r = reduce_mod(lattice, d)
                 if not any(r):
                     continue
                 lattice = span(lattice.basis + (r,), n)
-            if len(reps) == order and lattice_equal(lattice, full):
+            if len(queue) == order and lattice_equal(lattice, full):
                 return True
     return False
 

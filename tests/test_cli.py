@@ -81,6 +81,21 @@ def test_check_qc_thomas_element(runner):
     assert "exceeds" in data["detail"]
 
 
+def test_check_qc_b2_certificate(runner):
+    res = run(runner, "check-qc", "affine:B2", "1,0:0", "0,1:0", "1,2:1",
+              "--format", "json")
+    assert res.exit_code == 0
+    data = json.loads(res.output)
+    assert data["witness"] == [{"root": [0, 1], "level": 0},
+                               {"root": [1, 2], "level": -2},
+                               {"root": [1, 2], "level": -1}]
+    assert data["certificate"] == {
+        "conjugating_coweight": ["2", "1"], "level_gap": -1,
+        "normalizing_braid": [], "projected_generates": True,
+        "repeated_root": [1, 2],
+        "translation_lattice": {"ambient_rank": 2, "basis": [[1, 0], [0, 1]]}}
+
+
 def test_check_qc_usage_errors(runner):
     assert run(runner, "check-qc", "A2", "1,0:0").exit_code == 2
     assert run(runner, "check-qc", "affine:A2", "9,9:0").exit_code == 2

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 from operator import add, mul, sub
 
@@ -28,7 +31,8 @@ from affhur.verify import suite_main_theorem
 from affhur.weyl_aff import (AffineReflection, AffineWeylElement, as_element,
                              product_of_reflections, recognize_reflection,
                              simple_system_affine, translation_element)
-from affhur.weyl_fin import (SEARCH_MEMO_SIZE, absolute_length, all_elements,
+from affhur.weyl_fin import (SEARCH_MEMO_SIZE, FiniteWeylElement,
+                             absolute_length, all_elements, generates_w0,
                              identity_element, is_parabolic,
                              reflection_element)
 from test_linalg import solve_integer_reference
@@ -195,6 +199,95 @@ def test_closure_oracle_negatives(case, a2, b2):
     assert not generates_affine(rs, refs).generates
 
 
+def _draw_tuples(rs, seed, count, generating_share=3):
+    """Seeded (n+1)-tuples of affine reflections, roots of either sign and
+    levels in [-2, 2]. One draw in `generating_share` is unconstrained;
+    the others are redrawn until their projection generates W0."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        while True:
+            refs = tuple(AffineReflection(rng.choice(rs.roots), rng.randint(-2, 2))
+                         for _ in range(rs.rank + 1))
+            if i % generating_share == 0 or generates_w0(rs, [r.root for r in refs]):
+                break
+        out.append(refs)
+    return out
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "D4"])
+def test_closure_oracle_on_element_ids_matches_reference(name):
+    # non-generating projections included; both verdicts occur
+    rs = parse_type(name)
+    verdicts = set()
+    projections = set()
+    for refs in _draw_tuples(rs, f"closure-ids-{name}", 40):
+        verdict = closure_generates(rs, refs)
+        assert verdict == closure_generates_reference(rs, refs), refs
+        verdicts.add(verdict)
+        projections.add(generates_w0(rs, [r.root for r in refs]))
+    assert verdicts == {True, False}
+    assert projections == {True, False}
+
+
+def test_closure_oracle_rejects_a_non_root(a2):
+    refs = (ref((5, 5)), ref((0, 1)), ref((1, 1), 1))
+    with pytest.raises(RootSystemError, match=r"^\(5, 5\) is not a root$"):
+        closure_generates(a2, refs)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_closure_oracle_reads_a_negative_root_as_its_canonical_form(name):
+    # s_{-alpha,-k} = s_{alpha,k}
+    rs = parse_type(name)
+    verdicts = set()
+    for refs in _draw_tuples(rs, f"closure-signs-{name}", 60):
+        canonical = tuple(r if r.root in rs.positive_roots
+                          else AffineReflection(-r.root, -r.level) for r in refs)
+        flipped = tuple(AffineReflection(-r.root, -r.level) for r in canonical)
+        verdict = closure_generates(rs, canonical)
+        assert closure_generates(rs, refs) == verdict, refs
+        assert closure_generates(rs, flipped) == verdict, refs
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
+def test_right_multiplication_tables_are_the_group_product(name):
+    rs = parse_type(name)
+    perms, ids = quasicox._element_ids(rs)
+    elements = all_elements(rs)
+    assert perms[0] == identity_element(rs).perm
+    assert sorted(perms) == sorted(w.perm for w in elements)
+    assert all(ids[perm] == u for u, perm in enumerate(perms))
+    table = elements[0].table
+    for j, b in enumerate(rs.positive_roots):
+        s = reflection_element(rs, b)
+        times_s = quasicox._right_multiplication(rs, j)
+        assert len(times_s) == len(perms)
+        for u, perm in enumerate(perms):
+            product = FiniteWeylElement(perm, table) * s
+            assert times_s[u] == ids[product.perm], (b, u)
+
+
+def test_oracle_tables_are_built_on_first_use():
+    # neither the import nor a refused non-root builds a table
+    code = ("import affhur.cli, affhur.quasicox as q\n"
+            "from affhur.rootsys import Root, RootSystemError, parse_type\n"
+            "from affhur.weyl_aff import AffineReflection as R\n"
+            "try:\n"
+            "    q.closure_generates(parse_type('A2'), (R(Root((5, 5)), 0),"
+            " R(Root((0, 1)), 0), R(Root((1, 1)), 1)))\n"
+            "except RootSystemError:\n"
+            "    pass\n"
+            "print([f.cache_info().currsize for f in (q._element_ids,"
+            " q._right_multiplication, q._coroot_lattice)])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert res.stdout.strip() == "[0, 0, 0]"
+
+
 def test_closure_oracle_node_limit_bounds_the_projection():
     # |W(A3)| = 24: the verdict is exact from node_limit 24 on
     a3 = parse_type("A3")
@@ -224,6 +317,41 @@ def test_root_orbit_is_the_weyl_group_orbit(name):
     for gamma in rs.roots:
         orbit = {w.act_root(gamma) for w in elements}
         assert list(_roots_by_length(rs)[rs.norm_sq(gamma)]) == sorted(orbit)
+
+
+def _gap_scaled_orbit_span(rs, gamma, gap):
+    """The translation lattice as `generates_affine` once built it: the
+    span of the gap-scaled coroots of the roots of gamma's length."""
+    orbit = _roots_by_length(rs)[rs.norm_sq(gamma)]
+    return span([tuple(gap * c for c in coroot(rs, b)) for b in orbit], rs.rank)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "D4", "F4"])
+def test_coroot_lattice_times_the_gap_is_the_orbit_span(name):
+    rs = parse_type(name)
+    for gamma in rs.roots:
+        for gap in range(-3, 4):
+            lattice = quasicox._translation_lattice(rs, gamma, gap)
+            expected = _gap_scaled_orbit_span(rs, gamma, gap)
+            assert lattice == expected, (gamma, gap)
+            assert lattice.pivots == expected.pivots
+            if gap == 0:
+                assert lattice.basis == expected.basis == ()
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "D4"])
+def test_certificate_lattice_is_the_gap_scaled_orbit_span(name):
+    rs = parse_type(name)
+    gaps = set()
+    for refs in _draw_tuples(rs, f"certificate-{name}", 40, generating_share=40):
+        cert = generates_affine(rs, refs).certificate
+        if cert.repeated_root is None:
+            assert cert.translation_lattice is None
+            continue
+        expected = _gap_scaled_orbit_span(rs, cert.repeated_root, cert.level_gap)
+        assert cert.translation_lattice == expected, refs
+        gaps.add(abs(cert.level_gap))
+    assert {0, 1} < gaps
 
 
 # ------------------------------------------------------------ enumeration
