@@ -1,13 +1,15 @@
 """Braid moves, Hurwitz orbits and braid-word search on reflection tuples.
 
 The searches run on codes, not on group elements. A finite reflection
-s_alpha is coded by the index of alpha in `RootSystem.positive_roots`, an
-affine reflection s_{alpha,k} by the pair (that index, k); callers build
-codes with `ReflectionCodes.code_of`. A tuple of codes is a plain tuple
-that hashes cheaply, and a Hurwitz move on it is one lookup in a table
-built once per root system. `orbit`, `connect` and `lr_normalize` each
-take a move function, `ReflectionCodes.move`, and code tuples; `orbit`
-returns the set of codes it reached, the others braid words.
+s_alpha is coded by the index of +-alpha in `RootSystem.positive_roots`,
+the code `weyl_fin.RootTable` keeps; an affine reflection s_{alpha,k} by
+the pair (that index, k). Callers build codes with
+`ReflectionCodes.code_of`, which reads the root table. A tuple of codes
+is a plain tuple that hashes cheaply, and a Hurwitz move on it is one
+lookup in a table built once per root system. `orbit`, `connect` and
+`lr_normalize` each take a move function, `ReflectionCodes.move`, and
+code tuples; `orbit` returns the set of codes it reached, the others
+braid words.
 
 `connect` and `lr_normalize` remember their answers: each is wrapped in an
 `lru_cache` of `SEARCH_MEMO_SIZE` entries (the bound `affhur.weyl_fin`
@@ -42,7 +44,7 @@ from functools import lru_cache, partial
 from .rootsys import RootSystem, RootSystemError
 from .weyl_aff import (AffineReflection, as_element, pair_conj, pair_inverse,
                        reflection_pair)
-from .weyl_fin import SEARCH_MEMO_SIZE, RootTable, reflection_element
+from .weyl_fin import SEARCH_MEMO_SIZE, RootTable, root_table
 
 
 @dataclass(frozen=True)
@@ -135,18 +137,17 @@ def _move_table(rs: RootSystem):
     is stored by its positive root, s_{-gamma,-m} = s_{gamma,m}, and gives
     (c, -1, p). The finite move is the column c alone.
     """
+    table = root_table(rs)
     pos = rs.positive_roots
-    index = {r: i for i, r in enumerate(pos)}
     moves = []
-    for a in pos:
-        s_a = reflection_element(rs, a)
+    for a, s_a in zip(pos, table.elements):
         j = next(j for j, x in enumerate(a.coords) if x)
         row = []
         for b in pos:
             image = s_a.act_root(b)
             p = (b.coords[j] - image.coords[j]) // a.coords[j]
-            row.append((index[image], 1, -p) if image.is_positive
-                       else (index[-image], -1, p))
+            c = table.root_codes[image]
+            row.append((c, 1, -p) if image.is_positive else (c, -1, p))
         moves.append(row)
     return moves
 
@@ -187,17 +188,19 @@ class ReflectionCodes:
     """The reflections of one root system as codes, and Hurwitz moves on them.
 
     Finite codes are positive-root indices, affine codes (index, level)
-    pairs. `move(code, letter)` applies one letter to a tuple of codes.
-    `reflection(code)` decodes an affine code to its `AffineReflection`,
-    and `pair(code)` to its affine pair (see `affhur.weyl_aff`), one
-    shared instance per code.
+    pairs; the coding is the root table's (`weyl_fin.RootTable`), and
+    `code_of` reads it. `move(code, letter)` applies one letter to a
+    tuple of codes. `reflection(code)` decodes an affine code to its
+    `AffineReflection`, and `pair(code)` to its affine pair (see
+    `affhur.weyl_aff`), one shared instance per code; `decode` turns a
+    tuple of codes into a tuple of group elements.
     """
 
     def __init__(self, rs: RootSystem, affine: bool):
         self.rs = rs
         self.affine = affine
+        self.table = root_table(rs)
         roots = self.roots = rs.positive_roots
-        self.index = {r: i for i, r in enumerate(roots)}
         reflection = self.reflection = _Interned(
             lambda code: AffineReflection(roots[code[0]], code[1])).__getitem__
         self.pair = _Interned(
@@ -210,22 +213,20 @@ class ReflectionCodes:
     def code_of(self, r: AffineReflection):
         """The code of s_{root, level}, read as s_root on the finite
         instance; s_{-alpha,-k} = s_{alpha,k}."""
-        i = self.index.get(r.root)
-        if i is not None:
-            return (i, r.level) if self.affine else i
-        i = self.index.get(-r.root)
+        i = self.table.root_codes.get(r.root)
         if i is None:
             rs = self.rs
             raise RootSystemError(f"{r.root.coords} is not a root of "
                                   f"{rs.family}{rs.rank}")
-        return (i, -r.level) if self.affine else i
+        if not self.affine:
+            return i
+        return (i, r.level) if r.root.is_positive else (i, -r.level)
 
     def decode(self, code: tuple) -> ReflectionTuple:
-        rs, roots = self.rs, self.roots
         if self.affine:
-            return ReflectionTuple(tuple(as_element(rs, self.reflection(c))
+            return ReflectionTuple(tuple(as_element(self.rs, self.reflection(c))
                                          for c in code))
-        return ReflectionTuple(tuple(reflection_element(rs, roots[a]) for a in code))
+        return ReflectionTuple(tuple([self.table.elements[a] for a in code]))
 
     def braid(self, code: tuple, word: BraidWord) -> tuple:
         move = self.move

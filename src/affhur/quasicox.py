@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, sub
+from operator import add, sub
 
 from .hurwitz import (BraidWord, connect, lr_normalize, reflection_codes,
                       replay_pairs)
@@ -23,8 +23,8 @@ from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, coroot
 from .weyl_aff import AffineReflection, AffineWeylElement, pair_product
 from .weyl_fin import (SEARCH_MEMO_SIZE, absolute_length, all_elements,
-                       generates_w0, generates_w0_codes, is_parabolic,
-                       reflection_element, root_index_sequences, root_table)
+                       generates_w0_codes, is_parabolic, root_index_sequences,
+                       root_table)
 
 
 class PipelineExhausted(RuntimeError):
@@ -103,7 +103,8 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     Normalizes to a repeated-root tail, conjugates the first n levels to
     zero by a coweight, and compares the translation lattice generated by
     the leftover translation's orbit with the full coroot lattice. The
-    normalization runs on reflection codes (see `_normalize_tail`), so no
+    tuple is coded once; the projection test (`generates_w0_codes`) and
+    the normalization (see `_normalize_tail`) run on its codes, so no
     group element is built. The orbit is the roots of the tail root's
     length, so the lattice is |gap| L for the span L of their coroots,
     which is kept once per root length (`_translation_lattice`).
@@ -112,13 +113,14 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     n = rs.rank
     if len(refs) != n + 1:
         raise ValueError(f"expected {n + 1} reflections, got {len(refs)}")
-    projected_generates = generates_w0(rs, [r.root for r in refs])
+    codes = reflection_codes(rs, True)
+    code = tuple(map(codes.code_of, refs))
+    projected_generates = generates_w0_codes(rs, frozenset([a for a, _ in code]))
     if not projected_generates:
         cert = GenerationCertificate(None, None, None, None, False, None)
         return GenerationResult(False, cert)
 
-    codes = reflection_codes(rs, True)
-    found = _normalize_tail(rs, tuple(codes.code_of(r) for r in refs))
+    found = _normalize_tail(rs, code)
     if found is None:
         raise RuntimeError("internal inconsistency: repeated-root shape "
                            "unreachable although the projection generates")
@@ -177,7 +179,7 @@ def _right_multiplication(rs: RootSystem, j: int) -> list:
     """table[u] = id of (element u) s_b for the positive root b of index
     j; built on first use, one per (rs, j)."""
     perms, ids = _element_ids(rs)
-    times_s = itemgetter(*reflection_element(rs, rs.positive_roots[j]).perm)
+    times_s = root_table(rs).reflections[j][2]
     return [ids[times_s(perm)] for perm in perms]
 
 
@@ -217,10 +219,9 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     codes = reflection_codes(rs, True)
     gens = []
     for r in refs:
-        reflection_element(rs, r.root)  # a non-root raises RootSystemError
+        table.code(r.root)  # a non-root raises RootSystemError
         j, k = codes.code_of(r)
-        gens.append((_right_multiplication(rs, j),
-                     table.index[codes.roots[j]], k))
+        gens.append((_right_multiplication(rs, j), table.reflections[j][0], k))
     perms = _element_ids(rs)[0]
     order = len(perms)
     full = full_lattice(n)

@@ -4,25 +4,26 @@ An element is stored as the permutation it induces on the root system:
 `perm[i]` is the index of the image of root i, with roots indexed in the
 order of `RootSystem.roots`. Multiplication composes permutations and
 inversion inverts one, so group operations do no arithmetic. The
-per-root-system data (root list, root index, simple-root indices, coroot
-coordinates) lives in one shared `RootTable`. The action on coroot
+per-root-system data lives in one shared `RootTable`, the reflection
+coding included: s_alpha is coded by the index of +-alpha in
+`RootSystem.positive_roots`, and every module reads the map between
+roots, codes and permutations from the table. The action on coroot
 coordinates is read from it once per element and memoized there; the
 matrix of the action on root coordinates is derived on demand.
 
 `root_index_sequences` is the one search over reflection sequences. It
-runs on raw root permutations and yields positive-root indices, which the
-affine enumeration of `affhur.quasicox` and the stage-2 count of
-`affhur.verify` use as they are; `root_sequences` decodes them to roots
-for the finite quasi-Coxeter tests and the product-form check of
-`affhur.verify`. The reduced factorizations of w are its sequences of
-length l_T(w). The root closure of a set of reflections is an orbit of
-the same permutations on root indices, started from positive-root
-indices: `smallest_subsystem` returns it, `is_parabolic` compares it with
-the roots that fix the reflections' common fixed space, and
-`generates_w0_codes` asks whether it is all of the roots.
-`generates_w0_codes` is memoized per (root system, frozenset of indices)
-in an `lru_cache` of `SEARCH_MEMO_SIZE` entries; `generates_w0` asks it of
-the indices of the roots it is given.
+runs on raw root permutations and yields codes, which the affine
+enumeration of `affhur.quasicox` and the stage-2 count of `affhur.verify`
+use as they are; `root_sequences` decodes them to roots for the finite
+quasi-Coxeter tests and the product-form check of `affhur.verify`. The
+reduced factorizations of w are its sequences of length l_T(w). The root
+closure of a set of reflections is an orbit of the same permutations on
+root indices, started from the reflections' codes: `smallest_subsystem`
+returns it, `is_parabolic` compares it with the roots that fix the
+reflections' common fixed space, and `generates_w0_codes` asks whether it
+is all of the roots. `generates_w0_codes` is memoized per (root system,
+frozenset of codes) in an `lru_cache` of `SEARCH_MEMO_SIZE` entries;
+`generates_w0` asks it of the codes of the roots it is given.
 """
 
 from __future__ import annotations
@@ -48,28 +49,55 @@ class RootTable:
 
     Built once per root system `rs` by `root_table`. It compares by identity,
     which keeps elements of different root systems (B2 and C2, say) apart
-    even when their permutations coincide. `inverses` memoizes inversion:
-    Hurwitz moves invert the same few elements over and over. `lengths`
-    memoizes absolute length, which the factorization searches ask of the
-    same elements over and over. `coactions` memoizes the rows of the
-    action on coroot coordinates, which every affine product and inverse
-    applies. Each memo holds at most one entry per group element, keyed by
-    its root permutation.
+    even when their permutations coincide. `roots`, `index`, `simple` and
+    `coroots` hold the roots, the dict from root to index, the simple-root
+    indices and each root's coroot in simple-coroot coordinates.
+
+    The reflection coding: `root_codes` maps every root alpha, either
+    sign, to the code j of s_alpha, the index of +-alpha in
+    `RootSystem.positive_roots`, and `code` reads it. `reflections[j]` is
+    (root index of the positive root, root permutation of s_alpha, an
+    `itemgetter` on it), `elements[j]` the shared `FiniteWeylElement` of
+    s_alpha, and `perm_codes` maps each permutation back to its code.
+
+    `inverses` memoizes inversion: Hurwitz moves invert the same few
+    elements over and over. `lengths` memoizes absolute length, which the
+    factorization searches ask of the same elements over and over.
+    `coactions` memoizes the rows of the action on coroot coordinates,
+    which every affine product and inverse applies. Each memo holds at
+    most one entry per group element, keyed by its root permutation.
     """
 
     __slots__ = ("rs", "roots", "index", "simple", "coroots", "identity",
+                 "root_codes", "reflections", "elements", "perm_codes",
                  "inverses", "lengths", "coactions")
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.roots = rs.roots
-        self.index = {r: i for i, r in enumerate(rs.roots)}
-        self.simple = tuple(self.index[a] for a in rs.simple_roots)
-        self.coroots = tuple(coroot(rs, r) for r in rs.roots)
-        self.identity = tuple(range(len(rs.roots)))
+        roots = self.roots = rs.roots
+        index = self.index = {r: i for i, r in enumerate(roots)}
+        self.simple = tuple(index[a] for a in rs.simple_roots)
+        self.coroots = tuple(coroot(rs, r) for r in roots)
+        self.identity = tuple(range(len(roots)))
+        positive = rs.positive_roots
+        self.root_codes = {r: j for j, a in enumerate(positive) for r in (a, -a)}
+        perms = [tuple(index[reflect(rs, a, b)] for b in roots) for a in positive]
+        # a root system has at least two roots, so itemgetter returns a tuple
+        self.reflections = tuple((index[a], perm, itemgetter(*perm))
+                                 for a, perm in zip(positive, perms))
+        self.elements = tuple(FiniteWeylElement(perm, self) for perm in perms)
+        self.perm_codes = {perm: j for j, perm in enumerate(perms)}
         self.inverses: dict = {}
         self.lengths: dict = {}
         self.coactions: dict = {}
+
+    def code(self, root: Root) -> int:
+        """The code of s_root: the index of +-root in
+        `RootSystem.positive_roots`."""
+        j = self.root_codes.get(root)
+        if j is None:
+            raise RootSystemError(f"{root.coords} is not a root")
+        return j
 
     def inverse(self, perm: tuple) -> tuple:
         """The inverse of a root permutation."""
@@ -139,29 +167,19 @@ def identity_element(rs: RootSystem) -> FiniteWeylElement:
     return FiniteWeylElement(t.identity, t)
 
 
-@lru_cache(maxsize=None)
 def reflection_element(rs: RootSystem, alpha: Root) -> FiniteWeylElement:
-    """s_alpha as a root permutation; identical for alpha and -alpha."""
-    if not rs.is_root(alpha):
-        raise RootSystemError(f"{alpha.coords} is not a root")
+    """s_alpha as a root permutation, the root table's shared element;
+    identical for alpha and -alpha."""
     t = root_table(rs)
-    return FiniteWeylElement(tuple(t.index[reflect(rs, alpha, b)] for b in t.roots), t)
-
-
-@lru_cache(maxsize=None)
-def reflections(rs: RootSystem) -> tuple[tuple[Root, FiniteWeylElement], ...]:
-    """All reflections of W, keyed by canonical positive root, in root order."""
-    return tuple((r, reflection_element(rs, r)) for r in rs.positive_roots)
-
-
-@lru_cache(maxsize=None)
-def _reflection_roots(rs: RootSystem) -> dict:
-    return {w: r for r, w in reflections(rs)}
+    return t.elements[t.code(alpha)]
 
 
 def root_of_reflection(rs: RootSystem, w: FiniteWeylElement) -> Root | None:
-    """The positive root of a reflection, or None if w is not a reflection."""
-    return _reflection_roots(rs).get(w)
+    """The positive root of a reflection, or None if w is not a reflection
+    of the group of `rs`."""
+    t = root_table(rs)
+    j = t.perm_codes.get(w.perm) if w.table is t else None
+    return None if j is None else t.roots[t.reflections[j][0]]
 
 
 def absolute_length(w: FiniteWeylElement) -> int:
@@ -185,30 +203,13 @@ def _perm_length(t: RootTable, perm: tuple) -> int:
     return length
 
 
-@lru_cache(maxsize=None)
-def _reflection_perms(rs: RootSystem):
-    """The reflections as root permutations, for `root_index_sequences` and
-    the root closure.
-
-    Returns a list of (root index of b, permutation of s_b, itemgetter on
-    that permutation) over the positive roots b in root order, and a dict
-    from each permutation to the position of its root in that list.
-    """
-    table = root_table(rs)
-    refl = []
-    for r in rs.positive_roots:
-        perm = reflection_element(rs, r).perm
-        refl.append((table.index[r], perm, itemgetter(*perm)))
-    return refl, {perm: j for j, (_, perm, _) in enumerate(refl)}
-
-
 def root_index_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
     """Root sequences whose reflections multiply to `target`, lazily.
 
     Yields (indices, columns) for every b_1..b_m of positive roots with
     s_{b_1} ... s_{b_m} = target, in itertools.product order; indices[i]
     is the index of b_i in `RootSystem.positive_roots`, the code of
-    `affhur.hurwitz`. For m = 0 that is ((), ()) when target is the
+    `RootTable`. For m = 0 that is ((), ()) when target is the
     identity. A depth-first search over prefixes p = s_{b_1} ... s_{b_i}
     keeps the remainder r = p^-1 target and cuts a prefix unless
     l_T(r) <= m - i. l_T(r) has the parity of det r, so once l_T(target)
@@ -226,7 +227,7 @@ def root_index_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
     from the memo of the root table.
     """
     table = root_table(rs)
-    refl, index_of = _reflection_perms(rs)
+    refl, index_of = table.reflections, table.perm_codes
     coroots = table.coroots
     lengths = table.lengths
     seq: list = [0] * m
@@ -275,11 +276,11 @@ def root_sequences(rs: RootSystem, target: FiniteWeylElement, m: int):
 
 def generates_w0(rs: RootSystem, roots) -> bool:
     """Whether the reflections of the given roots generate the full group:
-    `generates_w0_codes` of their positive-root indices."""
+    `generates_w0_codes` of their codes."""
     roots = list(roots)
     if not roots:
         raise RootSystemError("generates_w0 needs a non-empty root set")
-    return generates_w0_codes(rs, _root_codes(rs, roots))
+    return generates_w0_codes(rs, frozenset(map(root_table(rs).code, roots)))
 
 
 @lru_cache(maxsize=SEARCH_MEMO_SIZE)
@@ -310,20 +311,14 @@ def fixed_affine_subspace(rs: RootSystem, roots, levels):
     return solve_rational(rows, list(levels) or [0])
 
 
-def _root_codes(rs: RootSystem, roots) -> frozenset:
-    """The positive-root indices of the reflections of `roots`, either sign."""
-    index_of = _reflection_perms(rs)[1]
-    return frozenset([index_of[reflection_element(rs, b).perm] for b in roots])
-
-
 def _closure_indices(rs: RootSystem, codes) -> set[int]:
     """Root indices of the orbit of the positive roots with indices `codes`
     under their reflections.
 
     One permutation lookup per root and generator, on the permutations of
-    `_reflection_perms`.
+    `RootTable.reflections`.
     """
-    refl = _reflection_perms(rs)[0]
+    refl = root_table(rs).reflections
     perms = [refl[j][1] for j in codes]
     seen = {refl[j][0] for j in codes}
     todo = list(seen)
@@ -349,8 +344,8 @@ def smallest_subsystem(rs: RootSystem, roots) -> frozenset[Root]:
     if not roots:
         raise RootSystemError("smallest_subsystem needs a non-empty root set")
     table = root_table(rs)
-    return frozenset(table.roots[i]
-                     for i in _closure_indices(rs, _root_codes(rs, roots)))
+    codes = frozenset(map(table.code, roots))
+    return frozenset(table.roots[i] for i in _closure_indices(rs, codes))
 
 
 def _integral(v) -> tuple[int, list[int]]:
@@ -394,7 +389,8 @@ def is_parabolic(rs: RootSystem, roots, levels=None) -> bool:
         if (all(sum(map(mul, row, u)) == 0 for u in dirs)
                 and sum(map(mul, row, p)) % d == 0):
             fixer.add(i)
-    return fixer == _closure_indices(rs, _root_codes(rs, roots))
+    codes = frozenset(map(root_table(rs).code, roots))
+    return fixer == _closure_indices(rs, codes)
 
 
 def is_quasi_coxeter_fin(rs: RootSystem, w: FiniteWeylElement) -> bool:

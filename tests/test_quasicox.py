@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import deque
@@ -34,7 +35,8 @@ from affhur.weyl_aff import (AffineReflection, AffineWeylElement, as_element,
 from affhur.weyl_fin import (SEARCH_MEMO_SIZE, FiniteWeylElement,
                              absolute_length, all_elements, generates_w0,
                              identity_element, is_parabolic,
-                             reflection_element)
+                             reflection_element, root_table,
+                             smallest_subsystem)
 from test_linalg import solve_integer_reference
 
 
@@ -236,6 +238,37 @@ def test_closure_oracle_rejects_a_non_root(a2):
         closure_generates(a2, refs)
 
 
+def _connect_with(rs, bad):
+    t = simple_system_affine(rs)
+    return connect_reduced(rs, product_of_reflections(rs, t), t[:-1] + (bad,), t)
+
+
+# every reader of the reflection coding, each given a non-root of A2
+NON_ROOT_READERS = {
+    "reflection_element": lambda rs, b: reflection_element(rs, b),
+    "code_of-finite": lambda rs, b: reflection_codes(rs, False).code_of(
+        AffineReflection(b, 0)),
+    "code_of-affine": lambda rs, b: reflection_codes(rs, True).code_of(
+        AffineReflection(b, 1)),
+    "generates_w0": lambda rs, b: generates_w0(rs, [Root((1, 0)), b]),
+    "smallest_subsystem": lambda rs, b: smallest_subsystem(rs, [Root((1, 0)), b]),
+    "is_parabolic": lambda rs, b: is_parabolic(rs, [b]),
+    "generates_affine": lambda rs, b: generates_affine(
+        rs, (ref((1, 0)), ref((0, 1)), AffineReflection(b, 1))),
+    "closure_generates": lambda rs, b: closure_generates(
+        rs, (ref((1, 0)), ref((0, 1)), AffineReflection(b, 1))),
+    "connect_reduced": lambda rs, b: _connect_with(rs, AffineReflection(b, 1)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NON_ROOT_READERS))
+@pytest.mark.parametrize("coords", [(5, 5), (2, 0)], ids=str)
+def test_a_non_root_raises_root_system_error(a2, reader, coords):
+    # a RootSystemError, not the KeyError of a missed table lookup
+    with pytest.raises(RootSystemError, match=re.escape(f"{coords} is not a root")):
+        NON_ROOT_READERS[reader](a2, Root(coords))
+
+
 @pytest.mark.parametrize("name", ["A3", "B3"])
 def test_closure_oracle_reads_a_negative_root_as_its_canonical_form(name):
     # s_{-alpha,-k} = s_{alpha,k}
@@ -286,6 +319,16 @@ def test_oracle_tables_are_built_on_first_use():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert res.stdout.strip() == "[0, 0, 0]"
+
+
+def test_root_table_is_built_on_first_use():
+    code = ("import affhur.cli, affhur.quasicox\n"
+            "from affhur import weyl_fin\n"
+            "print(weyl_fin.root_table.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert res.stdout.strip() == "0"
 
 
 def test_closure_oracle_node_limit_bounds_the_projection():
@@ -859,8 +902,8 @@ def test_move_table_matches_group_multiplication(name):
     pos = rs.positive_roots
     moves = _move_table(rs)
     codes = reflection_codes(rs, True)
-    index = codes.index
-    assert index == {r: i for i, r in enumerate(pos)}
+    index = root_table(rs).root_codes
+    assert index == {r: i for i, a in enumerate(pos) for r in (a, -a)}
     for a, b in itertools.product(pos, repeat=2):
         c, x, y = moves[index[a]][index[b]]
         for k, l in itertools.product(range(-2, 3), repeat=2):

@@ -16,8 +16,7 @@ from affhur.weyl_fin import (SEARCH_MEMO_SIZE, FiniteWeylElement, RootTable,
                              fixed_affine_subspace, generates_w0,
                              generates_w0_codes, identity_element,
                              is_parabolic, is_parabolic_quasi_coxeter_fin,
-                             is_quasi_coxeter_fin,
-                             reflection_element, reflections,
+                             is_quasi_coxeter_fin, reflection_element,
                              root_index_sequences, root_of_reflection,
                              root_sequences, root_table, smallest_subsystem)
 
@@ -28,7 +27,7 @@ def bfs_absolute_length(rs, w):
     """Independent oracle: word-length BFS over the reflection generators."""
     if w.is_identity():
         return 0
-    gens = [t for _, t in reflections(rs)]
+    gens = [reflection_element(rs, r) for r in rs.positive_roots]
     seen = {identity_element(rs)}
     frontier = [identity_element(rs)]
     depth = 0
@@ -55,11 +54,42 @@ def test_group_orders(family, rank):
 
 def test_reflections_are_involutions():
     rs = build_root_system("B", 2)
-    for r, t in reflections(rs):
+    for r in rs.positive_roots:
+        t = reflection_element(rs, r)
         assert t * t == identity_element(rs)
         assert t.act_root(r) == -r
         assert root_of_reflection(rs, t) == r
     assert root_of_reflection(rs, identity_element(rs)) is None
+
+
+TABLE_GROUPS = ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4"]
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_root_table_codes_match_reflect(name):
+    rs = parse_type(name)
+    table = root_table(rs)
+    pos = rs.positive_roots
+    where = {r: i for i, r in enumerate(rs.roots)}
+    identity = tuple(range(len(rs.roots)))
+    assert len(table.reflections) == len(table.elements) == len(pos)
+    assert len(table.perm_codes) == len(pos)
+    for alpha in rs.roots:
+        j = table.code(alpha)
+        assert j == table.root_codes[alpha] == pos.index(alpha if alpha.is_positive
+                                                         else -alpha)
+        perm = tuple(where[reflect(rs, alpha, b)] for b in rs.roots)
+        i, stored, times_s = table.reflections[j]
+        assert i == where[pos[j]]
+        assert stored == perm == table.elements[j].perm == times_s(identity)
+        assert table.elements[j].table is table
+        assert table.perm_codes[perm] == j
+        assert root_of_reflection(rs, table.elements[j]) == pos[j]
+    coxeter = identity_element(rs)
+    for a in rs.simple_roots:
+        coxeter = coxeter * reflection_element(rs, a)
+    assert root_of_reflection(rs, identity_element(rs)) is None
+    assert root_of_reflection(rs, coxeter) is None
 
 
 def test_reflection_same_for_opposite_roots():
@@ -469,7 +499,8 @@ def comatrix(u):
 
 
 def check_reflections(rs):
-    for r, t in reflections(rs):
+    for r in rs.positive_roots:
+        t = reflection_element(rs, r)
         assert (t.matrix, comatrix(t)) == reflection_matrices(rs, r)
         assert root_of_reflection(rs, t) == r
 
@@ -552,7 +583,8 @@ def test_coroot_action_memo_keeps_b2_and_c2_apart():
 def test_equal_permutations_of_different_systems_differ():
     b2 = build_root_system("B", 2)
     c2 = build_root_system("C", 2)
-    for _, t in reflections(b2):
+    for r in b2.positive_roots:
+        t = reflection_element(b2, r)
         twin = FiniteWeylElement(t.perm, root_table(c2))
         assert twin != t
     assert identity_element(b2) != identity_element(c2)
