@@ -213,14 +213,15 @@ class ReflectionCodes:
     def code_of(self, r: AffineReflection):
         """The code of s_{root, level}, read as s_root on the finite
         instance; s_{-alpha,-k} = s_{alpha,k}."""
-        i = self.table.root_codes.get(r.root)
+        root = r.root
+        i = self.table.root_codes.get(root)
         if i is None:
             rs = self.rs
-            raise RootSystemError(f"{r.root.coords} is not a root of "
+            raise RootSystemError(f"{root.coords} is not a root of "
                                   f"{rs.family}{rs.rank}")
         if not self.affine:
             return i
-        return (i, r.level) if r.root.is_positive else (i, -r.level)
+        return (i, r.level) if self.roots[i].coords == root.coords else (i, -r.level)
 
     def decode(self, code: tuple) -> ReflectionTuple:
         if self.affine:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .linalg import Mat, hnf, hnf_contains, hnf_pivots, hnf_reduce
 from .rootsys import RootSystem
@@ -39,7 +40,9 @@ def span(vectors, ambient_rank: int) -> IntegerLattice:
     return IntegerLattice(ambient_rank, hnf(vectors, ambient_rank))
 
 
+@lru_cache(maxsize=None)
 def full_lattice(ambient_rank: int) -> IntegerLattice:
+    """Z^n with its identity basis; built on first use, one per rank."""
     basis = tuple(tuple(1 if i == j else 0 for j in range(ambient_rank))
                   for i in range(ambient_rank))
     return IntegerLattice(ambient_rank, basis)

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
 
 from .hurwitz import (BraidWord, connect, lr_normalize, reflection_codes,
                       replay_pairs)
@@ -83,18 +82,26 @@ def _coroot_lattice(rs: RootSystem, norm) -> IntegerLattice:
     return span([coroot(rs, b) for b in _roots_by_length(rs)[norm]], rs.rank)
 
 
-def _translation_lattice(rs: RootSystem, gamma: Root, gap: int) -> IntegerLattice:
-    """The span of gap times the coroots of the roots of gamma's length:
-    the basis of `_coroot_lattice` with every entry times |gap|, or the
-    zero lattice when gap = 0. Scaling a canonical HNF by a positive
-    integer keeps it canonical: the echelon shape, the positive pivots and
-    each entry's place in [0, pivot) are kept."""
+def _translation_lattice(rs: RootSystem, norm, gap: int) -> IntegerLattice:
+    """The span of gap times the coroots of the roots of squared length
+    `norm`: the basis of `_coroot_lattice` with every entry times |gap|,
+    or the zero lattice when gap = 0. Scaling a canonical HNF by a
+    positive integer keeps it canonical: the echelon shape, the positive
+    pivots and each entry's place in [0, pivot) are kept."""
     if not gap:
         return span([], rs.rank)
     scale = abs(gap)
     return IntegerLattice(rs.rank, tuple(
-        tuple(scale * c for c in row)
-        for row in _coroot_lattice(rs, rs.norm_sq(gamma)).basis))
+        tuple(scale * c for c in row) for row in _coroot_lattice(rs, norm).basis))
+
+
+@lru_cache(maxsize=None)
+def _code_data(rs: RootSystem) -> tuple:
+    """Per reflection code j, for the positive root alpha of index j: the
+    row of v -> (v | alpha) for v in coroot coordinates, and (alpha |
+    alpha). Built on first use, one per root system."""
+    return tuple((mat_vec(rs.cartan, a.coords), rs.norm_sq(a))
+                 for a in rs.positive_roots)
 
 
 def generates_affine(rs: RootSystem, refs) -> GenerationResult:
@@ -107,7 +114,9 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     the normalization (see `_normalize_tail`) run on its codes, so no
     group element is built. The orbit is the roots of the tail root's
     length, so the lattice is |gap| L for the span L of their coroots,
-    which is kept once per root length (`_translation_lattice`).
+    which is kept once per root length (`_translation_lattice`). The
+    Cartan row and squared length of each root are read by code from
+    `_code_data`.
     """
     refs = tuple(refs)
     n = rs.rank
@@ -125,27 +134,27 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
         raise RuntimeError("internal inconsistency: repeated-root shape "
                            "unreachable although the projection generates")
     word, normed = found
-    gammas = [codes.roots[a] for a, _ in normed]
-    levels = [k for _, k in normed]
-    if gammas[n - 1] != gammas[n]:
+    tail = normed[n - 1][0]
+    if tail != normed[n][0]:
         raise RuntimeError("internal inconsistency: normalized tuple lacks "
                            "the repeated-root tail")
 
-    # rows of v -> (v | gamma) for v in coroot coordinates
-    rows = [mat_vec(rs.cartan, g.coords) for g in gammas[:n]]
-    sol = solve_rational(rows, [-l for l in levels[:n]])
+    data = _code_data(rs)
+    sol = solve_rational([data[a][0] for a, _ in normed[:n]],
+                         [-k for _, k in normed[:n]])
     if sol is None or sol[1]:
         raise RuntimeError("internal inconsistency: normalized roots must "
                            "be independent")
     lam = sol[0]
 
-    gap = levels[n - 1] - levels[n]
-    lattice = _translation_lattice(rs, gammas[n - 1], gap)
+    gap = normed[n - 1][1] - normed[n][1]
+    norm = data[tail][1]
+    lattice = _translation_lattice(rs, norm, gap)
     verdict = lattice_equal(lattice, full_lattice(n))
-    if verdict and (abs(gap) != 1 or not rs.is_long(gammas[n - 1])):
+    if verdict and (abs(gap) != 1 or norm != 2 * rs.ratio_delta):
         raise RuntimeError("internal inconsistency: generation verdict violates "
                            "the long-root / unit-gap necessity")
-    cert = GenerationCertificate(word, lam, gammas[n - 1], gap,
+    cert = GenerationCertificate(word, lam, codes.roots[tail], gap,
                                  projected_generates, lattice)
     return GenerationResult(verdict, cert)
 
@@ -174,13 +183,41 @@ def _element_ids(rs: RootSystem) -> tuple:
     return perms, {perm: u for u, perm in enumerate(perms)}
 
 
+def _pack(v, bits: int) -> int:
+    """The integer sum of v[i] 2^(bits i): v with balanced digits."""
+    x = 0
+    for c in reversed(v):
+        x = (x << bits) + c
+    return x
+
+
+def _unpack(x: int, bits: int, n: int) -> tuple:
+    """The n balanced digits of `_pack`, each read in [-2^(bits-1), 2^(bits-1))."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = []
+    for _ in range(n):
+        c = x & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        x = (x - c) >> bits
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def _right_multiplication(rs: RootSystem, j: int) -> list:
-    """table[u] = id of (element u) s_b for the positive root b of index
-    j; built on first use, one per (rs, j)."""
+def _right_multiplication(rs: RootSystem, j: int, bits: int) -> tuple:
+    """(times_s, images) for the positive root b of index j: times_s[u] is
+    the id of (element u) s_b and images[u] the coroot of (element u)(b),
+    packed with `bits`-bit digits (`_pack`). Built on first use, one per
+    (rs, j, bits); `closure_generates` asks for bits a multiple of 64.
+    Each coroot is packed once and its integer shared by the entries."""
     perms, ids = _element_ids(rs)
-    times_s = root_table(rs).reflections[j][2]
-    return [ids[times_s(perm)] for perm in perms]
+    table = root_table(rs)
+    i, _, times_s = table.reflections[j]
+    packed = [_pack(v, bits) for v in table.coroots]
+    return ([ids[times_s(perm)] for perm in perms],
+            [packed[perm[i]] for perm in perms])
 
 
 def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
@@ -191,13 +228,13 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     reflections generate, is W_aff exactly when its projection p(H) is W0
     and its translations H ∩ T are the whole coroot lattice. One
     breadth-first search over p(H) decides both. It keeps one coset
-    representative TR(c) w per finite element w reached, with c a plain
-    integer tuple in coroot coordinates: the pair (c, w) of
-    `affhur.weyl_aff`. Finite elements are ids, numbers of W0 fixed per
-    root system with the identity at 0 (`_element_ids`), and right
-    multiplication by a reflection is one lookup in a table built once per
-    reflection (`_right_multiplication`). Since s_{alpha,k} =
-    TR(k alpha-coroot) s_alpha, right-multiplying TR(c) w by it gives
+    representative TR(c) w per finite element w reached, with c an integer
+    vector in coroot coordinates: the pair (c, w) of `affhur.weyl_aff`.
+    Finite elements are ids, numbers of W0 fixed per root system with the
+    identity at 0 (`_element_ids`), and right multiplication by a
+    reflection is one lookup in a table built once per reflection
+    (`_right_multiplication`). Since s_{alpha,k} = TR(k alpha-coroot)
+    s_alpha, right-multiplying TR(c) w by it gives
     TR(c + k w(alpha)-coroot) w s_alpha, the pair rule's reflection step,
     run inline. A reflection is read with its positive root, as
     s_{-alpha,-k} = s_{alpha,k}. When w s_alpha already has a
@@ -206,9 +243,26 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     Schreier's lemma these generate H ∩ T; their span is kept as an HNF
     basis and enlarged only by a non-zero residue. A difference c' - b
     seen before is skipped: the span only grows, and it took the
-    difference in when it was first reduced. The search returns True as
-    soon as p(H) = W0 and the span is full, and False when it ends
-    without both.
+    difference in when it was first reduced.
+
+    Each undirected edge is taken once. A generator s = s_{alpha,k} is an
+    involution, so the edge (x, s) with x = u s leads back to u, and its
+    Schreier generator is the negative of that of (u, s), or 0 when (u, s)
+    found x. So an edge whose target was dequeued before is skipped: its
+    reverse was taken then. Tree edges are never skipped, so the
+    representatives, the point where `node_limit` raises and the span
+    after each taken edge are those of the search over every edge.
+
+    A vector c is held as one integer, `_pack(c, bits)`: sums and
+    comparisons of vectors are then sums and comparisons of integers, and
+    a difference is unpacked only for its reduction. Packing is exact
+    while every entry lies in [-B/2, B/2) for B = 2^bits. A representative
+    is a sum of at most |W0| - 1 terms k (coroot) and c' adds one more, so
+    every entry of a difference c' - b is below 2 |W0| K M in absolute
+    value, for K the largest |level| and M the largest |coroot entry|;
+    bits is the least multiple of 64 with B > 4 |W0| K M. The
+    search returns True as soon as p(H) = W0 and the span is full, and
+    False when it ends without both.
 
     `node_limit` bounds the number of representatives, |p(H)|; a search
     that would pass it decides nothing and raises `PipelineExhausted`. It
@@ -217,25 +271,32 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     table = root_table(rs)
     n = rs.rank
     codes = reflection_codes(rs, True)
-    gens = []
+    coded = []
     for r in refs:
         table.code(r.root)  # a non-root raises RootSystemError
-        j, k = codes.code_of(r)
-        gens.append((_right_multiplication(rs, j), table.reflections[j][0], k))
+        coded.append(codes.code_of(r))
     perms = _element_ids(rs)[0]
     order = len(perms)
+    levels = max([1] + [abs(k) for _, k in coded])
+    # the coroots come in pairs +-v, so their largest entry is M
+    bound = 4 * order * levels * max(map(max, table.coroots))
+    bits = 64 * -(-bound.bit_length() // 64)
+    gens = [(*_right_multiplication(rs, j, bits), k) for j, k in coded]
     full = full_lattice(n)
     reps: list = [None] * order
-    reps[0] = (0,) * n
+    reps[0] = 0
+    done = bytearray(order)
     queue = [0]
     lattice = span([], n)
     reduced: set = set()
     for u in queue:
+        done[u] = 1
         c = reps[u]
-        perm = perms[u]
-        for times_s, i, k in gens:
+        for times_s, images, k in gens:
             x = times_s[u]
-            y = tuple(map(add, c, [k * v for v in table.coroots[perm[i]]])) if k else c
+            if done[x]:
+                continue
+            y = c + k * images[u]
             b = reps[x]
             if b is None:
                 if len(queue) >= node_limit:
@@ -246,11 +307,11 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
             elif y == b:
                 continue
             else:
-                d = tuple(map(sub, y, b))
+                d = y - b
                 if d in reduced:
                     continue
                 reduced.add(d)
-                r = reduce_mod(lattice, d)
+                r = reduce_mod(lattice, _unpack(d, bits, n))
                 if not any(r):
                     continue
                 lattice = span(lattice.basis + (r,), n)

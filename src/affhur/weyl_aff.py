@@ -20,8 +20,9 @@ the rule on plain tuples; `AffineWeylElement` holds the same pair as
 (`translation`, `finite`) and multiplies by the same rule.
 `product_of_reflections`, `quasicox.connect_reduced` and the replay
 `hurwitz.replay_pairs` (one `pair_conj` per letter) compute on tuples, and
-`quasicox.closure_generates` runs the reflection step inline, reading
-(u alpha)-coroot off the root table.
+`quasicox.closure_generates` runs the reflection step inline, on c packed
+into one integer and (u alpha)-coroot read packed from a table per
+reflection.
 """
 
 from __future__ import annotations

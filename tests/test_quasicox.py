@@ -172,6 +172,32 @@ def test_closure_oracle_matches_reference(name):
     assert verdicts == {True, False}
 
 
+# levels far past one machine word, so packed translations carry digits
+PACKING_LEVELS = tuple(s * k for k in (1, 2, 10 ** 6, 2 ** 61, 10 ** 30)
+                       for s in (1, -1))
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "B3"])
+def test_closure_oracle_packing_is_exact_at_any_level(name):
+    # a simple system of random signs and one more root; one draw in three
+    # repeats a root at a second level, one in three adds its negative;
+    # both verdicts occur on tuples holding a level of 10^6 or more
+    rs = parse_type(name)
+    rng = random.Random(f"closure-packing-{name}")
+    verdicts = set()
+    for i in range(300):
+        roots = [rng.choice((a, -a)) for a in rs.simple_roots]
+        extra = (rng.choice(rs.roots), roots[0], -roots[0])[i % 3]
+        roots.append(extra)
+        rng.shuffle(roots)
+        refs = tuple(AffineReflection(r, rng.choice(PACKING_LEVELS)) for r in roots)
+        verdict = closure_generates(rs, refs)
+        assert verdict == closure_generates_reference(rs, refs), refs
+        if max(abs(r.level) for r in refs) > 2:
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("case", ["projection-proper", "translations-full-"
                                   "projection-proper", "finite", "index-4"])
 def test_closure_oracle_negatives(case, a2, b2):
@@ -296,11 +322,15 @@ def test_right_multiplication_tables_are_the_group_product(name):
     table = elements[0].table
     for j, b in enumerate(rs.positive_roots):
         s = reflection_element(rs, b)
-        times_s = quasicox._right_multiplication(rs, j)
-        assert len(times_s) == len(perms)
-        for u, perm in enumerate(perms):
-            product = FiniteWeylElement(perm, table) * s
-            assert times_s[u] == ids[product.perm], (b, u)
+        i = table.index[b]
+        for bits in (64, 128):
+            times_s, images = quasicox._right_multiplication(rs, j, bits)
+            assert len(times_s) == len(images) == len(perms)
+            for u, perm in enumerate(perms):
+                product = FiniteWeylElement(perm, table) * s
+                assert times_s[u] == ids[product.perm], (b, u)
+                assert (quasicox._unpack(images[u], bits, rs.rank)
+                        == table.coroots[perm[i]]), (b, u, bits)
 
 
 def test_oracle_tables_are_built_on_first_use():
@@ -314,11 +344,12 @@ def test_oracle_tables_are_built_on_first_use():
             "except RootSystemError:\n"
             "    pass\n"
             "print([f.cache_info().currsize for f in (q._element_ids,"
-            " q._right_multiplication, q._coroot_lattice)])")
+            " q._right_multiplication, q._coroot_lattice, q._code_data,"
+            " q.full_lattice)])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)
-    assert res.stdout.strip() == "[0, 0, 0]"
+    assert res.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_root_table_is_built_on_first_use():
@@ -374,7 +405,7 @@ def test_coroot_lattice_times_the_gap_is_the_orbit_span(name):
     rs = parse_type(name)
     for gamma in rs.roots:
         for gap in range(-3, 4):
-            lattice = quasicox._translation_lattice(rs, gamma, gap)
+            lattice = quasicox._translation_lattice(rs, rs.norm_sq(gamma), gap)
             expected = _gap_scaled_orbit_span(rs, gamma, gap)
             assert lattice == expected, (gamma, gap)
             assert lattice.pivots == expected.pivots
