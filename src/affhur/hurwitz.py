@@ -24,11 +24,12 @@ The words the searches find are replayed by a multiplication rule the
 searches do not use, and checked before they are trusted. `apply_move`
 and `apply_braid` act on the elements of a ReflectionTuple, finite
 (`FiniteWeylElement`) or affine (`AffineWeylElement`); the CLI and
-`affhur.verify` replay with them. `replay_pairs` acts on affine pairs
-(c, w) for TR(c) w, the value of `affhur.weyl_aff`: each letter is one
-conjugation by its one multiplication rule, `weyl_aff.pair_conj`, and
-reads no move table. `quasicox.connect_reduced` replays with it, on the
-pairs `ReflectionCodes.pair` keeps per code.
+`affhur.verify` replay with them. `replay_pairs` acts on the affine pairs
+(c, w) for TR(c) w, the value of `affhur.weyl_aff`, of reflections: each
+entry is its own inverse, so each letter, sigma_i or its inverse, is one
+conjugation by the pair rule, `weyl_aff.pair_conj`, and reads no move
+table. `quasicox.connect_reduced` replays with it, on the pairs
+`ReflectionCodes.pair` keeps per code.
 
 Words are applied leftmost letter first; positive letter i is sigma_i,
 negative is its inverse.
@@ -42,8 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .rootsys import RootSystem, RootSystemError
-from .weyl_aff import (AffineReflection, as_element, pair_conj, pair_inverse,
-                       reflection_pair)
+from .weyl_aff import AffineReflection, as_element, pair_conj, reflection_pair
 from .weyl_fin import SEARCH_MEMO_SIZE, RootTable, root_table
 
 
@@ -95,26 +95,30 @@ def apply_braid(t: ReflectionTuple, word: BraidWord) -> ReflectionTuple:
 
 
 def replay_pairs(table: RootTable, entries: tuple, word: BraidWord) -> tuple:
-    """`apply_braid` on affine pairs (see `affhur.weyl_aff`) of one root table.
+    """`apply_braid` on the affine pairs (see `affhur.weyl_aff`) of
+    reflections, all of one root table.
 
     sigma_i sends (a, b) at slots i, i+1 to (a b a^-1, a), its inverse to
-    (b, b^-1 a b); each is one conjugation, `pair_conj(a, b)` and
-    `pair_conj(b^-1, a)`, computed by the pair rule, not with the move
-    tables the searches use.
+    (b, b^-1 a b). Every entry must be a reflection pair, as
+    `weyl_aff.reflection_pair` makes them: a reflection is its own inverse,
+    so b^-1 a b = b a b^-1 and each letter is one conjugation,
+    `pair_conj(a, b)` or `pair_conj(b, a)`. It is computed by the pair
+    rule, not with the move tables the searches use. On other pairs the
+    inverse letters are wrong.
     """
     entries = list(entries)
+    m = len(entries)
     for letter in word.letters:
         i = abs(letter)
-        if not 1 <= i < len(entries):
-            raise IndexError(f"move index {i} out of range for a "
-                             f"{len(entries)}-tuple")
+        if not 1 <= i < m:
+            raise IndexError(f"move index {i} out of range for a {m}-tuple")
         a, b = entries[i - 1], entries[i]
         if letter > 0:
             entries[i - 1] = pair_conj(table, a, b)
             entries[i] = a
         else:
             entries[i - 1] = b
-            entries[i] = pair_conj(table, pair_inverse(table, b), a)
+            entries[i] = pair_conj(table, b, a)
     return tuple(entries)
 
 

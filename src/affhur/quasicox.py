@@ -129,7 +129,7 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
         cert = GenerationCertificate(None, None, None, None, False, None)
         return GenerationResult(False, cert)
 
-    found = _normalize_tail(rs, code)
+    found = _normalize_tail(codes, reflection_codes(rs, False).move, code)
     if found is None:
         raise RuntimeError("internal inconsistency: repeated-root shape "
                            "unreachable although the projection generates")
@@ -159,18 +159,19 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     return GenerationResult(verdict, cert)
 
 
-def _normalize_tail(rs: RootSystem, code: tuple, node_limit: int = 10 ** 6):
+def _normalize_tail(codes, finite_move, code: tuple, node_limit: int = 10 ** 6):
     """Braid an affine code (n+1)-tuple to a repeated-root tail.
 
-    Returns (word, normalized code), or None when the search ran out of
-    `node_limit`. The word is searched on the root indices alone, then
-    applied to the (root index, level) pairs.
+    `codes` is the affine `ReflectionCodes` of the root system and
+    `finite_move` its finite move. Returns (word, normalized code), or
+    None when the search ran out of `node_limit`. The word is searched on
+    the root indices alone, then applied to the (root index, level) pairs.
     """
-    word = lr_normalize(reflection_codes(rs, False).move,
-                        tuple(a for a, _ in code), rs.rank - 1, node_limit)
+    word = lr_normalize(finite_move, tuple(a for a, _ in code),
+                        codes.rs.rank - 1, node_limit)
     if word is None:
         return None
-    return word, reflection_codes(rs, True).braid(code, word)
+    return word, codes.braid(code, word)
 
 
 @lru_cache(maxsize=None)
@@ -582,21 +583,26 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     alignment inside the finite Fac set, then a sigma_n power along the
     fiber. The stages run on reflection codes (see `affhur.hurwitz`), and
     so do the checks, on the affine pairs (see `affhur.weyl_aff`) that
-    `ReflectionCodes.pair` keeps per code. Each input tuple is coded once.
+    `ReflectionCodes.pair` keeps per code. The codes, the finite move and
+    the root table are looked up once per call and handed to the stages,
+    and the word is built once, from the letters of the stages. Each input
+    tuple is coded once.
     Once per distinct code tuple, in a memo of `SEARCH_MEMO_SIZE` entries
     (`_tuple_facts`), its product pair and whether its projection
     generates W0 are computed; on every call the product is compared with
     the pair of w, and a tuple that does not generate is refused. The word
-    is replayed on every call, on the pairs of t1 with
-    `hurwitz.replay_pairs`, independent of the move tables the stages
-    search with, and compared with the pairs of t2. A stage that runs out
-    of its limits raises `PipelineExhausted`. The alignment search is
-    bounded by `node_limit` alone unless a `depth_limit` is given.
+    is replayed on every call, on the reflection pairs of t1 with
+    `hurwitz.replay_pairs`, one conjugation per letter and independent of
+    the move tables the stages search with, and compared with the pairs of
+    t2. A stage that runs out of its limits raises `PipelineExhausted`.
+    The alignment search is bounded by `node_limit` alone unless a
+    `depth_limit` is given.
     """
     t1 = tuple(t1)
     t2 = tuple(t2)
     n = rs.rank
-    table = root_table(rs)
+    codes = reflection_codes(rs, True)
+    table = codes.table
     # pairs are compared by permutation, so the root table must be the same
     if w.finite.table is not table:
         other = w.finite.table.rs
@@ -604,7 +610,6 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
                          f"{other.family}{other.rank}, not of "
                          f"{rs.family}{rs.rank}")
     target = (w.translation, w.finite.perm)
-    codes = reflection_codes(rs, True)
     coded = []
     for t in (t1, t2):
         if len(t) != n + 1:
@@ -618,7 +623,8 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
                              "the element is not quasi-Coxeter")
         coded.append(code)
     code1, code2 = coded
-    word = _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit)
+    word = _connect_pipeline(codes, reflection_codes(rs, False).move, code1,
+                             code2, n, depth_limit, node_limit)
     pair = codes.pair
     if replay_pairs(table, tuple(map(pair, code1)), word) != tuple(map(pair, code2)):
         raise RuntimeError("internal inconsistency: the braid word found "
@@ -635,13 +641,13 @@ def _tuple_facts(rs: RootSystem, code: tuple) -> tuple:
             generates_w0_codes(rs, frozenset([a for a, _ in code])))
 
 
-def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord:
+def _connect_pipeline(codes, finite_move, code1, code2, n, depth_limit,
+                      node_limit) -> BraidWord:
     if code1 == code2:
         return BraidWord()
-    codes = reflection_codes(rs, True)
 
     def normalize(code):
-        found = _normalize_tail(rs, code, node_limit)
+        found = _normalize_tail(codes, finite_move, code, node_limit)
         if found is None:
             raise PipelineExhausted("normalize")
         return found
@@ -649,8 +655,7 @@ def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord
     word1, u1 = normalize(code1)
     word2, u2 = normalize(code2)
 
-    word_fin = connect(reflection_codes(rs, False).move,
-                       tuple(a for a, _ in u1),
+    word_fin = connect(finite_move, tuple(a for a, _ in u1),
                        tuple(a for a, _ in u2), depth_limit, node_limit)
     if word_fin is None:
         raise PipelineExhausted("finite-alignment")
@@ -663,8 +668,10 @@ def _connect_pipeline(rs, code1, code2, n, depth_limit, node_limit) -> BraidWord
     if gap == 0 or shift % gap != 0:
         raise PipelineExhausted("fiber", "sigma_n power cannot align the levels")
     e = shift // gap
-    fiber_word = BraidWord((n,) * e if e >= 0 else (-n,) * (-e))
-    return word1 + word_fin + fiber_word + word2.inverse()
+    fiber_letters = (n,) * e if e >= 0 else (-n,) * -e
+    # word1, word_fin, sigma_n^e, then word2 inverted
+    return BraidWord(word1.letters + word_fin.letters + fiber_letters
+                     + tuple([-x for x in reversed(word2.letters)]))
 
 
 def is_parabolic_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,

@@ -19,7 +19,8 @@ three. `pair_mul`, `pair_inverse`, `pair_conj` and `reflection_pair` are
 the rule on plain tuples; `AffineWeylElement` holds the same pair as
 (`translation`, `finite`) and multiplies by the same rule.
 `product_of_reflections`, `quasicox.connect_reduced` and the replay
-`hurwitz.replay_pairs` (one `pair_conj` per letter) compute on tuples, and
+`hurwitz.replay_pairs` compute on tuples; the replay moves reflection
+pairs, each its own inverse, so each letter is one `pair_conj`.
 `quasicox.closure_generates` runs the reflection step inline, on c packed
 into one integer and (u alpha)-coroot read packed from a table per
 reflection.

@@ -459,8 +459,11 @@ def test_replay_pairs_matches_the_matrix_model(data):
     replayed = model.replay(tuple((r.root.coords, r.level) for r in refs), word)
     expected = tuple(reflection_pair(rs, AffineReflection(Root(r), k))
                      for r, k in replayed)
-    assert replay_pairs(root_table(rs), tuple(reflection_pair(rs, r) for r in refs),
-                        BraidWord(word)) == expected
+    table = root_table(rs)
+    pairs = tuple(reflection_pair(rs, r) for r in refs)
+    assert replay_pairs(table, pairs, BraidWord(word)) == expected
+    # and the inverse word brings the pairs back
+    assert replay_pairs(table, expected, BraidWord(word).inverse()) == pairs
 
 
 # ------------------------------------------------------- the search memos

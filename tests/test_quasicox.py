@@ -882,6 +882,36 @@ def test_connect_reduced_raises_when_word_does_not_replay(name, word, monkeypatc
         connect_reduced(rs, w, t1, t2)
 
 
+# The words connect_reduced returns on pairs of tuples, each tuple the image
+# of the affine simple system under a seeded braid word
+PINNED_WORDS = [
+    ("A3", (-3, 1, 2, -1, -2), (-1, 1, -2, 1, 1),
+     (-2, -1, 2, -3, 2, -1, 3, 2, -1)),
+    ("A3", (-2, 2, 3, -2, -2), (1, -3, 3, 3, -3),
+     (2, 1, 3, 2, -1, 2, -3, 2, 1, 3, 2, -1)),
+    ("B3", (-2, -2, 2, -1, 1), (-2, 2, 3, -2, 2),
+     (-2, 1, -2, 1, 2, -3, 2, -1, 3, 2, -3, 1, -2)),
+    ("B3", (-3, -3, -1, 3, 2), (-2, 1, -2, -2, -1),
+     (2, 1, 3, -2, 2, 1, 3, -2, 3, 1, 2, 3, -2, -2)),
+    ("C3", (2, -3, 1, -3, -3), (-1, -2, -3, -1, 1), (1, 3, 2, -1, 2, -3)),
+    ("A4", (-4, -2, -4, 4, -4), (-1, 2, -1, -1, 4),
+     (1, -2, 4, 3, 1, -3, -4, -2)),
+]
+
+
+@pytest.mark.parametrize("name,word1,word2,letters", PINNED_WORDS)
+def test_connect_reduced_returns_the_pinned_word(name, word1, word2, letters):
+    rs = parse_type(name)
+    simple = simple_system_affine(rs)
+    start = ReflectionTuple(tuple(as_element(rs, r) for r in simple))
+    e1, e2 = (apply_braid(start, BraidWord(word)) for word in (word1, word2))
+    t1, t2 = (tuple(recognize_reflection(rs, e) for e in t.entries)
+              for t in (e1, e2))
+    word = connect_reduced(rs, product_of_reflections(rs, simple), t1, t2)
+    assert word.letters == letters
+    assert apply_braid(e1, word) == e2
+
+
 def test_generates_affine_keeps_its_own_error_when_normalization_fails(
         a2, monkeypatch):
     # a generating projection always normalizes, so a failure is internal

@@ -148,6 +148,19 @@ def test_pair_conj_is_the_rule_with_the_inverse(data):
     assert pair_matrix(table, conj) == expected
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4",
+                                  "D4", "F4"])
+def test_reflection_pairs_are_involutions(name):
+    # hurwitz.replay_pairs reads b^-1 as b for every entry b it moves
+    rs = parse_type(name)
+    table = root_table(rs)
+    identity = ((0,) * rs.rank, table.identity)
+    for r in rs.roots:
+        for k in range(-3, 4):
+            x = reflection_pair(rs, AffineReflection(r, k))
+            assert pair_mul(table, x, x) == identity, (r, k)
+
+
 def test_projection_is_homomorphism(a2):
     r1 = as_element(a2, AffineReflection(Root((1, 0)), 2))
     r2 = as_element(a2, AffineReflection(Root((1, 1)), -1))
