@@ -14,8 +14,7 @@ import sys
 import click
 
 from . import __version__
-from .hurwitz import (ReflectionTuple, apply_braid, connect, orbit,
-                      reflection_codes)
+from .hurwitz import apply_braid, connect, orbit, reflection_codes
 from .intlattice import connection_index
 from .literals import (braid_word_to_json, certificate_to_json, format_group,
                        format_root, format_tuple, parse_group,
@@ -26,8 +25,8 @@ from .quasicox import (FactorizationQuery, PipelineExhausted,
                        enumerate_factorizations, fiber, generates_affine,
                        is_quasi_coxeter_affine)
 from .rootsys import RootSystemError, coroot, parse_type
-from .weyl_aff import as_element, product_of_reflections
-from .weyl_fin import absolute_length, reflection_element
+from .weyl_aff import product_of_reflections, reflection_pair
+from .weyl_fin import absolute_length
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -81,13 +80,6 @@ def _parse_refs_or_exit(rs, refs, affine):
         _usage_error(str(exc))
 
 
-def _elements(rs, refs, affine) -> ReflectionTuple:
-    """Parsed reflections as affine elements, or as s_alpha if finite."""
-    return ReflectionTuple(tuple(as_element(rs, r) if affine
-                                 else reflection_element(rs, r.root)
-                                 for r in refs))
-
-
 class _Main(click.Group):
     """The command group; a usage error click finds while parsing the
     arguments (an unknown option, a missing argument, a non-integer option
@@ -124,6 +116,7 @@ def main():
 def cmd_roots(group, fmt):
     """List roots, coroots, highest root and connection index of GROUP."""
     rs, _affine = _parse_group_or_exit(group)
+    index = connection_index(rs)
     payload = {
         "command": "roots",
         "group": f"{rs.family}{rs.rank}",
@@ -131,13 +124,13 @@ def cmd_roots(group, fmt):
         "positive_roots": [list(r.coords) for r in rs.positive_roots],
         "coroots": [list(coroot(rs, r)) for r in rs.roots],
         "highest_root": list(rs.highest_root.coords),
-        "connection_index": connection_index(rs),
+        "connection_index": index,
         "cartan_matrix": [list(row) for row in rs.cartan],
     }
     lines = [f"group {rs.family}{rs.rank}: {len(rs.roots)} roots, "
              f"{len(rs.positive_roots)} positive",
              f"highest root: {format_root(rs.highest_root)}",
-             f"connection index: {connection_index(rs)}",
+             f"connection index: {index}",
              "positive roots: "
              + " ".join(format_root(r) for r in rs.positive_roots)]
     _emit(fmt, payload, lines)
@@ -226,8 +219,8 @@ def cmd_length(group, reflections, fmt):
     """Absolute (reflection) length of the product of REFLECTIONS."""
     rs, affine = _parse_group_or_exit(group)
     refs = _parse_refs_or_exit(rs, reflections, affine)
-    w = _elements(rs, refs, affine).product()
-    length = absolute_length_affine(rs, w) if affine else absolute_length(w)
+    w = product_of_reflections(rs, refs)
+    length = absolute_length_affine(rs, w) if affine else absolute_length(w.finite)
     payload = {"command": "length", "group": format_group(rs, affine),
                "absolute_length": length}
     _emit(fmt, payload, [f"absolute length: {length}"])
@@ -272,25 +265,26 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
         _usage_error(str(exc))
     if len(t1) != len(t2):
         _usage_error("tuples have different lengths")
-    e1 = _elements(rs, t1, affine)
-    e2 = _elements(rs, t2, affine)
-    if e1.product() != e2.product():
+    w = product_of_reflections(rs, t1)
+    if w != product_of_reflections(rs, t2):
         _usage_error("tuple products differ; no braid word can exist")
     node_limit = _node_limit()
     word = None
     if affine and len(t1) == rs.rank + 1:
         try:
-            word = connect_reduced(rs, e1.product(), t1, t2,
-                                   depth_limit=depth, node_limit=node_limit)
+            word = connect_reduced(rs, w, t1, t2, depth_limit=depth,
+                                   node_limit=node_limit)
         except (PipelineExhausted, ValueError):
             word = None
     if word is None:
         codes = reflection_codes(rs, affine)
         word = connect(codes.move, tuple(map(codes.code_of, t1)),
                        tuple(map(codes.code_of, t2)), depth, node_limit)
-        if word is not None and apply_braid(e1, word) != e2:
-            raise RuntimeError("internal inconsistency: the braid word found "
-                               "does not replay")
+        if word is not None:
+            p1, p2 = (tuple(reflection_pair(rs, r) for r in t) for t in (t1, t2))
+            if apply_braid(codes.table, p1, word) != p2:
+                raise RuntimeError("internal inconsistency: the braid word "
+                                   "found does not replay")
     payload = {"command": "connect", "group": format_group(rs, affine),
                "braid_word": braid_word_to_json(word),
                "limits": {"depth": depth, "node_limit": node_limit}}

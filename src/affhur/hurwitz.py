@@ -21,15 +21,14 @@ call is the word the search would find again. `orbit` is not cached: it
 returns a mutable set, which can hold millions of tuples.
 
 The words the searches find are replayed by a multiplication rule the
-searches do not use, and checked before they are trusted. `apply_move`
-and `apply_braid` act on the elements of a ReflectionTuple, finite
-(`FiniteWeylElement`) or affine (`AffineWeylElement`); the CLI and
-`affhur.verify` replay with them. `replay_pairs` acts on the affine pairs
-(c, w) for TR(c) w, the value of `affhur.weyl_aff`, of reflections: each
-entry is its own inverse, so each letter, sigma_i or its inverse, is one
-conjugation by the pair rule, `weyl_aff.pair_conj`, and reads no move
-table. `quasicox.connect_reduced` replays with it, on the pairs
-`ReflectionCodes.pair` keeps per code.
+searches do not use, and checked before they are trusted. `apply_braid`
+and `apply_move` act on the affine pairs (c, w) for TR(c) w, the value of
+`affhur.weyl_aff`, of reflections: each entry is its own inverse, so each
+letter, sigma_i or its inverse, is one conjugation by the pair rule,
+`weyl_aff.pair_conj`, and reads no move table. A finite reflection is the
+pair with c = 0. `quasicox.connect_reduced`, the CLI and `affhur.verify`
+replay with them, on the pairs `ReflectionCodes.pair` keeps per code or
+`weyl_aff.reflection_pair` makes.
 
 Words are applied leftmost letter first; positive letter i is sigma_i,
 negative is its inverse.
@@ -43,22 +42,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .rootsys import RootSystem, RootSystemError
-from .weyl_aff import AffineReflection, as_element, pair_conj, reflection_pair
+from .weyl_aff import AffineReflection, pair_conj, reflection_pair
 from .weyl_fin import SEARCH_MEMO_SIZE, RootTable, root_table
-
-
-@dataclass(frozen=True)
-class ReflectionTuple:
-    entries: tuple
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def product(self):
-        out = self.entries[0]
-        for x in self.entries[1:]:
-            out = out * x
-        return out
 
 
 @dataclass(frozen=True)
@@ -75,28 +60,9 @@ class BraidWord:
         return len(self.letters)
 
 
-def apply_move(t: ReflectionTuple, i: int, inverse: bool = False) -> ReflectionTuple:
-    """The i-th Hurwitz move (1-indexed): conjugate-and-shift of slots i, i+1."""
-    m = len(t.entries)
-    if not 1 <= i <= m - 1:
-        raise IndexError(f"move index {i} out of range for a {m}-tuple")
-    a, b = t.entries[i - 1], t.entries[i]
-    if inverse:
-        pair = (b, b.inverse() * a * b)
-    else:
-        pair = (a * b * a.inverse(), a)
-    return ReflectionTuple(t.entries[:i - 1] + pair + t.entries[i + 1:])
-
-
-def apply_braid(t: ReflectionTuple, word: BraidWord) -> ReflectionTuple:
-    for letter in word.letters:
-        t = apply_move(t, abs(letter), inverse=letter < 0)
-    return t
-
-
-def replay_pairs(table: RootTable, entries: tuple, word: BraidWord) -> tuple:
-    """`apply_braid` on the affine pairs (see `affhur.weyl_aff`) of
-    reflections, all of one root table.
+def apply_braid(table: RootTable, entries: tuple, word: BraidWord) -> tuple:
+    """The braid word applied to the affine pairs (see `affhur.weyl_aff`)
+    of reflections, all of one root table.
 
     sigma_i sends (a, b) at slots i, i+1 to (a b a^-1, a), its inverse to
     (b, b^-1 a b). Every entry must be a reflection pair, as
@@ -120,6 +86,12 @@ def replay_pairs(table: RootTable, entries: tuple, word: BraidWord) -> tuple:
             entries[i - 1] = b
             entries[i] = pair_conj(table, b, a)
     return tuple(entries)
+
+
+def apply_move(table: RootTable, entries: tuple, letter: int) -> tuple:
+    """`apply_braid` of the one-letter word: sigma_i for letter i > 0, its
+    inverse for -i."""
+    return apply_braid(table, entries, BraidWord((letter,)))
 
 
 # ------------------------------------------------------------------ codes
@@ -196,8 +168,7 @@ class ReflectionCodes:
     `code_of` reads it. `move(code, letter)` applies one letter to a
     tuple of codes. `reflection(code)` decodes an affine code to its
     `AffineReflection`, and `pair(code)` to its affine pair (see
-    `affhur.weyl_aff`), one shared instance per code; `decode` turns a
-    tuple of codes into a tuple of group elements.
+    `affhur.weyl_aff`), one shared instance per code.
     """
 
     def __init__(self, rs: RootSystem, affine: bool):
@@ -226,12 +197,6 @@ class ReflectionCodes:
         if not self.affine:
             return i
         return (i, r.level) if self.roots[i].coords == root.coords else (i, -r.level)
-
-    def decode(self, code: tuple) -> ReflectionTuple:
-        if self.affine:
-            return ReflectionTuple(tuple(as_element(self.rs, self.reflection(c))
-                                         for c in code))
-        return ReflectionTuple(tuple([self.table.elements[a] for a in code]))
 
     def braid(self, code: tuple, word: BraidWord) -> tuple:
         move = self.move

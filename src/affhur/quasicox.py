@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .hurwitz import (BraidWord, connect, lr_normalize, reflection_codes,
-                      replay_pairs)
+from .hurwitz import (BraidWord, apply_braid, connect, lr_normalize,
+                      reflection_codes)
 from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
                          reduce_mod, span)
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
@@ -592,7 +592,7 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     generates W0 are computed; on every call the product is compared with
     the pair of w, and a tuple that does not generate is refused. The word
     is replayed on every call, on the reflection pairs of t1 with
-    `hurwitz.replay_pairs`, one conjugation per letter and independent of
+    `hurwitz.apply_braid`, one conjugation per letter and independent of
     the move tables the stages search with, and compared with the pairs of
     t2. A stage that runs out of its limits raises `PipelineExhausted`.
     The alignment search is bounded by `node_limit` alone unless a
@@ -626,7 +626,7 @@ def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
     word = _connect_pipeline(codes, reflection_codes(rs, False).move, code1,
                              code2, n, depth_limit, node_limit)
     pair = codes.pair
-    if replay_pairs(table, tuple(map(pair, code1)), word) != tuple(map(pair, code2)):
+    if apply_braid(table, tuple(map(pair, code1)), word) != tuple(map(pair, code2)):
         raise RuntimeError("internal inconsistency: the braid word found "
                            "does not replay")
     return word

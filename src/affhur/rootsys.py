@@ -151,22 +151,20 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     roots = tuple(sorted(Root(v) for v in seen))
     delta = max(d)
 
-    rs = RootSystem(
+    highest = [r for r in roots if r.is_positive
+               and all(tuple(x + y for x, y in zip(r.coords, s)) not in seen
+                       for s in simple)]
+    if len(highest) != 1:
+        raise RootSystemError(f"highest root not unique in {family}{rank}")
+    return RootSystem(
         family=family,
         rank=rank,
         cartan=cartan,
         symmetrizer=tuple(d),
         roots=roots,
-        highest_root=roots[0],  # placeholder, fixed below
+        highest_root=highest[0],
         ratio_delta=delta,
     )
-    highest = [r for r in roots if r.is_positive
-               and all(Root(tuple(x + y for x, y in zip(r.coords, s)))
-                       not in rs.root_set for s in simple)]
-    if len(highest) != 1:
-        raise RootSystemError(f"highest root not unique in {family}{rank}")
-    object.__setattr__(rs, "highest_root", highest[0])
-    return rs
 
 
 @lru_cache(maxsize=None)

@@ -18,9 +18,9 @@ two actions on coroot coordinates where two products and an inverse make
 three. `pair_mul`, `pair_inverse`, `pair_conj` and `reflection_pair` are
 the rule on plain tuples; `AffineWeylElement` holds the same pair as
 (`translation`, `finite`) and multiplies by the same rule.
-`product_of_reflections`, `quasicox.connect_reduced` and the replay
-`hurwitz.replay_pairs` compute on tuples; the replay moves reflection
-pairs, each its own inverse, so each letter is one `pair_conj`.
+`product_of_reflections`, `quasicox.connect_reduced` and the Hurwitz
+replay `hurwitz.apply_braid` compute on tuples; the replay moves
+reflection pairs, each its own inverse, so each letter is one `pair_conj`.
 `quasicox.closure_generates` runs the reflection step inline, on c packed
 into one integer and (u alpha)-coroot read packed from a table per
 reflection.

@@ -160,13 +160,15 @@ def test_connect_affine_equal_tuples(runner):
 
 
 def test_connect_raises_when_word_does_not_replay(runner, monkeypatch):
-    # the fallback search replays its word on the elements before it answers
+    # the fallback search replays its word on the reflection pairs before it
+    # answers; the affine 2-tuples replay pairs with non-zero translations
     real = cli.apply_braid
-    monkeypatch.setattr(cli, "apply_braid",
-                        lambda tup, word: real(tup, word + BraidWord((1,))))
-    with pytest.raises(RuntimeError, match="internal inconsistency"):
-        runner.invoke(main, ["connect", "A2", "1,0;0,1", "1,1;1,0"],
-                      catch_exceptions=False)
+    monkeypatch.setattr(cli, "apply_braid", lambda table, entries, word:
+                        real(table, entries, word + BraidWord((1,))))
+    for args in (["A2", "1,0;0,1", "1,1;1,0"],
+                 ["affine:A2", "1,0:1;0,1:0", "1,1:1;1,0:1"]):
+        with pytest.raises(RuntimeError, match="internal inconsistency"):
+            runner.invoke(main, ["connect"] + args, catch_exceptions=False)
 
 
 def test_connect_product_mismatch(runner):

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import operator
 import os
 import random
 from collections import deque
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.hurwitz import (SEARCH_MEMO_SIZE, BraidWord, ReflectionTuple,
-                            apply_braid, apply_move, connect, lr_normalize,
-                            orbit, reflection_codes, replay_pairs)
+from affhur.hurwitz import (SEARCH_MEMO_SIZE, BraidWord, apply_braid,
+                            apply_move, connect, lr_normalize, orbit,
+                            reflection_codes)
 from affhur.rootsys import Root, build_root_system, parse_type
-from affhur.weyl_aff import AffineReflection, as_element, reflection_pair
+from affhur.weyl_aff import (AffineReflection, as_element, pair_product,
+                             reflection_pair)
 from affhur.weyl_fin import reflection_element, root_index_sequences, root_table
 
 MODEL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -33,13 +35,41 @@ def a2():
     return build_root_system("A", 2)
 
 
-def fin_tuple(rs, *roots):
-    return ReflectionTuple(tuple(reflection_element(rs, Root(r)) for r in roots))
+def product(t):
+    """The product of a tuple of group elements, left to right."""
+    return functools.reduce(operator.mul, t)
 
 
-def aff_tuple(rs, *refs):
-    return ReflectionTuple(tuple(as_element(rs, AffineReflection(Root(r), k))
-                                 for r, k in refs))
+def element_move(t, i, inverse=False):
+    """The i-th Hurwitz move (1-indexed) on a tuple of group elements, by
+    multiplying them: the reference the moves on codes are checked with."""
+    m = len(t)
+    if not 1 <= i <= m - 1:
+        raise IndexError(f"move index {i} out of range for a {m}-tuple")
+    a, b = t[i - 1], t[i]
+    pair = (b, b.inverse() * a * b) if inverse else (a * b * a.inverse(), a)
+    return t[:i - 1] + pair + t[i + 1:]
+
+
+def element_braid(t, word):
+    for letter in word.letters:
+        t = element_move(t, abs(letter), inverse=letter < 0)
+    return t
+
+
+def aff_pairs(rs, *refs):
+    return tuple(reflection_pair(rs, AffineReflection(Root(r), k)) for r, k in refs)
+
+
+def fin_pairs(rs, *roots):
+    return aff_pairs(rs, *((r, 0) for r in roots))
+
+
+def decode(codes, code):
+    """A tuple of codes as a tuple of group elements."""
+    if codes.affine:
+        return tuple(as_element(codes.rs, codes.reflection(c)) for c in code)
+    return tuple(codes.table.elements[a] for a in code)
 
 
 def fin_code(rs, *roots):
@@ -53,40 +83,44 @@ def aff_code(rs, *refs):
 
 
 def test_apply_move_shapes(a2):
-    t = fin_tuple(a2, (1, 0), (0, 1), (1, 1))
-    s1, s2, s3 = t.entries
-    moved = apply_move(t, 1)
-    assert moved.entries == (s1 * s2 * s1, s1, s3)
-    inv = apply_move(t, 1, inverse=True)
-    assert inv.entries == (s2, s2 * s1 * s2, s3)
-    assert apply_move(apply_move(t, 2), 2, inverse=True) == t
+    table = root_table(a2)
+    # s1, s2 generate an infinite dihedral group, so s1 s2 s1 != s2 s1 s2
+    # and the two letters move the tuple apart
+    t = aff_pairs(a2, ((1, 0), 0), ((1, 0), 1), ((1, 1), 0))
+    s1, s2, s3 = t
+    assert pair_product(table, (s1, s2, s1)) != pair_product(table, (s2, s1, s2))
+    moved = apply_move(table, t, 1)
+    assert moved == (pair_product(table, (s1, s2, s1)), s1, s3)
+    inv = apply_move(table, t, -1)
+    assert inv == (s2, pair_product(table, (s2, s1, s2)), s3)
+    assert apply_move(table, apply_move(table, t, 2), -2) == t
     with pytest.raises(IndexError):
-        apply_move(t, 3)
+        apply_move(table, t, 3)
     with pytest.raises(IndexError):
-        apply_move(t, 0)
+        apply_move(table, t, 0)
 
 
 def test_moves_preserve_product(a2):
-    t = aff_tuple(a2, ((1, 0), 1), ((0, 1), -2), ((1, 1), 0))
-    prod = t.product()
+    table = root_table(a2)
+    t = aff_pairs(a2, ((1, 0), 1), ((0, 1), -2), ((1, 1), 0))
+    prod = pair_product(table, t)
     for i in (1, 2):
-        for inv in (False, True):
-            assert apply_move(t, i, inv).product() == prod
+        for letter in (i, -i):
+            assert pair_product(table, apply_move(table, t, letter)) == prod
 
 
 def test_braid_word_application_order(a2):
     # the leftmost letter acts first: pinned by the worked dihedral chain
-    s1 = reflection_element(a2, Root((1, 0)))
-    s2 = reflection_element(a2, Root((0, 1)))
-    t = ReflectionTuple((s1, s1, s2, s2))
-    result = apply_braid(t, BraidWord((2, 1, 3, 2)))
-    assert result == ReflectionTuple((s2, s2, s1, s1))
+    s1, s2 = fin_pairs(a2, (1, 0), (0, 1))
+    result = apply_braid(root_table(a2), (s1, s1, s2, s2), BraidWord((2, 1, 3, 2)))
+    assert result == (s2, s2, s1, s1)
 
 
 def test_braid_word_inverse_and_concat(a2):
-    t = aff_tuple(a2, ((1, 0), 0), ((1, 1), 1), ((0, 1), -1))
+    table = root_table(a2)
+    t = aff_pairs(a2, ((1, 0), 0), ((1, 1), 1), ((0, 1), -1))
     w = BraidWord((1, -2, 1, 2))
-    assert apply_braid(apply_braid(t, w), w.inverse()) == t
+    assert apply_braid(table, apply_braid(table, t, w), w.inverse()) == t
     assert (w + w.inverse()).letters == (1, -2, 1, 2, -2, -1, 2, -1)
 
 
@@ -94,7 +128,7 @@ def test_orbit_exhausted(a2):
     res = orbit(reflection_codes(a2, False).move, fin_code(a2, (1, 0), (0, 1)))
     assert res.exhausted
     assert len(res.members) == 3  # Red_T of a Coxeter element of A2
-    c = fin_tuple(a2, (1, 0), (0, 1)).product()
+    c = reflection_element(a2, Root((1, 0))) * reflection_element(a2, Root((0, 1)))
     assert res.members == {seq for seq, _ in root_index_sequences(a2, c, 2)}
 
 
@@ -114,8 +148,9 @@ def test_connect_basic(a2):
     assert connect(codes.move, t, t) == BraidWord()
     word = connect(codes.move, t, codes.braid(t, BraidWord((1, 1))))
     assert word is not None
-    e = fin_tuple(a2, (1, 0), (0, 1))
-    assert apply_braid(e, word) == apply_braid(e, BraidWord((1, 1)))
+    e = fin_pairs(a2, (1, 0), (0, 1))
+    table = root_table(a2)
+    assert apply_braid(table, e, word) == apply_braid(table, e, BraidWord((1, 1)))
 
 
 def test_connect_product_mismatch(a2):
@@ -133,8 +168,10 @@ def test_connect_affine(a2):
     t = aff_code(a2, *refs)
     word = connect(codes.move, t, codes.braid(t, BraidWord((2, -1, 2, 2, 1))))
     assert word is not None
-    e = aff_tuple(a2, *refs)
-    assert apply_braid(e, word) == apply_braid(e, BraidWord((2, -1, 2, 2, 1)))
+    e = aff_pairs(a2, *refs)
+    table = root_table(a2)
+    assert apply_braid(table, e, word) == \
+        apply_braid(table, e, BraidWord((2, -1, 2, 2, 1)))
 
 
 def test_lr_normalize(a2):
@@ -143,7 +180,7 @@ def test_lr_normalize(a2):
     roots = ((1, 0), (0, 1), (1, 0), (0, 1))
     word = lr_normalize(move, fin_code(a2, *roots), 0)
     if word is not None:
-        e = apply_braid(fin_tuple(a2, *roots), word).entries
+        e = apply_braid(root_table(a2), fin_pairs(a2, *roots), word)
         assert e[0] == e[1] and e[2] == e[3]
     # parity mismatch and a negative target are rejected
     with pytest.raises(ValueError):
@@ -162,17 +199,18 @@ def test_lr_normalize_finds_tail(a2):
     roots = ((1, 0), (0, 1), (1, 1))
     word = lr_normalize(move, fin_code(a2, *roots), 1)
     assert word is not None
-    t = fin_tuple(a2, *roots)
-    normed = apply_braid(t, word)
-    assert normed.entries[1] == normed.entries[2]
-    assert normed.product() == t.product()
+    table = root_table(a2)
+    t = fin_pairs(a2, *roots)
+    normed = apply_braid(table, t, word)
+    assert normed[1] == normed[2]
+    assert pair_product(table, normed) == pair_product(table, t)
 
 
 # ------------------------------------------------- the search on codes
 #
 # The searches run on reflection codes. The oracles below work on the group
-# elements alone: element-level apply_move/apply_braid, and breadth-first
-# searches over ReflectionTuples of elements written in the same order.
+# elements alone: `element_move`/`element_braid` above, and breadth-first
+# searches over tuples of elements written in the same order.
 
 CODE_GROUPS = ["A2", "B2", "G2", "A3", "B3", "F4"]
 
@@ -190,7 +228,7 @@ def _reference_word(parents, node):
 
 
 def _apply_letter(t, letter):
-    return apply_move(t, abs(letter), inverse=letter < 0)
+    return element_move(t, abs(letter), inverse=letter < 0)
 
 
 def reference_lr_normalize(t, target_reduced_length, node_limit=10 ** 6):
@@ -199,8 +237,7 @@ def reference_lr_normalize(t, target_reduced_length, node_limit=10 ** 6):
     pairs = (m - target_reduced_length) // 2
 
     def shaped(u):
-        e = u.entries
-        return all(e[m - 1 - 2 * j] == e[m - 2 - 2 * j] for j in range(pairs))
+        return all(u[m - 1 - 2 * j] == u[m - 2 - 2 * j] for j in range(pairs))
 
     if shaped(t):
         return BraidWord()
@@ -244,7 +281,7 @@ def reference_orbit(t, node_limit=10 ** 6, depth_limit=None):
 
 def reference_connect(t1, t2, depth_limit=12, node_limit=10 ** 6):
     """Bidirectional breadth-first search on the elements."""
-    if t1.product() != t2.product():
+    if product(t1) != product(t2):
         return None
     if t1 == t2:
         return BraidWord()
@@ -282,7 +319,7 @@ def _tuples(rs, affine, refs):
     codes = reflection_codes(rs, affine)
     elements = tuple(as_element(rs, r) if affine else reflection_element(rs, r.root)
                      for r in refs)
-    return ReflectionTuple(elements), tuple(map(codes.code_of, refs))
+    return elements, tuple(map(codes.code_of, refs))
 
 
 def _draw_tuple(data, rs, affine, size):
@@ -307,13 +344,13 @@ def test_code_moves_match_element_moves(data):
     m = data.draw(st.integers(2, 5))
     t, code = _draw_tuple(data, rs, affine, m)
     codes = reflection_codes(rs, affine)
-    assert codes.decode(code) == t
+    assert decode(codes, code) == t
     for i in range(1, m):
         for inverse in (False, True):
             letter = -i if inverse else i
-            assert codes.decode(codes.move(code, letter)) == apply_move(t, i, inverse)
+            assert decode(codes, codes.move(code, letter)) == element_move(t, i, inverse)
     word = _draw_word(data, m, 12)
-    assert codes.decode(codes.braid(code, word)) == apply_braid(t, word)
+    assert decode(codes, codes.braid(code, word)) == element_braid(t, word)
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,7 +367,7 @@ def test_searches_return_the_reference_words(data):
     word = _draw_word(data, m, 6)
     assert connect(codes.move, code, codes.braid(code, word), depth_limit=6,
                    node_limit=3000) == \
-        reference_connect(t, apply_braid(t, word), depth_limit=6, node_limit=3000)
+        reference_connect(t, element_braid(t, word), depth_limit=6, node_limit=3000)
 
 
 @settings(max_examples=40, deadline=None)
@@ -357,7 +394,7 @@ def test_orbit_matches_the_reference(data):
     for limits in cases:
         res = orbit(codes.move, code, **limits)
         parents, exhausted = reference_orbit(t, **limits)
-        assert set(map(codes.decode, res.members)) == set(parents)
+        assert {decode(codes, code) for code in res.members} == set(parents)
         assert res.exhausted == exhausted
 
 
@@ -382,7 +419,7 @@ def test_pipeline_searches_return_the_reference_words(name):
         for affine in (False, True):
             t, code = _tuples(rs, affine, refs)
             codes = reflection_codes(rs, affine)
-            other, goal = apply_braid(t, word), codes.braid(code, word)
+            other, goal = element_braid(t, word), codes.braid(code, word)
             assert connect(codes.move, code, goal, node_limit=20000) == \
                 reference_connect(t, other, node_limit=20000)
             # both searches give up at the same node count
@@ -402,7 +439,7 @@ def test_code_of_takes_either_sign_of_a_root(name):
     for i, r in enumerate(rs.positive_roots):
         assert fin.code_of(AffineReflection(r, 0)) == i
         assert fin.code_of(AffineReflection(-r, 0)) == i
-        assert fin.decode((i,)) == ReflectionTuple((reflection_element(rs, -r),))
+        assert decode(fin, (i,)) == (reflection_element(rs, -r),)
         assert aff.code_of(AffineReflection(r, -1)) == (i, -1)
         assert aff.code_of(AffineReflection(-r, 2)) == (i, -2)
 
@@ -451,7 +488,7 @@ def replay_inputs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(replay_inputs())
-def test_replay_pairs_matches_the_matrix_model(data):
+def test_apply_braid_matches_the_matrix_model(data):
     # the replay on affine pairs against the model's replay by matrices
     name, refs, word = data
     rs = parse_type(name)
@@ -461,9 +498,9 @@ def test_replay_pairs_matches_the_matrix_model(data):
                      for r, k in replayed)
     table = root_table(rs)
     pairs = tuple(reflection_pair(rs, r) for r in refs)
-    assert replay_pairs(table, pairs, BraidWord(word)) == expected
+    assert apply_braid(table, pairs, BraidWord(word)) == expected
     # and the inverse word brings the pairs back
-    assert replay_pairs(table, expected, BraidWord(word).inverse()) == pairs
+    assert apply_braid(table, expected, BraidWord(word).inverse()) == pairs
 
 
 # ------------------------------------------------------- the search memos
@@ -487,7 +524,7 @@ def _pipeline_inputs(name, count=4):
             continue  # already in normal form: no search would run
         word = BraidWord(tuple(rng.choice((1, -1)) * rng.randint(1, n)
                                for _ in range(5)))
-        out.append((t, code, apply_braid(t, word), codes.braid(code, word)))
+        out.append((t, code, element_braid(t, word), codes.braid(code, word)))
     return rs, codes, out
 
 

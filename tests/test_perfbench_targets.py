@@ -33,7 +33,8 @@ def test_every_traced_target_resolves():
 
 def test_tracer_sees_the_searches_of_connect_reduced():
     # connect_reduced normalizes both tuples, then aligns their finite parts
-    # once; the tracer's rows for the two searches count those calls
+    # once, and replays the word once; the tracer's rows for the two
+    # searches and the replay count those calls
     from affhur.hurwitz import connect, lr_normalize
     from affhur.quasicox import (FactorizationQuery, connect_reduced,
                                  enumerate_factorizations)
@@ -55,6 +56,7 @@ def test_tracer_sees_the_searches_of_connect_reduced():
             tracer.uninstall()
         assert tracer.calls["hurwitz.lr_normalize"] == 2
         assert tracer.calls["hurwitz.connect"] == 1
+        assert tracer.calls["hurwitz.apply_braid"] == 1
         if repeat:
             assert (lr_normalize.cache_info().hits - hits[0],
                     connect.cache_info().hits - hits[1]) == (2, 1)

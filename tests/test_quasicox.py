@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affhur.hurwitz import (BraidWord, ReflectionTuple, _move_table, apply_braid,
-                            reflection_codes)
+from affhur.hurwitz import BraidWord, _move_table, reflection_codes
 from affhur.intlattice import (full_lattice, index, lattice_equal, reduce_mod,
                                span)
 from affhur.linalg import echelon_integer, solve_rational
@@ -37,6 +36,7 @@ from affhur.weyl_fin import (SEARCH_MEMO_SIZE, FiniteWeylElement,
                              identity_element, is_parabolic,
                              reflection_element, root_table,
                              smallest_subsystem)
+from test_hurwitz import element_braid
 from test_linalg import solve_integer_reference
 
 
@@ -725,11 +725,11 @@ def test_fiber_pinned_example(a2):
 
 def test_fiber_members_connected_by_sigma_n(a2):
     base = (ref((1, 0), 0), ref((1, 1), 1), ref((1, 1), 0))
-    t_base = ReflectionTuple(tuple(as_element(a2, r) for r in base))
+    t_base = tuple(as_element(a2, r) for r in base)
     for j, m in zip(range(-2, 3), fiber(a2, base, 2)):
-        t_m = ReflectionTuple(tuple(as_element(a2, r) for r in m))
+        t_m = tuple(as_element(a2, r) for r in m)
         word = BraidWord((2,) * j if j >= 0 else (-2,) * (-j))
-        assert apply_braid(t_base, word) == t_m
+        assert element_braid(t_base, word) == t_m
 
 
 def test_fiber_requires_tail_pattern(a2):
@@ -744,11 +744,11 @@ def test_fiber_requires_tail_pattern(a2):
 def test_connect_reduced_round_trip(a2):
     t1 = simple_system_affine(a2)
     w = product_of_reflections(a2, t1)
-    e1 = ReflectionTuple(tuple(as_element(a2, r) for r in t1))
-    moved = apply_braid(e1, BraidWord((1, 2, -1, 2, 2)))
-    t2 = tuple(recognize_reflection(a2, e) for e in moved.entries)
+    e1 = tuple(as_element(a2, r) for r in t1)
+    moved = element_braid(e1, BraidWord((1, 2, -1, 2, 2)))
+    t2 = tuple(recognize_reflection(a2, e) for e in moved)
     word = connect_reduced(a2, w, t1, t2)
-    assert apply_braid(e1, word) == moved
+    assert element_braid(e1, word) == moved
 
 
 def test_connect_reduced_depth_limit_cuts_the_alignment():
@@ -757,11 +757,11 @@ def test_connect_reduced_depth_limit_cuts_the_alignment():
     a3 = build_root_system("A", 3)
     t1 = simple_system_affine(a3)
     w = product_of_reflections(a3, t1)
-    e1 = ReflectionTuple(tuple(as_element(a3, r) for r in t1))
-    moved = apply_braid(e1, BraidWord((3, -2, 3, -3, -3, -3)))
-    t2 = tuple(recognize_reflection(a3, e) for e in moved.entries)
+    e1 = tuple(as_element(a3, r) for r in t1)
+    moved = element_braid(e1, BraidWord((3, -2, 3, -3, -3, -3)))
+    t2 = tuple(recognize_reflection(a3, e) for e in moved)
     word = connect_reduced(a3, w, t1, t2)
-    assert apply_braid(e1, word) == moved
+    assert element_braid(e1, word) == moved
     assert connect_reduced(a3, w, t1, t2, depth_limit=5) == word
     with pytest.raises(PipelineExhausted) as exc:
         connect_reduced(a3, w, t1, t2, depth_limit=4)
@@ -778,9 +778,9 @@ def test_connect_reduced_default_needs_no_depth_guess():
     t2 = (ref((0, 0, 1, 0, 1), -1), ref((0, 0, 1, 1, 0), -1),
           ref((1, 1, 1, 1, 1)), ref((0, 1, 0, 0, 0), 2), ref((1, 1, 2, 1, 1)),
           ref((1, 0, 0, 0, 0), 1))
-    e1 = ReflectionTuple(tuple(as_element(d5, r) for r in t1))
-    e2 = ReflectionTuple(tuple(as_element(d5, r) for r in t2))
-    assert apply_braid(e1, connect_reduced(d5, w, t1, t2)) == e2
+    e1 = tuple(as_element(d5, r) for r in t1)
+    e2 = tuple(as_element(d5, r) for r in t2)
+    assert element_braid(e1, connect_reduced(d5, w, t1, t2)) == e2
     with pytest.raises(PipelineExhausted) as exc:
         connect_reduced(d5, w, t1, t2, depth_limit=16)
     assert exc.value.stage == "finite-alignment"
@@ -819,9 +819,9 @@ def test_connect_reduced_checks_each_tuple_once_and_compares_every_call(a2):
     assert quasicox._tuple_facts.cache_info().maxsize == SEARCH_MEMO_SIZE
     t1 = simple_system_affine(a2)
     w = product_of_reflections(a2, t1)
-    e1 = ReflectionTuple(tuple(as_element(a2, r) for r in t1))
+    e1 = tuple(as_element(a2, r) for r in t1)
     t2 = tuple(recognize_reflection(a2, e)
-               for e in apply_braid(e1, BraidWord((1, 2))).entries)
+               for e in element_braid(e1, BraidWord((1, 2))))
     quasicox._tuple_facts.cache_clear()
     word = connect_reduced(a2, w, t1, t2)
     info = quasicox._tuple_facts.cache_info()
@@ -847,9 +847,9 @@ def test_connect_reduced_raises_when_a_stage_is_exhausted(a2, monkeypatch):
     monkeypatch.setattr(quasicox, "lr_normalize", lambda *args: None)
     t1 = simple_system_affine(a2)
     w = product_of_reflections(a2, t1)
-    e1 = ReflectionTuple(tuple(as_element(a2, r) for r in t1))
+    e1 = tuple(as_element(a2, r) for r in t1)
     t2 = tuple(recognize_reflection(a2, e)
-               for e in apply_braid(e1, BraidWord((1,))).entries)
+               for e in element_braid(e1, BraidWord((1,))))
     with pytest.raises(PipelineExhausted) as exc:
         connect_reduced(a2, w, t1, t2)
     assert exc.value.stage == "normalize"
@@ -870,9 +870,9 @@ def test_connect_reduced_raises_when_word_does_not_replay(name, word, monkeypatc
     rs = parse_type(name)
     t1 = simple_system_affine(rs)
     w = product_of_reflections(rs, t1)
-    e1 = ReflectionTuple(tuple(as_element(rs, r) for r in t1))
+    e1 = tuple(as_element(rs, r) for r in t1)
     t2 = tuple(recognize_reflection(rs, e)
-               for e in apply_braid(e1, BraidWord(word)).entries)
+               for e in element_braid(e1, BraidWord(word)))
     assert t2[0] != t2[1]  # so that sigma_1 moves t2
     connect_reduced(rs, w, t1, t2)  # the word as found replays
     real = quasicox._connect_pipeline
@@ -903,13 +903,13 @@ PINNED_WORDS = [
 def test_connect_reduced_returns_the_pinned_word(name, word1, word2, letters):
     rs = parse_type(name)
     simple = simple_system_affine(rs)
-    start = ReflectionTuple(tuple(as_element(rs, r) for r in simple))
-    e1, e2 = (apply_braid(start, BraidWord(word)) for word in (word1, word2))
-    t1, t2 = (tuple(recognize_reflection(rs, e) for e in t.entries)
+    start = tuple(as_element(rs, r) for r in simple)
+    e1, e2 = (element_braid(start, BraidWord(word)) for word in (word1, word2))
+    t1, t2 = (tuple(recognize_reflection(rs, e) for e in t)
               for t in (e1, e2))
     word = connect_reduced(rs, product_of_reflections(rs, simple), t1, t2)
     assert word.letters == letters
-    assert apply_braid(e1, word) == e2
+    assert element_braid(e1, word) == e2
 
 
 def test_generates_affine_keeps_its_own_error_when_normalization_fails(

@@ -151,7 +151,7 @@ def test_pair_conj_is_the_rule_with_the_inverse(data):
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4",
                                   "D4", "F4"])
 def test_reflection_pairs_are_involutions(name):
-    # hurwitz.replay_pairs reads b^-1 as b for every entry b it moves
+    # hurwitz.apply_braid reads b^-1 as b for every entry b it moves
     rs = parse_type(name)
     table = root_table(rs)
     identity = ((0,) * rs.rank, table.identity)

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from affhur.hurwitz import ReflectionTuple, orbit, reflection_codes
+from affhur.hurwitz import orbit, reflection_codes
 from affhur.intlattice import full_lattice, lattice_equal, span
 from affhur.linalg import mat_mul, mat_vec
 from affhur.rootsys import (Root, RootSystemError, bilinear_row,
@@ -19,6 +19,7 @@ from affhur.weyl_fin import (SEARCH_MEMO_SIZE, FiniteWeylElement, RootTable,
                              is_quasi_coxeter_fin, reflection_element,
                              root_index_sequences, root_of_reflection,
                              root_sequences, root_table, smallest_subsystem)
+from test_hurwitz import product
 
 GROUP_ORDERS = {("A", 2): 6, ("B", 2): 8, ("G", 2): 12, ("A", 3): 24}
 
@@ -141,8 +142,7 @@ def test_reduced_factorizations_coxeter(family, rank, count):
     assert len(facs) == count == len(set(facs))
     pos = rs.positive_roots
     for fac in facs:
-        assert ReflectionTuple(tuple(reflection_element(rs, pos[j])
-                                     for j in fac)).product() == c
+        assert product([reflection_element(rs, pos[j]) for j in fac]) == c
 
 
 def test_reduced_factorizations_identity():
@@ -465,8 +465,8 @@ def test_fac_set():
     assert facs, "a reflection has generating length-3 factorizations"
     assert facs == [
         roots for roots in itertools.product(pos, repeat=3)
-        if ReflectionTuple(tuple(reflection_element(rs, r) for r in roots)
-                           ).product() == s1 and generates_w0(rs, roots)]
+        if product([reflection_element(rs, r) for r in roots]) == s1
+        and generates_w0(rs, roots)]
 
 
 def test_roots_of_tuple_rejects_non_reflection():
