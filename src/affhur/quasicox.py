@@ -104,31 +104,23 @@ def _code_data(rs: RootSystem) -> tuple:
                  for a in rs.positive_roots)
 
 
-def generates_affine(rs: RootSystem, refs) -> GenerationResult:
-    """Decide whether n+1 affine reflections generate the affine group.
+def _generation(codes, code: tuple):
+    """The generation rule on an affine code (n+1)-tuple.
 
-    Normalizes to a repeated-root tail, conjugates the first n levels to
-    zero by a coweight, and compares the translation lattice generated by
-    the leftover translation's orbit with the full coroot lattice. The
-    tuple is coded once; the projection test (`generates_w0_codes`) and
-    the normalization (see `_normalize_tail`) run on its codes, so no
-    group element is built. The orbit is the roots of the tail root's
-    length, so the lattice is |gap| L for the span L of their coroots,
-    which is kept once per root length (`_translation_lattice`). The
-    Cartan row and squared length of each root are read by code from
-    `_code_data`.
+    `codes` is the affine `ReflectionCodes` of the root system. Returns
+    None when the projection does not generate W0 (`generates_w0_codes`).
+    Otherwise the tuple is braided to a repeated-root tail (see
+    `_normalize_tail`), and the result is (word, normalized code,
+    verdict). The translations of the generated subgroup, once the first
+    n levels are conjugated to zero, are |gap| L for the span L of the
+    coroots of the tail root's length (`_coroot_lattice`), so the tuple
+    generates the affine group exactly when |gap| = 1 and L is the full
+    coroot lattice.
     """
-    refs = tuple(refs)
+    rs = codes.rs
     n = rs.rank
-    if len(refs) != n + 1:
-        raise ValueError(f"expected {n + 1} reflections, got {len(refs)}")
-    codes = reflection_codes(rs, True)
-    code = tuple(map(codes.code_of, refs))
-    projected_generates = generates_w0_codes(rs, frozenset([a for a, _ in code]))
-    if not projected_generates:
-        cert = GenerationCertificate(None, None, None, None, False, None)
-        return GenerationResult(False, cert)
-
+    if not generates_w0_codes(rs, frozenset([a for a, _ in code])):
+        return None
     found = _normalize_tail(codes, reflection_codes(rs, False).move, code)
     if found is None:
         raise RuntimeError("internal inconsistency: repeated-root shape "
@@ -138,6 +130,32 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     if tail != normed[n][0]:
         raise RuntimeError("internal inconsistency: normalized tuple lacks "
                            "the repeated-root tail")
+    verdict = (abs(normed[n - 1][1] - normed[n][1]) == 1 and lattice_equal(
+        _coroot_lattice(rs, _code_data(rs)[tail][1]), full_lattice(n)))
+    return word, normed, verdict
+
+
+def generates_affine(rs: RootSystem, refs) -> GenerationResult:
+    """Decide whether n+1 affine reflections generate the affine group.
+
+    The tuple is coded once and decided by `_generation`, the rule
+    `is_quasi_coxeter_affine` also reads, so no group element is built.
+    The certificate adds the coweight that conjugates the first n levels
+    of the normalized tuple to zero and the translation lattice
+    (`_translation_lattice`): |gap| times the span of the coroots of the
+    tail root's length, kept once per root length. The Cartan row and
+    squared length of each root are read by code from `_code_data`.
+    """
+    refs = tuple(refs)
+    n = rs.rank
+    if len(refs) != n + 1:
+        raise ValueError(f"expected {n + 1} reflections, got {len(refs)}")
+    codes = reflection_codes(rs, True)
+    rule = _generation(codes, tuple(map(codes.code_of, refs)))
+    if rule is None:
+        cert = GenerationCertificate(None, None, None, None, False, None)
+        return GenerationResult(False, cert)
+    word, normed, verdict = rule
 
     data = _code_data(rs)
     sol = solve_rational([data[a][0] for a, _ in normed[:n]],
@@ -145,17 +163,15 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     if sol is None or sol[1]:
         raise RuntimeError("internal inconsistency: normalized roots must "
                            "be independent")
-    lam = sol[0]
 
+    tail = normed[n][0]
     gap = normed[n - 1][1] - normed[n][1]
     norm = data[tail][1]
-    lattice = _translation_lattice(rs, norm, gap)
-    verdict = lattice_equal(lattice, full_lattice(n))
-    if verdict and (abs(gap) != 1 or norm != 2 * rs.ratio_delta):
+    if verdict and norm != 2 * rs.ratio_delta:
         raise RuntimeError("internal inconsistency: generation verdict violates "
-                           "the long-root / unit-gap necessity")
-    cert = GenerationCertificate(word, lam, codes.roots[tail], gap,
-                                 projected_generates, lattice)
+                           "the long-root necessity")
+    cert = GenerationCertificate(word, sol[0], codes.roots[tail], gap, True,
+                                 _translation_lattice(rs, norm, gap))
     return GenerationResult(verdict, cert)
 
 
@@ -491,11 +507,13 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     """Search for a generating length-(n+1) decomposition of w.
 
     A generating witness needs no separate reducedness check. The
-    factorizations with levels in [-cap, cap] are read block by block from
-    `_factorization_blocks` and the test stops at the first generating
-    tuple: every earlier block was walked in full, so it is the first
-    generating tuple of the sorted enumeration. A negative verdict is
-    conclusive when parity or exact insolvability rules out all
+    factorizations with levels in [-cap, cap] are read as affine codes,
+    block by block from `_factorization_blocks`, and each code tuple is
+    decided by `_generation`, the rule `generates_affine` reads. The test
+    stops at the first generating tuple: every earlier block was walked in
+    full, so it is the first generating tuple of the sorted enumeration,
+    and it is the only one decoded to `AffineReflection`s. A negative
+    verdict is conclusive when parity or exact insolvability rules out all
     length-(n+1) factorizations; otherwise it only covers |k_i| <= cap.
     """
     n = rs.rank
@@ -510,47 +528,22 @@ def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,
     if _has_factorization(rs, w, n - 1):
         return QuasiCoxeterResult(False, None, True,
                                   f"absolute length at most {n - 1}, below {m}")
-    # the generated subgroup is a Hurwitz invariant: once a tuple fails to
-    # generate, so does every tuple reached from it by moves inside the
-    # window, and the first generating tuple in sorted order is still found
     codes = reflection_codes(rs, True)
-    settled: set = set()
+    empty = True
     for code in itertools.chain.from_iterable(
             _factorization_blocks(rs, w, m, level_cap)):
-        if code in settled:
-            continue
-        fac = tuple(map(codes.reflection, code))
-        if generates_affine(rs, fac).generates:
-            return QuasiCoxeterResult(True, fac, True, "generating witness found")
-        settled.add(code)
-        stack = [code]
-        while stack:
-            for moved in _moves_in_window(codes.move, stack.pop(), level_cap):
-                if moved not in settled:
-                    settled.add(moved)
-                    stack.append(moved)
-    # an empty window leaves nothing settled
-    if not settled and not _has_factorization(rs, w, m):
+        empty = False
+        rule = _generation(codes, code)
+        if rule is not None and rule[2]:
+            return QuasiCoxeterResult(True, tuple(map(codes.reflection, code)),
+                                      True, "generating witness found")
+    if empty and not _has_factorization(rs, w, m):
         # exact insolvability, not merely an empty K-window
         return QuasiCoxeterResult(False, None, True,
                                   f"no length-{m} factorization exists "
                                   "(integer systems insolvable)")
     return QuasiCoxeterResult(False, None, False,
                               f"no witness with levels bounded by {level_cap}")
-
-
-def _moves_in_window(move, code, bound: int):
-    """Tuples one sigma_i or sigma_i^-1 away whose levels stay in [-bound, bound].
-
-    Tuples are coded as (positive-root index, level) pairs and `move` is
-    the affine `ReflectionCodes.move`; only the entry a move creates can
-    leave the window.
-    """
-    for i in range(1, len(code)):
-        for letter, new in ((i, i - 1), (-i, i)):
-            moved = move(code, letter)
-            if -bound <= moved[new][1] <= bound:
-                yield moved
 
 
 def fiber(rs: RootSystem, base, shift_bound: int):

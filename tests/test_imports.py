@@ -50,7 +50,7 @@ def test_no_unused_imports(path):
 
 
 # The paper's definitions, kept although only the tests read them so far:
-# ROADMAP items 2 and 4 wire them into `affhur verify`.
+# ROADMAP items 7 and 9 wire them into `affhur verify`.
 UNREAD_ALLOWED = {"is_quasi_coxeter_fin", "is_parabolic_quasi_coxeter_fin",
                   "is_parabolic_quasi_coxeter_affine", "smallest_subsystem"}
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

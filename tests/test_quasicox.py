@@ -19,7 +19,7 @@ from affhur import quasicox, verify
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
                              _factorization_blocks, _factorization_codes,
                              _has_factorization, _levels_in_window,
-                             _moves_in_window, _roots_by_length,
+                             _roots_by_length,
                              absolute_length_affine,
                              closure_generates, connect_reduced,
                              enumerate_factorizations, fiber, generates_affine,
@@ -957,6 +957,20 @@ def test_is_quasi_coxeter_affine_short_element_conclusive(a2):
         assert not res.is_quasi_coxeter and res.conclusive
 
 
+def _moves_in_window(move, code, bound: int):
+    """Tuples one sigma_i or sigma_i^-1 away whose levels stay in [-bound, bound].
+
+    Tuples are coded as (positive-root index, level) pairs and `move` is
+    the affine `ReflectionCodes.move`; only the entry a move creates can
+    leave the window.
+    """
+    for i in range(1, len(code)):
+        for letter, new in ((i, i - 1), (-i, i)):
+            moved = move(code, letter)
+            if -bound <= moved[new][1] <= bound:
+                yield moved
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
 def test_move_table_matches_group_multiplication(name):
     rs = parse_type(name)
@@ -1003,11 +1017,45 @@ def test_quasi_coxeter_witness_is_first_generating_tuple(name):
         assert res.is_quasi_coxeter == (first is not None)
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_quasi_coxeter_verdicts_match_the_closure_oracle(name):
+    # `closure_generates` multiplies group elements and shares no code with
+    # the rule of `generates_affine`; Coxeter elements, their conjugates and
+    # random length-(n+1) products, decided in the window K = 1
+    rs = parse_type(name)
+    n = rs.rank
+    rng = random.Random(36)
+
+    def random_refs(size):
+        return [AffineReflection(rng.choice(rs.positive_roots), rng.randint(-1, 1))
+                for _ in range(size)]
+
+    coxeter = product_of_reflections(rs, simple_system_affine(rs))
+    elements = [coxeter]
+    for _ in range(3):
+        x = product_of_reflections(rs, random_refs(2))
+        elements.append(x * coxeter * x.inverse())
+    elements += [product_of_reflections(rs, random_refs(n + 1)) for _ in range(8)]
+    verdicts = set()
+    for w in elements:
+        res = is_quasi_coxeter_affine(rs, w, 1)
+        if res.is_quasi_coxeter:
+            assert product_of_reflections(rs, res.witness) == w
+            assert closure_generates(rs, res.witness), res.witness
+        elif not res.conclusive:
+            for fac in enumerate_factorizations(rs, FactorizationQuery(w, n + 1, 1)):
+                assert not closure_generates(rs, fac), fac
+        verdicts.add((res.is_quasi_coxeter, res.conclusive))
+    assert {(True, True), (False, False)} <= verdicts
+
+
 def _is_quasi_coxeter_reference(rs, w, level_cap=2):
-    """The element path `is_quasi_coxeter_affine` took before it walked
-    affine codes: enumerate the AffineReflection tuples, encode each one
-    to look it up among the settled tuples, and hand it to
-    `generates_affine`. Returns (verdict, witness, conclusive, detail)."""
+    """`is_quasi_coxeter_affine` on the element path, by another argument:
+    enumerate the AffineReflection tuples and hand them to
+    `generates_affine`, but skip every tuple that Hurwitz moves inside the
+    window reach from one that fails. The generated subgroup is a Hurwitz
+    invariant, so the first generating tuple in sorted order is still
+    found. Returns (verdict, witness, conclusive, detail)."""
     n = rs.rank
     m = n + 1
     if absolute_length(w.finite) % 2 != m % 2:
