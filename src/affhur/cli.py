@@ -26,7 +26,7 @@ from .quasicox import (FactorizationQuery, PipelineExhausted,
                        is_quasi_coxeter_affine)
 from .rootsys import RootSystemError, coroot, parse_type
 from .weyl_aff import product_of_reflections, reflection_pair
-from .weyl_fin import absolute_length
+from .weyl_fin import SEARCH_NODE_LIMIT, absolute_length
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,7 +42,7 @@ def _usage_error(msg: str):
 def _node_limit() -> int:
     raw = os.environ.get("AFFHUR_NODE_LIMIT")
     if raw is None:
-        return 10 ** 6
+        return SEARCH_NODE_LIMIT
     try:
         limit = int(raw)
     except ValueError:
@@ -253,7 +253,10 @@ def cmd_orbit(group, reflections, depth, fmt):
 @click.argument("tuple1")
 @click.argument("tuple2")
 @click.option("--depth", type=click.IntRange(min=0), default=16,
-              show_default=True)
+              show_default=True,
+              help="Depth bound of the search. Affine (n+1)-tuples try "
+                   "the quasi-Coxeter pipeline first, and there it bounds "
+                   "only the finite-alignment stage.")
 @fmt_option
 def cmd_connect(group, tuple1, tuple2, depth, fmt):
     """Braid word sending TUPLE1 to TUPLE2 (semicolon-separated literals)."""

@@ -43,7 +43,8 @@ from functools import lru_cache, partial
 
 from .rootsys import RootSystem, RootSystemError
 from .weyl_aff import AffineReflection, pair_conj, reflection_pair
-from .weyl_fin import SEARCH_MEMO_SIZE, RootTable, root_table
+from .weyl_fin import (SEARCH_MEMO_SIZE, SEARCH_NODE_LIMIT, RootTable,
+                       root_table)
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,7 @@ class OrbitResult:
     exhausted: bool
 
 
-def orbit(move, start: tuple, node_limit: int = 10 ** 6,
+def orbit(move, start: tuple, node_limit: int = SEARCH_NODE_LIMIT,
           depth_limit: int | None = None) -> OrbitResult:
     """BFS closure of the code tuple start under all Hurwitz moves, one
     level at a time.
@@ -260,10 +261,12 @@ def orbit(move, start: tuple, node_limit: int = 10 ** 6,
 
 @lru_cache(maxsize=SEARCH_MEMO_SIZE)
 def connect(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
-            node_limit: int = 10 ** 6) -> BraidWord | None:
+            node_limit: int = SEARCH_NODE_LIMIT) -> BraidWord | None:
     """Bidirectional BFS for a braid word sending code tuple start to goal.
 
-    None means "not found within limits", never a disproof. A
+    Each round expands the smaller frontier, the forward one on a tie. Once
+    either is empty, that side has seen its whole orbit and None is a
+    disproof; otherwise None means "not found within limits". A
     `depth_limit` of None bounds the search by `node_limit` alone. The
     products are not compared and the word is not replayed: that is the
     caller's job. Answers, None included, are memoized per (move, start,
@@ -279,11 +282,9 @@ def connect(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
     frontier_f = [start]
     frontier_b = [goal]
     for _ in itertools.count() if depth_limit is None else range(depth_limit):
-        # expand the smaller frontier
-        if not frontier_f and not frontier_b:
+        if not frontier_f or not frontier_b:
             break
-        expand_forward = bool(frontier_f) and (not frontier_b
-                                               or len(frontier_f) <= len(frontier_b))
+        expand_forward = len(frontier_f) <= len(frontier_b)
         frontier, parents, other = ((frontier_f, fwd, bwd) if expand_forward
                                     else (frontier_b, bwd, fwd))
         nxt_frontier = []
@@ -307,7 +308,7 @@ def connect(move, start: tuple, goal: tuple, depth_limit: int | None = 12,
 
 @lru_cache(maxsize=SEARCH_MEMO_SIZE)
 def lr_normalize(move, start: tuple, target_reduced_length: int,
-                 node_limit: int = 10 ** 6) -> BraidWord | None:
+                 node_limit: int = SEARCH_NODE_LIMIT) -> BraidWord | None:
     """Braid word bringing code tuple start to repeated-pair-tail shape.
 
     The target shape keeps a length-`target_reduced_length` prefix and ends

@@ -4,9 +4,9 @@ Matrices are tuples of row tuples; everything is arbitrary-precision.
 `echelon_integer` is the one Gaussian elimination: a fraction-free reduced
 echelon form over the integers, from which rank and the rational solutions
 of `solve_rational` are read off. The Hermite normal form (`hnf`) is the
-other: it answers every integer-lattice question, integral solvability
-(`solve_integer`) included. Rational answers are fractions.Fraction, never
-floats.
+other: it answers every integer-lattice question; v is a member exactly
+when its residue (`hnf_reduce`) is zero, which `solve_integer` asks.
+Rational answers are fractions.Fraction, never floats.
 """
 
 from __future__ import annotations
@@ -136,30 +136,17 @@ def hnf(vectors, ncols: int) -> Mat:
 def hnf_pivots(basis) -> tuple[int, ...]:
     """The pivot column of each row of an HNF basis: its first non-zero entry.
 
-    `hnf_contains` and `hnf_reduce` take them from the caller, which reads
-    them once per basis (see `intlattice.IntegerLattice`).
+    `hnf_reduce` takes them from the caller, which reads them once per
+    basis (see `intlattice.IntegerLattice`).
     """
     return tuple(next(j for j, x in enumerate(row) if x) for row in basis)
 
 
-def hnf_contains(basis: Mat, pivots, v) -> bool:
-    """Exact membership of v in the lattice with HNF basis `basis`, whose
-    pivot columns are `pivots`."""
-    w = list(v)
-    n = len(w)
-    for row, pcol in zip(basis, pivots):
-        if w[pcol]:
-            if w[pcol] % row[pcol] != 0:
-                return False
-            q = w[pcol] // row[pcol]
-            for j in range(n):
-                w[j] -= q * row[j]
-    return not any(w)
-
-
 def hnf_reduce(basis: Mat, pivots, v) -> tuple:
     """Canonical residue of v modulo the lattice with HNF basis `basis`,
-    whose pivot columns are `pivots` (floor division per pivot)."""
+    whose pivot columns are `pivots` (floor division per pivot). It is
+    zero exactly on the lattice: a non-zero member with first coefficient c
+    has c * pivot, outside [0, pivot), in that row's pivot column."""
     w = list(v)
     n = len(w)
     for row, pcol in zip(basis, pivots):
@@ -174,9 +161,9 @@ def solve_integer(rows, rhs) -> bool:
     """Whether A x = b has an integral solution.
 
     A x runs over the integer combinations of the columns of A, so the
-    answer is whether b lies in the lattice they span: one HNF and one
-    membership test, decided exactly (no bound on x). The name stays
+    answer is whether b lies in the lattice they span: one HNF, and b is in
+    it exactly when its residue is zero (no bound on x). The name stays
     because `perfbench/tracing.py` times the function under it.
     """
     basis = hnf(list(zip(*rows)), len(rhs))
-    return hnf_contains(basis, hnf_pivots(basis), rhs)
+    return not any(hnf_reduce(basis, hnf_pivots(basis), rhs))

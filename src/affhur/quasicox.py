@@ -21,9 +21,9 @@ from .intlattice import (IntegerLattice, full_lattice, lattice_equal,
 from .linalg import echelon_integer, mat_vec, solve_integer, solve_rational
 from .rootsys import Root, RootSystem, coroot
 from .weyl_aff import AffineReflection, AffineWeylElement, pair_product
-from .weyl_fin import (SEARCH_MEMO_SIZE, absolute_length, all_elements,
-                       generates_w0_codes, is_parabolic, root_index_sequences,
-                       root_table)
+from .weyl_fin import (SEARCH_MEMO_SIZE, SEARCH_NODE_LIMIT, absolute_length,
+                       all_elements, generates_w0_codes, is_parabolic,
+                       root_index_sequences, root_table)
 
 
 class PipelineExhausted(RuntimeError):
@@ -175,7 +175,7 @@ def generates_affine(rs: RootSystem, refs) -> GenerationResult:
     return GenerationResult(verdict, cert)
 
 
-def _normalize_tail(codes, finite_move, code: tuple, node_limit: int = 10 ** 6):
+def _normalize_tail(codes, finite_move, code: tuple, node_limit: int = SEARCH_NODE_LIMIT):
     """Braid an affine code (n+1)-tuple to a repeated-root tail.
 
     `codes` is the affine `ReflectionCodes` of the root system and
@@ -550,26 +550,27 @@ def fiber(rs: RootSystem, base, shift_bound: int):
     """The sigma_n-line through a repeated-root-tail reduced factorization.
 
     Members share all roots and the first n-1 levels; the last two levels
-    run over (l_n + j, l_{n+1} + j) for |j| <= shift_bound.
+    run over (l_n + j, l_{n+1} + j) for |j| <= shift_bound. The base is
+    read as codes (s_{-alpha,-k} = s_{alpha,k}), so members have positive roots.
     """
     base = tuple(base)
     n = rs.rank
     if len(base) != n + 1:
         raise ValueError(f"expected a {n + 1}-tuple")
-    if base[n - 1].root != base[n].root:
+    codes = reflection_codes(rs, True)
+    code = tuple(map(codes.code_of, base))
+    (a, k), (b, l) = code[n - 1:]
+    if a != b:
         raise ValueError("base tuple lacks the repeated-root tail pattern")
-    out = []
-    for j in range(-shift_bound, shift_bound + 1):
-        entries = list(base)
-        entries[n - 1] = AffineReflection(base[n - 1].root, base[n - 1].level + j)
-        entries[n] = AffineReflection(base[n].root, base[n].level + j)
-        out.append(tuple(entries))
-    return out
+    head = tuple(map(codes.reflection, code[:n - 1]))
+    root = codes.roots[a]
+    return [head + (AffineReflection(root, k + j), AffineReflection(root, l + j))
+            for j in range(-shift_bound, shift_bound + 1)]
 
 
 def connect_reduced(rs: RootSystem, w: AffineWeylElement, t1, t2,
                     depth_limit: int | None = None,
-                    node_limit: int = 10 ** 6) -> BraidWord:
+                    node_limit: int = SEARCH_NODE_LIMIT) -> BraidWord:
     """Braid word connecting two reduced factorizations of a quasi-Coxeter w.
 
     Stages: repeated-root normalization of both tuples, projection

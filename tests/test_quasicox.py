@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affhur.hurwitz import BraidWord, _move_table, reflection_codes
-from affhur.intlattice import (full_lattice, index, lattice_equal, reduce_mod,
-                               span)
+from affhur.intlattice import full_lattice, lattice_equal, reduce_mod, span
 from affhur.linalg import echelon_integer, solve_rational
 from affhur import quasicox, verify
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
@@ -37,6 +36,7 @@ from affhur.weyl_fin import (SEARCH_MEMO_SIZE, FiniteWeylElement,
                              reflection_element, root_table,
                              smallest_subsystem)
 from test_hurwitz import element_braid
+from test_intlattice import pivot_product
 from test_linalg import solve_integer_reference
 
 
@@ -221,7 +221,7 @@ def test_closure_oracle_negatives(case, a2, b2):
         # the highest root at level 2: translations by twice the coroots
         rs, refs = a2, simple_system_affine(a2)[:2] + (ref(a2.highest_root.coords, 2),)
         lattice = generates_affine(rs, refs).certificate.translation_lattice
-        assert index(lattice, full_lattice(2)) == 4
+        assert lattice.rank == 2 and pivot_product(lattice) == 4
     assert not closure_generates(rs, refs)
     assert not closure_generates_reference(rs, refs)
     assert not generates_affine(rs, refs).generates
@@ -730,6 +730,16 @@ def test_fiber_members_connected_by_sigma_n(a2):
         t_m = tuple(as_element(a2, r) for r in m)
         word = BraidWord((2,) * j if j >= 0 else (-2,) * (-j))
         assert element_braid(t_base, word) == t_m
+
+
+def test_fiber_reads_its_base_as_codes(a2):
+    # s_{-theta,0} = s_{theta,0}, and s_{-theta,-1} = s_{theta,1}: a tail
+    # written with the negative root is the same tail, and the members come
+    # back with the positive root
+    members = fiber(a2, (ref((1, 0), 0), ref((1, 1), 1), ref((1, 1), 0)), 1)
+    assert fiber(a2, (ref((1, 0), 0), ref((1, 1), 1), ref((-1, -1), 0)), 1) == members
+    assert fiber(a2, (ref((-1, 0), 0), ref((-1, -1), -1), ref((-1, -1), 0)), 1) \
+        == members
 
 
 def test_fiber_requires_tail_pattern(a2):
