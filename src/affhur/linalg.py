@@ -4,8 +4,9 @@ Matrices are tuples of row tuples; everything is arbitrary-precision.
 `echelon_integer` is the one Gaussian elimination: a fraction-free reduced
 echelon form over the integers, from which rank and the rational solutions
 of `solve_rational` are read off. The Hermite normal form (`hnf`) is the
-other: it answers every integer-lattice question; v is a member exactly
-when its residue (`hnf_reduce`) is zero, which `solve_integer` asks.
+other, one pass per column with extended-gcd row steps: it answers every
+integer-lattice question; v is a member exactly when its residue
+(`hnf_reduce`) is zero, which `solve_integer` asks.
 Rational answers are fractions.Fraction, never floats.
 """
 
@@ -101,36 +102,56 @@ def hnf(vectors, ncols: int) -> Mat:
     Rows are in echelon order with positive pivots; in each pivot column the
     other entries are reduced into [0, pivot). The result is unique per
     lattice, so tuple equality decides lattice equality.
+
+    One pass per column: the first row with a non-zero entry there is the
+    pivot row p, and each later such row r is cleared against it, by
+    r - q p when p's entry divides r's and otherwise by one extended-gcd
+    step, which leaves the gcd in p. The rows above are then reduced by
+    the finished pivot row; later pivot rows are zero in this column, so
+    the reduction stays.
     """
-    rows = [list(v) for v in vectors if any(v)]
-    result: list[list[int]] = []
+    rows = [v for v in vectors if any(v)]
+    result: list = []
     for col in range(ncols):
-        while True:
-            nz = [r for r in rows if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            a = nz[0]
-            for b in nz[1:]:
-                q = b[col] // a[col]
-                for j in range(ncols):
-                    b[j] -= q * a[j]
-            rows = [r for r in rows if any(r)]
-        nz = [r for r in rows if r[col] != 0]
-        if nz:
-            p = nz[0]
-            rows.remove(p)
-            if p[col] < 0:
-                p = [-x for x in p]
-            result.append(p)
-    # reduce entries in pivot columns, left to right so that a reduction
-    # never disturbs a pivot column that was already normalized
-    for i, pcol in enumerate(hnf_pivots(result)):
-        for k in range(i):
-            q = result[k][pcol] // result[i][pcol]
+        p = None
+        rest = []
+        for r in rows:
+            b = r[col]
+            if not b:
+                rest.append(r)
+                continue
+            if p is None:
+                p = r
+                continue
+            a = p[col]
+            q, m = divmod(b, a)
+            if m:
+                # g = s a + t b, and (p, r) -> (s p + t r, (a/g) r - (b/g) p)
+                # is unimodular and clears r in this column
+                s, s1, t, t1, g, h = 1, 0, 0, 1, a, b
+                while h:
+                    f, g, h = g // h, h, g % h
+                    s, s1 = s1, s - f * s1
+                    t, t1 = t1, t - f * t1
+                a, b = a // g, b // g
+                p, r = ([s * x + t * y for x, y in zip(p, r)],
+                        [a * y - b * x for x, y in zip(p, r)])
+            else:
+                r = [y - q * x for x, y in zip(p, r)]
+            if any(r):
+                rest.append(r)
+        rows = rest
+        if p is None:
+            continue
+        if p[col] < 0:
+            p = [-x for x in p]
+        d = p[col]
+        for i, row in enumerate(result):
+            q = row[col] // d
             if q:
-                result[k] = [x - q * y for x, y in zip(result[k], result[i])]
-    return tuple(tuple(r) for r in result)
+                result[i] = [x - q * y for x, y in zip(row, p)]
+        result.append(p)
+    return tuple(map(tuple, result))
 
 
 def hnf_pivots(basis) -> tuple[int, ...]:

@@ -227,8 +227,8 @@ def _right_multiplication(rs: RootSystem, j: int, bits: int) -> tuple:
     """(times_s, images) for the positive root b of index j: times_s[u] is
     the id of (element u) s_b and images[u] the coroot of (element u)(b),
     packed with `bits`-bit digits (`_pack`). Built on first use, one per
-    (rs, j, bits); `closure_generates` asks for bits a multiple of 64.
-    Each coroot is packed once and its integer shared by the entries."""
+    (rs, j, bits). Each coroot is packed once and its integer shared by
+    the entries."""
     perms, ids = _element_ids(rs)
     table = root_table(rs)
     i, _, times_s = table.reflections[j]
@@ -257,10 +257,14 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     s_{-alpha,-k} = s_{alpha,k}. When w s_alpha already has a
     representative TR(b) w s_alpha, the edge gives the translation
     TR(c') (TR(b) w s_alpha)^-1 = TR(c' - b), a Schreier generator. By
-    Schreier's lemma these generate H ∩ T; their span is kept as an HNF
-    basis and enlarged only by a non-zero residue. A difference c' - b
-    seen before is skipped: the span only grows, and it took the
-    difference in when it was first reduced.
+    Schreier's lemma these generate H ∩ T. Each distinct difference c' - b
+    is collected; while representatives are still being added, none is
+    reduced. When the last coset is reached, one `span` of everything
+    collected gives the lattice as an HNF basis; from then on each new
+    distinct difference is reduced and enlarges the lattice only by a
+    non-zero residue. A difference seen before is skipped: the span only
+    grows, and it took the difference in when it was first collected. A
+    search that never reaches every coset builds no lattice.
 
     Each undirected edge is taken once. A generator s = s_{alpha,k} is an
     involution, so the edge (x, s) with x = u s leads back to u, and its
@@ -268,16 +272,18 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     found x. So an edge whose target was dequeued before is skipped: its
     reverse was taken then. Tree edges are never skipped, so the
     representatives, the point where `node_limit` raises and the span
-    after each taken edge are those of the search over every edge.
+    once every coset is reached are those of the search over every edge.
 
     A vector c is held as one integer, `_pack(c, bits)`: sums and
     comparisons of vectors are then sums and comparisons of integers, and
-    a difference is unpacked only for its reduction. Packing is exact
-    while every entry lies in [-B/2, B/2) for B = 2^bits. A representative
+    a difference is unpacked only when it enters the lattice. Packing is
+    exact while every entry lies in [-B/2, B/2) for B = 2^bits. A representative
     is a sum of at most |W0| - 1 terms k (coroot) and c' adds one more, so
     every entry of a difference c' - b is below 2 |W0| K M in absolute
-    value, for K the largest |level| and M the largest |coroot entry|;
-    bits is the least multiple of 64 with B > 4 |W0| K M. The
+    value, for K the largest |level| and M the largest |coroot entry|, so
+    any B > 4 |W0| K M is exact. bits is the least multiple of 8 with
+    B > 4 |W0| K M. Whole bytes let nearby levels share one set of
+    tables: K = 1 and K = 2 do on every group of rank 3 to 5. The
     search returns True as soon as p(H) = W0 and the span is full, and
     False when it ends without both.
 
@@ -297,15 +303,15 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
     levels = max([1] + [abs(k) for _, k in coded])
     # the coroots come in pairs +-v, so their largest entry is M
     bound = 4 * order * levels * max(map(max, table.coroots))
-    bits = 64 * -(-bound.bit_length() // 64)
+    bits = 8 * -(-bound.bit_length() // 8)
     gens = [(*_right_multiplication(rs, j, bits), k) for j, k in coded]
     full = full_lattice(n)
     reps: list = [None] * order
     reps[0] = 0
     done = bytearray(order)
     queue = [0]
-    lattice = span([], n)
-    reduced: set = set()
+    lattice = None
+    seen: set = set()
     for u in queue:
         done[u] = 1
         c = reps[u]
@@ -321,18 +327,23 @@ def closure_generates(rs: RootSystem, refs, node_limit: int = 50000) -> bool:
                                             "coset representatives")
                 reps[x] = y
                 queue.append(x)
+                if len(queue) < order:
+                    continue
+                lattice = span([_unpack(d, bits, n) for d in seen], n)
             elif y == b:
                 continue
             else:
                 d = y - b
-                if d in reduced:
+                if d in seen:
                     continue
-                reduced.add(d)
+                seen.add(d)
+                if lattice is None:
+                    continue
                 r = reduce_mod(lattice, _unpack(d, bits, n))
                 if not any(r):
                     continue
                 lattice = span(lattice.basis + (r,), n)
-            if len(queue) == order and lattice_equal(lattice, full):
+            if lattice_equal(lattice, full):
                 return True
     return False
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -54,6 +55,100 @@ def solve_rational_reference(rows, rhs):
             v[col] = -m[r][fc]
         basis.append(tuple(v))
     return tuple(x), tuple(basis)
+
+
+def hnf_reference(vectors, ncols: int):
+    """The canonical row HNF by repeated division by the smallest entry:
+    the oracle for `hnf`, which clears each column in one pass.
+
+    Per column, the non-zero entries are sorted by absolute value and
+    reduced modulo the smallest until one is left; that row, made
+    positive, is the pivot row. The entries above each pivot are reduced
+    into [0, pivot) at the end, left to right.
+    """
+    rows = [list(v) for v in vectors if any(v)]
+    result: list[list[int]] = []
+    for col in range(ncols):
+        while True:
+            nz = [r for r in rows if r[col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(r[col]))
+            a = nz[0]
+            for b in nz[1:]:
+                q = b[col] // a[col]
+                for j in range(ncols):
+                    b[j] -= q * a[j]
+            rows = [r for r in rows if any(r)]
+        nz = [r for r in rows if r[col] != 0]
+        if nz:
+            p = nz[0]
+            rows.remove(p)
+            if p[col] < 0:
+                p = [-x for x in p]
+            result.append(p)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in result]
+    for i, pcol in enumerate(pivots):
+        for k in range(i):
+            q = result[k][pcol] // result[i][pcol]
+            if q:
+                result[k] = [x - q * y for x, y in zip(result[k], result[i])]
+    return tuple(tuple(r) for r in result)
+
+
+@st.composite
+def lattice_generators(draw):
+    """(vectors, n): up to 20 random vectors in Z^n, n in 1..8, with
+    entries bounded by 1, 6, 10^6 or 10^30, followed by up to 40 vectors
+    made from them: zero vectors, repeats and integer combinations of two."""
+    n = draw(st.integers(1, 8))
+    bound = draw(st.sampled_from([1, 6, 10 ** 6, 10 ** 30]))
+    # hypothesis favours small integers; the last two draw from the ends
+    entry = st.one_of(small_int, st.integers(-bound, bound),
+                      st.integers(bound // 2, bound),
+                      st.integers(-bound, -(bound // 2)))
+    vectors = draw(st.lists(st.tuples(*[entry] * n), max_size=20))
+    if vectors:
+        index = st.integers(0, len(vectors) - 1)
+        size = draw(st.integers(0, 40))
+        for kind, i, j, a, b in draw(st.lists(st.tuples(
+                st.sampled_from(["zero", "repeat", "combination"]), index, index,
+                small_int, small_int), min_size=size, max_size=size)):
+            if kind == "zero":
+                vectors.append((0,) * n)
+            elif kind == "repeat":
+                vectors.append(vectors[i])
+            else:
+                vectors.append(tuple(a * x + b * y
+                                     for x, y in zip(vectors[i], vectors[j])))
+    return vectors, n
+
+
+def _wide_generators(seed: int):
+    """60 vectors of Z^8: 20 with entries up to 10^30, a zero vector, 9
+    repeats and 30 combinations of two of them."""
+    rng = random.Random(seed)
+    vectors = [tuple(rng.randint(-10 ** 30, 10 ** 30) for _ in range(8))
+               for _ in range(20)]
+    vectors.append((0,) * 8)
+    vectors += [rng.choice(vectors[:20]) for _ in range(9)]
+    for _ in range(30):
+        x, y = rng.sample(vectors[:20], 2)
+        a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+        vectors.append(tuple(a * u + b * v for u, v in zip(x, y)))
+    rng.shuffle(vectors)
+    return vectors, 8
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_generators())
+@example(([], 1))
+@example(([(0,) * 8] * 3, 8))
+@example(([(6, 10, 15), (6, 10, 15), (12, 20, 30), (0, 0, 0)], 3))
+@example(_wide_generators(0))
+def test_hnf_matches_reference(data):
+    vectors, n = data
+    assert hnf(vectors, n) == hnf_reference(vectors, n)
 
 
 def test_hnf_canonical_example():

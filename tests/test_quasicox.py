@@ -243,7 +243,7 @@ def _draw_tuples(rs, seed, count, generating_share=3):
     return out
 
 
-@pytest.mark.parametrize("name", ["B3", "C3", "D4"])
+@pytest.mark.parametrize("name", ["B3", "C3", "D4", "B4"])
 def test_closure_oracle_on_element_ids_matches_reference(name):
     # non-generating projections included; both verdicts occur
     rs = parse_type(name)
@@ -311,9 +311,62 @@ def test_closure_oracle_reads_a_negative_root_as_its_canonical_form(name):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
-def test_right_multiplication_tables_are_the_group_product(name):
+# the largest |level| of the packing width tests
+WIDTH_LEVELS = (1, 2, 10 ** 6, 2 ** 61)
+
+
+def asked_widths(rs, monkeypatch) -> dict:
+    """{K: the digit width `closure_generates` asks its tables for} on a
+    simple system with the affine reflection at level K. Node limit 1
+    stops each search at its first coset, after the tables are read."""
+    inner = quasicox._right_multiplication
+    asked = set()
+
+    def recording(rs, j, bits):
+        asked.add(bits)
+        return inner(rs, j, bits)
+
+    monkeypatch.setattr(quasicox, "_right_multiplication", recording)
+    simple = simple_system_affine(rs)
+    widths = {}
+    for k in WIDTH_LEVELS:
+        refs = simple[:-1] + (AffineReflection(rs.highest_root, k),)
+        asked.clear()
+        with pytest.raises(PipelineExhausted):
+            closure_generates(rs, refs, node_limit=1)
+        (widths[k],) = asked
+    monkeypatch.undo()
+    return widths
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "C3", "A4",
+                                  "B4", "C4", "D4", "F4"])
+def test_packing_width_is_the_least_multiple_of_8_above_the_bound(name, monkeypatch):
+    # B = 2^bits > 4 |W0| K M, for M the largest |entry| of a coroot in
+    # simple-coroot coordinates, and no multiple of 8 below bits will do
     rs = parse_type(name)
+    order = len(all_elements(rs))
+    m = max(abs(x) for a in rs.positive_roots for x in coroot(rs, a))
+    for k, bits in asked_widths(rs, monkeypatch).items():
+        bound = 4 * order * k * m
+        assert bits % 8 == 0, (k, bits)
+        assert 2 ** bits > bound >= 2 ** bits // 256, (k, bits, bound)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
+def test_pack_round_trips_the_extreme_digits(name, monkeypatch):
+    rs = parse_type(name)
+    n = rs.rank
+    for bits in set(asked_widths(rs, monkeypatch).values()):
+        lo, hi = -2 ** (bits - 1), 2 ** (bits - 1) - 1
+        for v in itertools.product((lo, hi, 0, -1, 1), repeat=n):
+            assert quasicox._unpack(quasicox._pack(v, bits), bits, n) == v, (bits, v)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "D4"])
+def test_right_multiplication_tables_are_the_group_product(name, monkeypatch):
+    rs = parse_type(name)
+    widths = sorted(set(asked_widths(rs, monkeypatch).values()))
     perms, ids = quasicox._element_ids(rs)
     elements = all_elements(rs)
     assert perms[0] == identity_element(rs).perm
@@ -323,7 +376,7 @@ def test_right_multiplication_tables_are_the_group_product(name):
     for j, b in enumerate(rs.positive_roots):
         s = reflection_element(rs, b)
         i = table.index[b]
-        for bits in (64, 128):
+        for bits in widths:
             times_s, images = quasicox._right_multiplication(rs, j, bits)
             assert len(times_s) == len(images) == len(perms)
             for u, perm in enumerate(perms):
