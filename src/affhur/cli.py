@@ -281,8 +281,8 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
             word = None
     if word is None:
         codes = reflection_codes(rs, affine)
-        word = connect(codes.move, tuple(map(codes.code_of, t1)),
-                       tuple(map(codes.code_of, t2)), depth, node_limit)
+        c1, c2 = (tuple(map(codes.code_of, t)) for t in (t1, t2))
+        word = connect(codes.move, c1, c2, depth, node_limit)
         if word is not None:
             p1, p2 = (tuple(reflection_pair(rs, r) for r in t) for t in (t1, t2))
             if apply_braid(codes.table, p1, word) != p2:
@@ -292,6 +292,14 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
                "braid_word": braid_word_to_json(word),
                "limits": {"depth": depth, "node_limit": node_limit}}
     if word is None:
+        # an orbit that closes without the other tuple disproves a word
+        for start, goal, which in ((c1, c2, "first"), (c2, c1, "second")):
+            res = orbit(codes.move, start, node_limit, depth)
+            if res.exhausted and goal not in res.members:
+                _emit(fmt, payload, [
+                    f"no braid word exists: the Hurwitz orbit of the {which} "
+                    f"tuple closes at {len(res.members)} tuples without the other"])
+                return
         _emit(fmt, payload, ["no braid word found within limits"])
         sys.exit(EXIT_LIMITS)
     _emit(fmt, payload, [f"braid word: {list(word.letters)}"])

@@ -313,9 +313,11 @@ def lr_normalize(move, start: tuple, target_reduced_length: int,
 
     The target shape keeps a length-`target_reduced_length` prefix and ends
     in (m - target)/2 equal pairs, the normal form of Lewis and Reiner.
-    Found by orbit BFS; when the orbit is exhausted a None is conclusive.
-    Answers are memoized per (move, start, target_reduced_length,
-    node_limit); see the module docstring.
+    Found by orbit BFS. None means the orbit was exhausted without that
+    shape or the search passed `node_limit`; `quasicox._normalize_tail`
+    asks only about orbits that hold the shape, so it reads a None as the
+    limit and raises `PipelineExhausted`. Answers are memoized per (move,
+    start, target_reduced_length, node_limit); see the module docstring.
     """
     m = len(start)
     if (m - target_reduced_length) % 2 != 0 or not 0 <= target_reduced_length <= m:

@@ -63,23 +63,13 @@ class FactorizationQuery:
 
 
 @lru_cache(maxsize=None)
-def _roots_by_length(rs: RootSystem) -> dict:
-    """The roots of each squared length, in root order; built on first use.
-
-    These are the orbits of the finite group: the Weyl group of an
-    irreducible root system acts transitively on the roots of each length.
-    """
-    out: dict = {}
-    for r in rs.roots:
-        out.setdefault(rs.norm_sq(r), []).append(r)
-    return {norm: tuple(roots) for norm, roots in out.items()}
-
-
-@lru_cache(maxsize=None)
 def _coroot_lattice(rs: RootSystem, norm) -> IntegerLattice:
-    """The span of the coroots of the roots of squared length `norm`;
-    built on first use, at most two per root system."""
-    return span([coroot(rs, b) for b in _roots_by_length(rs)[norm]], rs.rank)
+    """The span of the coroots of the roots of squared length `norm`, the
+    finite group's orbit of any one of them: the Weyl group of an
+    irreducible root system acts transitively on the roots of each length.
+    Built on first use, at most two per root system."""
+    return span([coroot(rs, b) for b in rs.roots if rs.norm_sq(b) == norm],
+                rs.rank)
 
 
 def _translation_lattice(rs: RootSystem, norm, gap: int) -> IntegerLattice:
@@ -110,26 +100,19 @@ def _generation(codes, code: tuple):
     `codes` is the affine `ReflectionCodes` of the root system. Returns
     None when the projection does not generate W0 (`generates_w0_codes`).
     Otherwise the tuple is braided to a repeated-root tail (see
-    `_normalize_tail`), and the result is (word, normalized code,
-    verdict). The translations of the generated subgroup, once the first
-    n levels are conjugated to zero, are |gap| L for the span L of the
-    coroots of the tail root's length (`_coroot_lattice`), so the tuple
-    generates the affine group exactly when |gap| = 1 and L is the full
-    coroot lattice.
+    `_normalize_tail`, which raises `PipelineExhausted` when its search
+    runs out), and the result is (word, normalized code, verdict). The
+    translations of the generated subgroup, once the first n levels are
+    conjugated to zero, are |gap| L for the span L of the coroots of the
+    tail root's length (`_coroot_lattice`), so the tuple generates the
+    affine group exactly when |gap| = 1 and L is the full coroot lattice.
     """
     rs = codes.rs
     n = rs.rank
     if not generates_w0_codes(rs, frozenset([a for a, _ in code])):
         return None
-    found = _normalize_tail(codes, reflection_codes(rs, False).move, code)
-    if found is None:
-        raise RuntimeError("internal inconsistency: repeated-root shape "
-                           "unreachable although the projection generates")
-    word, normed = found
-    tail = normed[n - 1][0]
-    if tail != normed[n][0]:
-        raise RuntimeError("internal inconsistency: normalized tuple lacks "
-                           "the repeated-root tail")
+    word, normed = _normalize_tail(codes, reflection_codes(rs, False).move, code)
+    tail = normed[n][0]
     verdict = (abs(normed[n - 1][1] - normed[n][1]) == 1 and lattice_equal(
         _coroot_lattice(rs, _code_data(rs)[tail][1]), full_lattice(n)))
     return word, normed, verdict
@@ -179,14 +162,19 @@ def _normalize_tail(codes, finite_move, code: tuple, node_limit: int = SEARCH_NO
     """Braid an affine code (n+1)-tuple to a repeated-root tail.
 
     `codes` is the affine `ReflectionCodes` of the root system and
-    `finite_move` its finite move. Returns (word, normalized code), or
-    None when the search ran out of `node_limit`. The word is searched on
-    the root indices alone, then applied to the (root index, level) pairs.
+    `finite_move` its finite move. Both callers pass only tuples whose
+    projection generates W0, and the normal form lies in the finite orbit
+    of such a projection, so a None from `lr_normalize` means its search
+    ran out of `node_limit`: that raises `PipelineExhausted("normalize")`.
+    Returns (word, normalized code). The word is searched on the root
+    indices alone, then applied to the (root index, level) pairs; the
+    affine move carries a root index as the finite move does, so the
+    normalized code has the repeated-root tail.
     """
     word = lr_normalize(finite_move, tuple(a for a, _ in code),
                         codes.rs.rank - 1, node_limit)
     if word is None:
-        return None
+        raise PipelineExhausted("normalize")
     return word, codes.braid(code, word)
 
 
@@ -421,13 +409,16 @@ def _levels_in_window(cols, rhs, bound: int) -> list[tuple[int, ...]]:
 
 def _factorization_blocks(rs: RootSystem, target: AffineWeylElement, m: int,
                           bound: int):
-    """`_factorization_codes` lazily, one sorted block per first root index.
+    """The factorizations of `enumerate_factorizations` as affine codes,
+    sorted tuples of (positive-root index, level) pairs, lazily in one
+    sorted block per first root index.
 
     `weyl_fin.root_index_sequences` yields its sequences in order of the
     first root index, and a code tuple sorts by that index first, so the
-    blocks, each sorted on its own, concatenate to the sorted list. Blocks
-    come in ascending order of the first index; an index with no tuple in
-    the window gives no block.
+    blocks, each sorted on its own, concatenate to the sorted list.
+    Positive roots are indexed in root order, so this is the order of the
+    decoded `AffineReflection` tuples. Blocks come in ascending order of
+    the first index; an index with no tuple in the window gives no block.
     """
     if m == 0:
         if target.is_identity():
@@ -439,16 +430,6 @@ def _factorization_blocks(rs: RootSystem, target: AffineWeylElement, m: int,
                        for ks in _levels_in_window(cols, target.translation, bound))
         if block:
             yield block
-
-
-def _factorization_codes(rs: RootSystem, target: AffineWeylElement, m: int,
-                         bound: int) -> list[tuple]:
-    """`enumerate_factorizations` on affine codes: sorted tuples of
-    (positive-root index, level) pairs, the concatenated
-    `_factorization_blocks`. Positive roots are indexed in root order, so
-    this is the order of the decoded `AffineReflection` tuples."""
-    return list(itertools.chain.from_iterable(
-        _factorization_blocks(rs, target, m, bound)))
 
 
 def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
@@ -469,8 +450,8 @@ def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
     keeps for it.
     """
     decode = reflection_codes(rs, True).reflection
-    return [tuple(map(decode, code)) for code in _factorization_codes(
-        rs, query.target, query.length, query.level_bound)]
+    return [tuple(map(decode, code)) for block in _factorization_blocks(
+        rs, query.target, query.length, query.level_bound) for code in block]
 
 
 def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
@@ -650,15 +631,8 @@ def _connect_pipeline(codes, finite_move, code1, code2, n, depth_limit,
                       node_limit) -> BraidWord:
     if code1 == code2:
         return BraidWord()
-
-    def normalize(code):
-        found = _normalize_tail(codes, finite_move, code, node_limit)
-        if found is None:
-            raise PipelineExhausted("normalize")
-        return found
-
-    word1, u1 = normalize(code1)
-    word2, u2 = normalize(code2)
+    word1, u1 = _normalize_tail(codes, finite_move, code1, node_limit)
+    word2, u2 = _normalize_tail(codes, finite_move, code2, node_limit)
 
     word_fin = connect(finite_move, tuple(a for a, _ in u1),
                        tuple(a for a, _ in u2), depth_limit, node_limit)

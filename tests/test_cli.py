@@ -171,6 +171,33 @@ def test_connect_raises_when_word_does_not_replay(runner, monkeypatch):
             runner.invoke(main, ["connect"] + args, catch_exceptions=False)
 
 
+# two B3 tuples with one product in different Hurwitz orbits, of 12 and 16
+# tuples
+B3_APART = ["B3", "0,0,1;0,1,0;1,1,1", "0,1,0;1,0,0;1,2,2"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_connect_reports_a_disproof(runner, fmt):
+    res = run(runner, "connect", *B3_APART, "--format", fmt)
+    assert res.exit_code == 0
+    if fmt == "json":
+        assert json.loads(res.output)["braid_word"] is None
+    else:
+        assert res.output == ("no braid word exists: the Hurwitz orbit of the "
+                              "first tuple closes at 12 tuples without the other\n")
+
+
+def test_connect_cut_by_its_limits_proves_nothing(runner, monkeypatch):
+    monkeypatch.setenv("AFFHUR_NODE_LIMIT", "10")
+    res = run(runner, "connect", *B3_APART)
+    assert res.exit_code == 3
+    assert res.output == "no braid word found within limits\n"
+    monkeypatch.delenv("AFFHUR_NODE_LIMIT")
+    res = run(runner, "connect", *B3_APART, "--depth", "2", "--format", "json")
+    assert res.exit_code == 3
+    assert json.loads(res.output)["braid_word"] is None
+
+
 def test_connect_product_mismatch(runner):
     res = run(runner, "connect", "A2", "1,0;0,1", "0,1;0,1")
     assert res.exit_code == 2

@@ -16,10 +16,8 @@ from affhur.intlattice import full_lattice, lattice_equal, reduce_mod, span
 from affhur.linalg import echelon_integer, solve_rational
 from affhur import quasicox, verify
 from affhur.quasicox import (FactorizationQuery, PipelineExhausted,
-                             _factorization_blocks, _factorization_codes,
-                             _has_factorization, _levels_in_window,
-                             _roots_by_length,
-                             absolute_length_affine,
+                             _factorization_blocks, _has_factorization,
+                             _levels_in_window, absolute_length_affine,
                              closure_generates, connect_reduced,
                              enumerate_factorizations, fiber, generates_affine,
                              is_parabolic_quasi_coxeter_affine,
@@ -437,19 +435,25 @@ def test_oracle_agreement_cut_by_the_node_limit_is_a_limit():
     assert out[0].detail.startswith("PipelineExhausted: pipeline stage 'closure'")
 
 
+def _roots_of_length(rs, gamma):
+    """The roots of gamma's squared length, in root order: the roots whose
+    coroots `quasicox._coroot_lattice` spans."""
+    return [b for b in rs.roots if rs.norm_sq(b) == rs.norm_sq(gamma)]
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
 def test_root_orbit_is_the_weyl_group_orbit(name):
     rs = parse_type(name)
     elements = all_elements(rs)
     for gamma in rs.roots:
         orbit = {w.act_root(gamma) for w in elements}
-        assert list(_roots_by_length(rs)[rs.norm_sq(gamma)]) == sorted(orbit)
+        assert _roots_of_length(rs, gamma) == sorted(orbit)
 
 
 def _gap_scaled_orbit_span(rs, gamma, gap):
     """The translation lattice as `generates_affine` once built it: the
     span of the gap-scaled coroots of the roots of gamma's length."""
-    orbit = _roots_by_length(rs)[rs.norm_sq(gamma)]
+    orbit = _roots_of_length(rs, gamma)
     return span([tuple(gap * c for c in coroot(rs, b)) for b in orbit], rs.rank)
 
 
@@ -684,9 +688,12 @@ def test_factorization_blocks_concatenate_to_the_codes(name):
     for w in elements:
         for m in range(n + 2):
             blocks = list(_factorization_blocks(rs, w, m, 2))
-            codes = _factorization_codes(rs, w, m, 2)
-            assert [c for block in blocks for c in block] == codes
+            codes = [c for block in blocks for c in block]
             assert codes == sorted(codes)
+            decoded = [tuple(AffineReflection(rs.positive_roots[a], k)
+                             for a, k in code) for code in codes]
+            assert decoded == enumerate_factorizations(
+                rs, FactorizationQuery(w, m, 2))
             if m == 0:
                 continue
             firsts = []
@@ -975,13 +982,31 @@ def test_connect_reduced_returns_the_pinned_word(name, word1, word2, letters):
     assert element_braid(e1, word) == e2
 
 
-def test_generates_affine_keeps_its_own_error_when_normalization_fails(
+def test_generates_affine_raises_when_normalization_is_exhausted(
         a2, monkeypatch):
-    # a generating projection always normalizes, so a failure is internal
+    # a generating projection has the normal form in its finite orbit, so a
+    # search that finds none ran out of its limit
     monkeypatch.setattr(quasicox, "lr_normalize", lambda *args: None)
-    with pytest.raises(RuntimeError, match="internal inconsistency") as exc:
+    with pytest.raises(PipelineExhausted) as exc:
         generates_affine(a2, simple_system_affine(a2))
-    assert not isinstance(exc.value, PipelineExhausted)
+    assert exc.value.stage == "normalize"
+
+
+def test_normalization_out_of_its_node_limit_is_a_limit(monkeypatch):
+    # E6's normal form lies beyond 10^4 nodes of the real search (and within
+    # 10^5), so the cut search answers None and generates_affine raises
+    e6 = parse_type("E6")
+    simple = simple_system_affine(e6)
+    real = quasicox.lr_normalize
+    monkeypatch.setattr(quasicox, "lr_normalize", lambda move, start, target,
+                        node_limit: real(move, start, target, 10 ** 4))
+    with pytest.raises(PipelineExhausted) as exc:
+        generates_affine(e6, simple)
+    assert exc.value.stage == "normalize"
+    out = []
+    verify._check(out, "generation", lambda: generates_affine(e6, simple))
+    assert out[0].limit and not out[0].ok
+    assert out[0].detail.startswith("PipelineExhausted: pipeline stage 'normalize'")
 
 
 # --------------------------------------------------------- quasi-Coxeter
