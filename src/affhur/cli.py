@@ -3,15 +3,17 @@
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
 3 limits exceeded (inconclusive/not found within limits). Text output is
 human-oriented; ``--format json`` is the stable interface.
+
+The parsing is the standard library's `argparse`: one parser reads the
+command name, and one built for that command alone reads its arguments.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-
-import click
 
 from . import __version__
 from .hurwitz import apply_braid, connect, orbit, reflection_codes
@@ -21,9 +23,9 @@ from .literals import (braid_word_to_json, certificate_to_json, format_group,
                        parse_reflection_args, parse_tuple_literal,
                        tuple_to_json)
 from .quasicox import (FactorizationQuery, PipelineExhausted,
-                       absolute_length_affine, connect_reduced,
-                       enumerate_factorizations, fiber, generates_affine,
-                       is_quasi_coxeter_affine)
+                       QuasiCoxeterResult, absolute_length_affine,
+                       connect_reduced, enumerate_factorizations, fiber,
+                       generates_affine, is_quasi_coxeter_affine)
 from .rootsys import RootSystemError, coroot, parse_type
 from .weyl_aff import product_of_reflections, reflection_pair
 from .weyl_fin import SEARCH_NODE_LIMIT, absolute_length
@@ -35,8 +37,57 @@ EXIT_LIMITS = 3
 
 
 def _usage_error(msg: str):
-    click.echo(f"error: {msg}", err=True)
+    print(f"error: {msg}", file=sys.stderr)
     sys.exit(EXIT_USAGE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error found while parsing the arguments (an unknown option,
+    a missing argument, a non-integer option value, an unknown command)
+    is one `error:` line with exit code 2, like the commands' own checks."""
+
+    def error(self, message):
+        _usage_error(message)
+
+
+def _int_at_least(low: int):
+    """The argparse type of an integer option of at least `low`."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+    return convert
+
+
+_NATURAL = _int_at_least(0)
+
+# command name -> (function, its arguments); `main` calls the function with
+# the parsed values by keyword
+COMMANDS: dict = {}
+
+
+def _command(name: str, *arguments):
+    """Register the decorated function as command `name`; each argument is
+    the (flags, options) of one `ArgumentParser.add_argument` call."""
+    def register(fn):
+        COMMANDS[name] = (fn, arguments)
+        return fn
+    return register
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FORMAT = _arg("--format", dest="fmt", choices=("text", "json"), default="text",
+               help="Output format; json is the stable interface "
+                    "(default: text).")
+_GROUP = _arg("group", metavar="GROUP")
+_REFLECTIONS = _arg("reflections", metavar="REFLECTIONS", nargs="+")
 
 
 def _node_limit() -> int:
@@ -55,15 +106,10 @@ def _node_limit() -> int:
 def _emit(fmt: str, payload: dict, text_lines):
     if fmt == "json":
         payload = {"tool": "affhur", "version": __version__, **payload}
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
-            click.echo(line)
-
-
-fmt_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-                          default="text", show_default=True,
-                          help="Output format; json is the stable interface.")
+            print(line)
 
 
 def _parse_group_or_exit(group: str):
@@ -80,39 +126,39 @@ def _parse_refs_or_exit(rs, refs, affine):
         _usage_error(str(exc))
 
 
-class _Main(click.Group):
-    """The command group; a usage error click finds while parsing the
-    arguments (an unknown option, a missing argument, a non-integer option
-    value, an unknown command) is one `error:` line with exit code 2, like
-    the commands' own checks. With no arguments at all click prints the
-    help."""
+def main(args=None, prog_name: str = "affhur"):
+    """Run the command line `args` (default: ``sys.argv[1:]``). A command
+    that ends with any exit code but 0 raises `SystemExit`; with no
+    arguments at all the help goes to stderr and the exit code is 2."""
+    args = sys.argv[1:] if args is None else list(args)
+    width = max(map(len, COMMANDS)) + 2
+    top = _Parser(
+        prog=prog_name, allow_abbrev=False,
+        description="Exact reflection-factorization computations in finite "
+                    "and affine Weyl groups.",
+        epilog="Commands:\n" + "\n".join(
+            f"  {name:<{width}}{fn.__doc__.splitlines()[0]}"
+            for name, (fn, _) in sorted(COMMANDS.items())),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument("--version", action="version",
+                     version=f"affhur, version {__version__}")
+    top.add_argument("command", metavar="COMMAND", choices=COMMANDS,
+                     help="one of the commands below")
+    top.add_argument("args", metavar="ARGS", nargs=argparse.REMAINDER,
+                     help=f"its arguments; '{prog_name} COMMAND -h' lists them")
+    if not args:
+        top.print_help(sys.stderr)
+        sys.exit(EXIT_USAGE)
+    ns = top.parse_args(args)
+    fn, arguments = COMMANDS[ns.command]
+    parser = _Parser(prog=f"{prog_name} {ns.command}", description=fn.__doc__,
+                     allow_abbrev=False)
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    fn(**vars(parser.parse_intermixed_args(ns.args)))
 
-    def parse_args(self, ctx, args):
-        bare = not args  # the parse consumes `args`
-        try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as exc:
-            if bare:
-                raise
-            _usage_error(exc.format_message())
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            _usage_error(exc.format_message())
-
-
-@click.group(cls=_Main)
-@click.version_option(__version__, prog_name="affhur")
-def main():
-    """Exact reflection-factorization computations in finite and affine
-    Weyl groups."""
-
-
-@main.command("roots")
-@click.argument("group")
-@fmt_option
+@_command("roots", _GROUP, _FORMAT)
 def cmd_roots(group, fmt):
     """List roots, coroots, highest root and connection index of GROUP."""
     rs, _affine = _parse_group_or_exit(group)
@@ -136,12 +182,10 @@ def cmd_roots(group, fmt):
     _emit(fmt, payload, lines)
 
 
-@main.command("check-qc")
-@click.argument("group")
-@click.argument("reflections", nargs=-1, required=True)
-@click.option("-K", "--level-bound", type=click.IntRange(min=0), default=2,
-              show_default=True, help="Level bound for the witness search.")
-@fmt_option
+@_command("check-qc", _GROUP, _REFLECTIONS,
+          _arg("-K", "--level-bound", type=_NATURAL, default=2,
+               help="Level bound for the witness search (default: 2)."),
+          _FORMAT)
 def cmd_check_qc(group, reflections, level_bound, fmt):
     """Decide quasi-Coxeter status of the product of the given reflections."""
     rs, affine = _parse_group_or_exit(group)
@@ -149,15 +193,20 @@ def cmd_check_qc(group, reflections, level_bound, fmt):
         _usage_error("check-qc needs an affine group spec like 'affine:A2'")
     refs = _parse_refs_or_exit(rs, reflections, affine)
     w = product_of_reflections(rs, refs)
-    res = is_quasi_coxeter_affine(rs, w, level_cap=level_bound)
+    cert = None
+    try:
+        res = is_quasi_coxeter_affine(rs, w, level_cap=level_bound)
+        if res.witness is not None:
+            cert = certificate_to_json(
+                generates_affine(rs, res.witness).certificate)
+    except PipelineExhausted as exc:
+        # a normalization out of its limits decides nothing
+        res = QuasiCoxeterResult(None, None, False, str(exc))
     length = absolute_length_affine(rs, w)
     detail = res.detail
     if length > rs.rank + 1:
         detail += (f"; absolute length {length} exceeds {rs.rank + 1}, "
                    "outside the quasi-Coxeter length range")
-    cert = None
-    if res.witness is not None:
-        cert = certificate_to_json(generates_affine(rs, res.witness).certificate)
     payload = {
         "command": "check-qc",
         "group": format_group(rs, affine),
@@ -169,8 +218,11 @@ def cmd_check_qc(group, reflections, level_bound, fmt):
         "detail": detail,
         "limits": {"level_bound": level_bound},
     }
-    lines = [f"quasi-Coxeter: {res.is_quasi_coxeter} "
-             f"({'conclusive' if res.conclusive else 'within level bound only'})",
+    verdict = ("undecided (a search ran out of its limits)"
+               if res.is_quasi_coxeter is None else
+               f"{res.is_quasi_coxeter} "
+               f"({'conclusive' if res.conclusive else 'within level bound only'})")
+    lines = [f"quasi-Coxeter: {verdict}",
              f"absolute length: {length}",
              f"detail: {detail}"]
     if res.witness is not None:
@@ -179,24 +231,26 @@ def cmd_check_qc(group, reflections, level_bound, fmt):
     sys.exit(EXIT_OK if res.conclusive else EXIT_LIMITS)
 
 
-@main.command("factorize")
-@click.argument("group")
-@click.argument("reflections", nargs=-1, required=True)
-@click.option("--length", "length", type=click.IntRange(min=0), default=None,
-              help="Factorization length; defaults to the absolute length.")
-@click.option("-K", "--level-bound", type=click.IntRange(min=0), default=2,
-              show_default=True)
-@fmt_option
+@_command("factorize", _GROUP, _REFLECTIONS,
+          _arg("--length", type=_NATURAL, default=None,
+               help="Factorization length; defaults to the absolute length."),
+          _arg("-K", "--level-bound", type=_NATURAL, default=2,
+               help="Level bound of the factorizations (default: 2)."),
+          _FORMAT)
 def cmd_factorize(group, reflections, length, level_bound, fmt):
     """Enumerate reflection factorizations of the product of REFLECTIONS."""
     rs, affine = _parse_group_or_exit(group)
     if not affine:
         _usage_error("factorize needs an affine group spec like 'affine:A2'")
     refs = _parse_refs_or_exit(rs, reflections, affine)
+    node_limit = _node_limit()
     w = product_of_reflections(rs, refs)
     if length is None:
         length = absolute_length_affine(rs, w)
-    facs = enumerate_factorizations(rs, FactorizationQuery(w, length, level_bound))
+    facs = enumerate_factorizations(
+        rs, FactorizationQuery(w, length, level_bound), limit=node_limit)
+    cut = len(facs) > node_limit
+    del facs[node_limit:]
     payload = {
         "command": "factorize",
         "group": format_group(rs, affine),
@@ -205,16 +259,18 @@ def cmd_factorize(group, reflections, length, level_bound, fmt):
         "count": len(facs),
         "factorizations": [tuple_to_json(f) for f in facs],
     }
-    lines = [f"{len(facs)} factorizations of length {length} "
-             f"with levels in [-{level_bound}, {level_bound}]"]
-    lines += [format_tuple(f) for f in facs]
-    _emit(fmt, payload, lines)
+    head = (f"{len(facs)} factorizations of length {length} "
+            f"with levels in [-{level_bound}, {level_bound}]")
+    if cut:
+        payload["truncated"] = True
+        payload["limits"]["node_limit"] = node_limit
+        head = f"first {head}, cut at the node limit {node_limit}"
+    _emit(fmt, payload, [head] + [format_tuple(f) for f in facs])
+    if cut:
+        sys.exit(EXIT_LIMITS)
 
 
-@main.command("length")
-@click.argument("group")
-@click.argument("reflections", nargs=-1, required=True)
-@fmt_option
+@_command("length", _GROUP, _REFLECTIONS, _FORMAT)
 def cmd_length(group, reflections, fmt):
     """Absolute (reflection) length of the product of REFLECTIONS."""
     rs, affine = _parse_group_or_exit(group)
@@ -226,12 +282,10 @@ def cmd_length(group, reflections, fmt):
     _emit(fmt, payload, [f"absolute length: {length}"])
 
 
-@main.command("orbit")
-@click.argument("group")
-@click.argument("reflections", nargs=-1, required=True)
-@click.option("--depth", type=click.IntRange(min=0), default=None,
-              help="Depth cap (default none).")
-@fmt_option
+@_command("orbit", _GROUP, _REFLECTIONS,
+          _arg("--depth", type=_NATURAL, default=None,
+               help="Depth cap (default none)."),
+          _FORMAT)
 def cmd_orbit(group, reflections, depth, fmt):
     """Hurwitz orbit of the given reflection tuple."""
     rs, affine = _parse_group_or_exit(group)
@@ -248,16 +302,13 @@ def cmd_orbit(group, reflections, depth, fmt):
     sys.exit(EXIT_OK if res.exhausted else EXIT_LIMITS)
 
 
-@main.command("connect")
-@click.argument("group")
-@click.argument("tuple1")
-@click.argument("tuple2")
-@click.option("--depth", type=click.IntRange(min=0), default=16,
-              show_default=True,
-              help="Depth bound of the search. Affine (n+1)-tuples try "
-                   "the quasi-Coxeter pipeline first, and there it bounds "
-                   "only the finite-alignment stage.")
-@fmt_option
+@_command("connect", _GROUP, _arg("tuple1", metavar="TUPLE1"),
+          _arg("tuple2", metavar="TUPLE2"),
+          _arg("--depth", type=_NATURAL, default=16,
+               help="Depth bound of the search (default: 16). Affine "
+                    "(n+1)-tuples try the quasi-Coxeter pipeline first, and "
+                    "there it bounds only the finite-alignment stage."),
+          _FORMAT)
 def cmd_connect(group, tuple1, tuple2, depth, fmt):
     """Braid word sending TUPLE1 to TUPLE2 (semicolon-separated literals)."""
     rs, affine = _parse_group_or_exit(group)
@@ -305,12 +356,10 @@ def cmd_connect(group, tuple1, tuple2, depth, fmt):
     _emit(fmt, payload, [f"braid word: {list(word.letters)}"])
 
 
-@main.command("fiber")
-@click.argument("group")
-@click.argument("reflections", nargs=-1, required=True)
-@click.option("-K", "--shift-bound", type=click.IntRange(min=0), default=2,
-              show_default=True)
-@fmt_option
+@_command("fiber", _GROUP, _REFLECTIONS,
+          _arg("-K", "--shift-bound", type=_NATURAL, default=2,
+               help="Bound of the level shift (default: 2)."),
+          _FORMAT)
 def cmd_fiber(group, reflections, shift_bound, fmt):
     """Members of the sigma_n-fiber through a repeated-root-tail tuple."""
     rs, affine = _parse_group_or_exit(group)
@@ -328,15 +377,16 @@ def cmd_fiber(group, reflections, shift_bound, fmt):
           [f"{len(members)} fiber members"] + [format_tuple(m) for m in members])
 
 
-@main.command("verify")
-@click.argument("suites", nargs=-1)
-@click.option("--group", "groups", multiple=True,
-              help="Groups to run the suite over (suite defaults if omitted).")
-@click.option("--seed", type=int, default=None,
-              help="Seed of the sampled checks [default: affhur.verify.DEFAULT_SEED].")
-@click.option("--samples", type=click.IntRange(min=1), default=None,
-              help="Sample count for randomized suites.")
-@fmt_option
+@_command("verify", _arg("suites", metavar="SUITE", nargs="*"),
+          _arg("--group", dest="groups", action="append", default=[],
+               help="Group to run the suites over; repeatable "
+                    "(suite defaults if omitted)."),
+          _arg("--seed", type=int, default=None,
+               help="Seed of the sampled checks "
+                    "(default: affhur.verify.DEFAULT_SEED)."),
+          _arg("--samples", type=_int_at_least(1), default=None,
+               help="Sample count for randomized suites."),
+          _FORMAT)
 def cmd_verify(suites, groups, seed, samples, fmt):
     """Run verification suites (default: all)."""
     from . import verify as verify_mod  # only this command pays its import

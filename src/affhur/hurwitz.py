@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .rootsys import RootSystem, RootSystemError
@@ -47,9 +46,21 @@ from .weyl_fin import (SEARCH_MEMO_SIZE, SEARCH_NODE_LIMIT, RootTable,
                        root_table)
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    letters: tuple[int, ...] = ()
+    """A braid word by its letters; equal, and hashed, by them."""
+
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...] = ()):
+        self.letters = letters
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def inverse(self) -> "BraidWord":
         return BraidWord(tuple(-x for x in reversed(self.letters)))
@@ -226,10 +237,12 @@ def _word_to(parents: dict, node) -> BraidWord:
     return BraidWord(tuple(reversed(letters)))
 
 
-@dataclass(frozen=True)
 class OrbitResult:
-    members: set  # the code tuples reached, the start's included
-    exhausted: bool
+    __slots__ = ("members", "exhausted")
+
+    def __init__(self, members: set, exhausted: bool):
+        self.members = members  # the code tuples reached, the start's included
+        self.exhausted = exhausted
 
 
 def orbit(move, start: tuple, node_limit: int = SEARCH_NODE_LIMIT,

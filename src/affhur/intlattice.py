@@ -8,22 +8,31 @@ arbitrary-precision integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .linalg import Mat, hnf, hnf_pivots, hnf_reduce
 from .rootsys import RootSystem
 
 
-@dataclass(frozen=True)
 class IntegerLattice:
-    ambient_rank: int
-    basis: Mat  # r x n, canonical HNF, r <= n
-    # the pivot column of each basis row, read once; determined by the basis
-    pivots: tuple = field(init=False, repr=False, compare=False)
+    """A lattice in Z^ambient_rank by its canonical HNF basis; two are
+    equal when their ambient ranks and bases are."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "pivots", hnf_pivots(self.basis))
+    __slots__ = ("ambient_rank", "basis", "pivots")
+
+    def __init__(self, ambient_rank: int, basis: Mat):
+        self.ambient_rank = ambient_rank
+        self.basis = basis  # r x n, canonical HNF, r <= n
+        # the pivot column of each basis row, read once; determined by the basis
+        self.pivots = hnf_pivots(basis)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not IntegerLattice:
+            return NotImplemented
+        return self.ambient_rank == other.ambient_rank and self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_rank, self.basis))
 
     @property
     def rank(self) -> int:

@@ -10,7 +10,6 @@ proof.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,31 +34,40 @@ class PipelineExhausted(RuntimeError):
         self.stage = stage
 
 
-@dataclass
 class GenerationCertificate:
-    normalizing_braid: BraidWord | None
-    conjugating_coweight: tuple[Fraction, ...] | None
-    repeated_root: Root | None
-    level_gap: int | None  # l_n - l_{n+1} after normalization
-    projected_generates: bool
-    translation_lattice: IntegerLattice | None
+    __slots__ = ("normalizing_braid", "conjugating_coweight", "repeated_root",
+                 "level_gap", "projected_generates", "translation_lattice")
+
+    def __init__(self, normalizing_braid: BraidWord | None,
+                 conjugating_coweight: tuple[Fraction, ...] | None,
+                 repeated_root: Root | None, level_gap: int | None,
+                 projected_generates: bool,
+                 translation_lattice: IntegerLattice | None):
+        self.normalizing_braid = normalizing_braid
+        self.conjugating_coweight = conjugating_coweight
+        self.repeated_root = repeated_root
+        self.level_gap = level_gap  # l_n - l_{n+1} after normalization
+        self.projected_generates = projected_generates
+        self.translation_lattice = translation_lattice
 
 
-@dataclass
 class GenerationResult:
-    generates: bool
-    certificate: GenerationCertificate
+    __slots__ = ("generates", "certificate")
+
+    def __init__(self, generates: bool, certificate: GenerationCertificate):
+        self.generates = generates
+        self.certificate = certificate
 
 
-@dataclass(frozen=True)
 class FactorizationQuery:
-    target: AffineWeylElement
-    length: int
-    level_bound: int
+    __slots__ = ("target", "length", "level_bound")
 
-    def __post_init__(self):
-        if self.length < 0 or self.level_bound < 0:
+    def __init__(self, target: AffineWeylElement, length: int, level_bound: int):
+        if length < 0 or level_bound < 0:
             raise ValueError("length and level bound must be non-negative")
+        self.target = target
+        self.length = length
+        self.level_bound = level_bound
 
 
 @lru_cache(maxsize=None)
@@ -432,8 +440,10 @@ def _factorization_blocks(rs: RootSystem, target: AffineWeylElement, m: int,
             yield block
 
 
-def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
-    """All reflection factorizations of the target with levels in [-K, K].
+def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery,
+                             limit: int | None = None):
+    """All reflection factorizations of the target with levels in [-K, K];
+    with a `limit`, the first limit + 1 of them at most.
 
     Complete in root sequences; complete in levels for the given bound.
     The root sequences of the finite part w0 of the target come from
@@ -447,11 +457,18 @@ def enumerate_factorizations(rs: RootSystem, query: FactorizationQuery):
     (positive-root index, level) pairs, one sorted block per first root
     (`_factorization_blocks`); the sorted result is decoded once, each
     code to the one `AffineReflection` that `ReflectionCodes.reflection`
-    keeps for it.
+    keeps for it. A limit stops the reading of blocks once more than
+    `limit` codes are read, so a caller tells a cut list by its length.
     """
+    codes = []
+    for block in _factorization_blocks(rs, query.target, query.length,
+                                       query.level_bound):
+        codes += block
+        if limit is not None and len(codes) > limit:
+            del codes[limit + 1:]
+            break
     decode = reflection_codes(rs, True).reflection
-    return [tuple(map(decode, code)) for block in _factorization_blocks(
-        rs, query.target, query.length, query.level_bound) for code in block]
+    return [tuple(map(decode, code)) for code in codes]
 
 
 def _has_factorization(rs: RootSystem, w: AffineWeylElement, m: int) -> bool:
@@ -486,12 +503,17 @@ def absolute_length_affine(rs: RootSystem, w: AffineWeylElement) -> int:
                        "the ceiling convention may not apply to this element")
 
 
-@dataclass
 class QuasiCoxeterResult:
-    is_quasi_coxeter: bool
-    witness: tuple | None
-    conclusive: bool
-    detail: str
+    """A verdict, None when a search ran out of its limits before one."""
+
+    __slots__ = ("is_quasi_coxeter", "witness", "conclusive", "detail")
+
+    def __init__(self, is_quasi_coxeter: bool | None, witness: tuple | None,
+                 conclusive: bool, detail: str):
+        self.is_quasi_coxeter = is_quasi_coxeter
+        self.witness = witness
+        self.conclusive = conclusive
+        self.detail = detail
 
 
 def is_quasi_coxeter_affine(rs: RootSystem, w: AffineWeylElement,

@@ -8,7 +8,7 @@ d_i = (alpha_i | alpha_i)/2 lie in {1, 2, 3}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -24,11 +24,11 @@ class RootSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Root:
-    """A root in simple-root coordinates."""
+class Root(namedtuple("Root", "coords")):
+    """A root in simple-root coordinates; compares, sorts and hashes as
+    the tuple (coords,)."""
 
-    coords: Vec
+    __slots__ = ()
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coords))
@@ -78,21 +78,32 @@ def _cartan_matrix(edges, d) -> Mat:
     return tuple(tuple(row) for row in a)
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    family: str
-    rank: int
-    cartan: Mat                 # cartan[i][j] = <alpha_j, alpha_i-coroot>
-    symmetrizer: Vec            # d_i = (alpha_i | alpha_i)/2
-    roots: tuple[Root, ...]     # all roots, sorted lexicographically
-    highest_root: Root
-    ratio_delta: int            # squared-length ratio long/short
+    """One finite root system; every field is determined by (family,
+    rank), which is what equality and the hash read. The hash is computed
+    once: every lru_cache keyed on a root system asks for it."""
+
+    __slots__ = ("family", "rank", "cartan", "symmetrizer", "roots",
+                 "highest_root", "ratio_delta", "_hash")
+
+    def __init__(self, family: str, rank: int, cartan: Mat, symmetrizer: Vec,
+                 roots: tuple[Root, ...], highest_root: Root, ratio_delta: int):
+        self.family = family
+        self.rank = rank
+        self.cartan = cartan             # cartan[i][j] = <alpha_j, alpha_i-coroot>
+        self.symmetrizer = symmetrizer   # d_i = (alpha_i | alpha_i)/2
+        self.roots = roots               # all roots, sorted lexicographically
+        self.highest_root = highest_root
+        self.ratio_delta = ratio_delta   # squared-length ratio long/short
+        self._hash = hash((family, rank))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RootSystem:
+            return NotImplemented
+        return self.family == other.family and self.rank == other.rank
 
     def __hash__(self) -> int:
-        # Every other field is determined by (family, rank), so this agrees
-        # with the generated field-wise __eq__; hashing the full `roots`
-        # tuple on each lru_cache lookup keyed on a root system is costly.
-        return hash((self.family, self.rank))
+        return self._hash
 
     @property
     def root_set(self) -> frozenset[Root]:

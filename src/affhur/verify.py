@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 
 from .hurwitz import (BraidWord, apply_braid, apply_move, connect, orbit,
                       reflection_codes)
@@ -30,13 +29,16 @@ from .weyl_fin import (SEARCH_NODE_LIMIT, all_elements, generates_w0,
 SUITES = ("lemmas", "example-a2", "generation", "main-theorem")
 DEFAULT_SEED = 20230
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    seconds: float
-    detail: str = ""
-    limit: bool = False  # not ok because a search ran out of its limits
+    __slots__ = ("name", "ok", "seconds", "detail", "limit")
+
+    def __init__(self, name: str, ok: bool, seconds: float, detail: str = "",
+                 limit: bool = False):
+        self.name = name
+        self.ok = ok
+        self.seconds = seconds
+        self.detail = detail
+        self.limit = limit  # not ok because a search ran out of its limits
 
 
 class CheckFailed(Exception):

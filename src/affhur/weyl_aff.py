@@ -28,7 +28,7 @@ reflection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter, neg, sub
@@ -39,6 +39,8 @@ from .weyl_fin import (FiniteWeylElement, RootTable, identity_element,
                        reflection_element, root_of_reflection, root_table)
 
 Pair = tuple  # (c, w) for TR(c) w: coroot coordinates, root permutation
+# builds an element from its fields without namedtuple's Python-level __new__
+_new = tuple.__new__
 
 
 def pair_mul(table: RootTable, x: Pair, y: Pair) -> Pair:
@@ -73,10 +75,12 @@ def pair_conj(table: RootTable, x: Pair, y: Pair) -> Pair:
     return e, w
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
-    finite: FiniteWeylElement
-    translation: Vec  # c in w = TR(c) * finite; coroot coordinates
+class AffineWeylElement(namedtuple("AffineWeylElement", "finite translation")):
+    """TR(translation) * finite, the translation in coroot coordinates.
+    Equal as the tuple (finite, translation); the hash reads the finite
+    part's permutation and the translation."""
+
+    __slots__ = ()
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         table = self.finite.table
@@ -98,15 +102,14 @@ class AffineWeylElement:
 def _element(table: RootTable, x: Pair) -> AffineWeylElement:
     """The pair (c, u) as the element TR(c) u."""
     c, u = x
-    return AffineWeylElement(FiniteWeylElement(u, table), c)
+    return _new(AffineWeylElement, (_new(FiniteWeylElement, (u, table)), c))
 
 
-@dataclass(frozen=True, order=True)
-class AffineReflection:
-    """Canonical (positive root, level) pair for s_{root, level}."""
+class AffineReflection(namedtuple("AffineReflection", "root level")):
+    """Canonical (positive root, level) pair for s_{root, level}; compares,
+    sorts and hashes as that tuple."""
 
-    root: Root
-    level: int
+    __slots__ = ()
 
 
 def affine_reflection(rs: RootSystem, root: Root, level: int) -> AffineReflection:

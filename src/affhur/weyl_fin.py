@@ -28,7 +28,7 @@ frozenset of codes) in an `lru_cache` of `SEARCH_MEMO_SIZE` entries;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import lcm
 from operator import itemgetter, mul
@@ -45,6 +45,9 @@ SEARCH_MEMO_SIZE = 1 << 16
 # The default node bound of a search: those of `affhur.hurwitz` and the ones
 # `quasicox.connect_reduced`, `affhur.verify` and the `affhur` command run.
 SEARCH_NODE_LIMIT = 10 ** 6
+# builds a group element from its fields without the Python-level __new__
+# that namedtuple generates: the products of the searches build millions
+_new = tuple.__new__
 
 
 class RootTable:
@@ -131,15 +134,18 @@ def root_table(rs: RootSystem) -> RootTable:
     return RootTable(rs)
 
 
-@dataclass(frozen=True)
-class FiniteWeylElement:
-    perm: tuple[int, ...]  # perm[i] = index of the image of root i
-    table: RootTable = field(repr=False)
+class FiniteWeylElement(namedtuple("FiniteWeylElement", "perm table")):
+    """An element by its root permutation, perm[i] the index of the image
+    of root i, and the root table it indexes. Equal as the tuple (perm,
+    table); the hash reads the permutation alone."""
+
+    __slots__ = ()
 
     def __mul__(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
         # (uv)(root i) = u(v(root i)); a root system has at least two roots,
         # so itemgetter returns a tuple
-        return FiniteWeylElement(itemgetter(*other.perm)(self.perm), self.table)
+        return _new(FiniteWeylElement,
+                    (itemgetter(*other.perm)(self.perm), self.table))
 
     def inverse(self) -> "FiniteWeylElement":
         return FiniteWeylElement(self.table.inverse(self.perm), self.table)

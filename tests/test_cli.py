@@ -1,10 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +21,70 @@ WORD = ["1,0:0", "0,1:0", "1,1:1"]
 THOMAS = WORD + WORD  # the length-4 pure translation of the worked example
 
 
+class Result:
+    """What one in-process run of the command line left: its exit code,
+    stdout and stderr as a terminal shows them (`output`), stderr alone,
+    and the exception that ended it (None on exit code 0)."""
+
+    def __init__(self, exit_code, output, stderr, exception):
+        self.exit_code = exit_code
+        self.output = output
+        self.stderr = stderr
+        self.exception = exception
+
+
+class _Stream(io.StringIO):
+    """One output stream that also copies its text to the shared `mixed`."""
+
+    def __init__(self, mixed):
+        super().__init__()
+        self.mixed = mixed
+
+    def write(self, text):
+        self.mixed.write(text)
+        return super().write(text)
+
+
+class Runner:
+    """Runs `main(args)` in this process with captured stdout and stderr.
+    `env` sets environment variables for the run (None unsets one); an
+    exception other than `SystemExit` is exit code 1, or re-raised when
+    `catch_exceptions` is false."""
+
+    def invoke(self, cli, args, env=None, catch_exceptions=True):
+        mixed = io.StringIO()
+        out, err = _Stream(mixed), _Stream(mixed)
+        env = env or {}
+        saved = {key: os.environ.get(key) for key in env}
+        _set_env(env)
+        exit_code, exception = 0, None
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                cli(list(args), prog_name="affhur")
+        except SystemExit as exc:
+            code = exc.code
+            exit_code = 0 if code is None else code if isinstance(code, int) else 1
+            exception = exc if exit_code else None
+        except Exception as exc:
+            if not catch_exceptions:
+                raise
+            exit_code, exception = 1, exc
+        finally:
+            _set_env(saved)
+        return Result(exit_code, mixed.getvalue(), err.getvalue(), exception)
+
+
+def _set_env(env):
+    for key, value in env.items():
+        if value is None:
+            os.environ.pop(key, None)
+        else:
+            os.environ[key] = value
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def run(runner, *args):
@@ -109,6 +171,24 @@ def test_check_qc_short_element_conclusive(runner):
     assert data["absolute_length"] == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_qc_on_an_exhausted_normalization_is_inconclusive(runner, monkeypatch, fmt):
+    # a normalization out of its node limit decides nothing: exit 3, the
+    # stage named on stdout, nothing on stderr
+    monkeypatch.setattr(quasicox, "lr_normalize", lambda *args, **kwargs: None)
+    res = run(runner, "check-qc", "affine:A2", *WORD, "--format", fmt)
+    assert res.exit_code == 3 and not res.stderr
+    assert isinstance(res.exception, SystemExit)
+    if fmt == "json":
+        data = json.loads(res.output)
+        assert data["verdict"] is None and data["conclusive"] is False
+        assert data["witness"] is None and data["certificate"] is None
+        assert "'normalize'" in data["detail"]
+    else:
+        assert res.output.splitlines()[0] == (
+            "quasi-Coxeter: undecided (a search ran out of its limits)")
+        assert "'normalize'" in res.output
+
 def test_length(runner):
     res = run(runner, "length", "affine:A2", *THOMAS, "--format", "json")
     assert res.exit_code == 0
@@ -122,6 +202,29 @@ def test_factorize(runner):
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["length"] == 4 and data["count"] == len(data["factorizations"]) > 0
+
+
+def test_factorize_stops_at_the_node_limit(runner, monkeypatch):
+    # the worked example's element has 33 factorizations at K=2
+    args = ["factorize", "affine:A2", *WORD, "--format", "json"]
+    full = run(runner, *args)
+    assert full.exit_code == 0 and json.loads(full.output)["count"] == 33
+    monkeypatch.setenv("AFFHUR_NODE_LIMIT", "33")
+    res = run(runner, *args)
+    assert res.exit_code == 0 and res.output == full.output
+    monkeypatch.setenv("AFFHUR_NODE_LIMIT", "5")
+    res = run(runner, *args)
+    assert res.exit_code == 3 and not res.stderr
+    data = json.loads(res.output)
+    assert data["truncated"] is True and data["limits"]["node_limit"] == 5
+    assert data["count"] == 5
+    assert data["factorizations"] == json.loads(full.output)["factorizations"][:5]
+    res = run(runner, *args[:-2])
+    assert res.exit_code == 3 and not res.stderr
+    lines = res.output.splitlines()
+    assert lines[0] == ("first 5 factorizations of length 3 with levels in "
+                        "[-2, 2], cut at the node limit 5")
+    assert len(lines) == 6
 
 
 def test_orbit_exhausted(runner):
@@ -284,7 +387,7 @@ def test_bad_input_is_a_usage_error(runner, monkeypatch, node_limit, args):
 
 
 def test_help_and_version_still_work(runner):
-    # with no arguments click prints the help; --help and --version exit 0
+    # with no arguments the help is printed; --help and --version exit 0
     bare = run(runner)
     assert bare.exit_code == 2 and "Commands:" in bare.output
     for flag in ("--help", "--version"):
@@ -527,7 +630,7 @@ def test_bad_input_never_crashes(invocation, fmt):
     # levels stay within -K 1, so no enumeration runs long
     argv, node_limit, usage = invocation
     env = {"AFFHUR_NODE_LIMIT": node_limit}
-    res = CliRunner().invoke(main, [*argv, "--format", fmt], env=env)
+    res = Runner().invoke(main, [*argv, "--format", fmt], env=env)
     assert res.exit_code in ((2,) if usage else (2, 3)), (argv, node_limit, res.output)
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output

@@ -5,16 +5,22 @@ public class, has a reader outside the tests.
 `__init__.py` is exempt from the import scan: its imports are re-exports.
 So are `from __future__` imports, which change the compiler and bind
 nothing read.
+
+The CLI's import loads neither click nor dataclasses: each command starts
+a fresh interpreter, which would pay for both.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import affhur
-from affhur.cli import main
+from affhur.cli import COMMANDS
 
 MODULES = sorted(p for p in Path(affhur.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -94,7 +100,7 @@ def test_every_public_definition_has_a_reader():
     # read by a library module, exported by the package, a command of the
     # CLI, or named by the benchmark (its tracer's targets)
     modules = {p.stem: p.read_text() for p in MODULES}
-    commands = {c.callback.__name__ for c in main.commands.values()}
+    commands = {fn.__name__ for fn, _ in COMMANDS.values()}
     perfbench = set(re.findall(r"\w+", "\n".join(
         p.read_text() for p in sorted(PERFBENCH.glob("*.py")))))
     used = set(affhur.__all__) | commands | perfbench | UNREAD_ALLOWED
@@ -158,3 +164,15 @@ def test_every_public_method_has_a_reader():
     perfbench = set().union(*(names_mentioned(p.read_text())
                               for p in PERFBENCH.glob("*.py")))
     assert unread_methods(modules, perfbench) == []
+
+
+def test_the_cli_imports_neither_click_nor_dataclasses():
+    # every command starts a fresh interpreter: importing click or
+    # generating dataclass methods would cost each of them
+    src = str(Path(affhur.__file__).resolve().parent.parent)
+    code = ("import sys, affhur.cli; "
+            "print(sorted({'click', 'dataclasses'} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"

@@ -526,6 +526,18 @@ def test_enumerate_sorted_deterministic(a2):
     assert facs == sorted(facs)
 
 
+def test_enumerate_with_a_limit_reads_one_past_it(a2):
+    # a cut list is the first limit + 1 factorizations; a list at or under
+    # the limit is the whole one
+    w = product_of_reflections(a2, simple_system_affine(a2))
+    query = FactorizationQuery(w, 3, 2)
+    facs = enumerate_factorizations(a2, query)
+    assert len(facs) == 33
+    for limit in (0, 1, 5, 32):
+        assert enumerate_factorizations(a2, query, limit) == facs[:limit + 1]
+    for limit in (33, 34, 10 ** 6):
+        assert enumerate_factorizations(a2, query, limit) == facs
+
 def _oracle_coroots(rs, seq):
     """v_i = s_{b_m} ... s_{b_{i+1}} (b_i)-coroot, in coroot coordinates."""
     vs = []
